@@ -218,8 +218,10 @@ class ColouredBrauerDiagram:
 
     def is_valid(self, df: DimensionFunction) -> bool:
         """Matched points must carry colours of equal dimension."""
+        cols = self.colours
         return all(
-            df.value(self.colour(x)) == df.value(self.colour(y))
+            cols[x - 1] == cols[y - 1]
+            or df.value(cols[x - 1]) == df.value(cols[y - 1])
             for x, y in self.pairing.pairs
         )
 

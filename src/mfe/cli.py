@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .brauer import DimensionFunction, encode_word, square_df
 from .cumulants import Colourization, cumulants_from_moments, \
     kappa_closed_form
-from .moments import MomentFunction, evolve_finite, moment_of_word
+from .moments import MomentFunction, finite_evaluator, moment_of_word
 from .ncpart import NonCrossingPartition, enumerate_nc
 from .opvalued import limit_cumulant_coefficient, limit_statistic
 from .rmt import estimate_stat
@@ -111,7 +112,7 @@ def _emit(args, payload, rows=None, header=None):
     if args.format == "json":
         payload = dict(payload)
         payload["schema"] = SCHEMA
-        text = json.dumps(payload, sort_keys=True,
+        text = json.dumps(payload, sort_keys=True, allow_nan=False,
                           separators=(",", ":")) + "\n"
     else:
         buf = io.StringIO()
@@ -149,8 +150,10 @@ def cmd_moment(args):
             raise ValueError("finite mode needs --field and --d")
         if not args.t:
             raise ValueError("finite mode needs at least one --t")
-        vals = [moment_of_word(tokens, n, t=t, field=args.field,
-                               block_dim=args.d) for t in args.t]
+        seed, word = encode_word(tokens)
+        value = finite_evaluator(seed, word, square_df(n, args.d),
+                                 args.field)
+        vals = [value(t) for t in args.t]
         payload = {"values": [{"t": t, "value": v}
                               for t, v in zip(args.t, vals)]}
         rows = [[args.word, t, v, "", "", ""]
@@ -216,12 +219,15 @@ def cmd_simulate(args):
 def cmd_compare(args):
     tokens = parse_word(args.word)
     n = _infer_n(tokens, args.n)
+    if args.samples < 2:
+        raise ValueError("compare needs --samples >= 2 for a standard error")
     df = square_df(n, args.d)
     b, w = encode_word(tokens)
     limit_mf = moment_of_word(tokens, n)
+    exact_at = finite_evaluator(b, w, df, args.field)
     rows, entries, failed = [], [], False
     for t in args.t:
-        exact = evolve_finite(b, w, t, df, args.field)
+        exact = exact_at(t)
         lim = float(limit_mf.value(t))
         mean, se = estimate_stat(b, w, args.field, df, t, args.samples,
                                  seed=args.seed, steps=args.steps)
@@ -245,6 +251,9 @@ def cmd_amalgamated(args):
     k = len(tokens)
     ratios = parse_ratios(args.ratios)
     alpha = tuple(int(x) for x in args.alpha.split(","))
+    if any(a not in ratios.dims for a in alpha):
+        raise ValueError("--alpha colours must lie in 1..%d, one per ratio"
+                         % ratios.n)
     _, w = encode_word(tokens)
     pi = parse_partition(args.pi, k) if args.pi else \
         NonCrossingPartition([range(1, k + 1)])
@@ -348,6 +357,9 @@ def main(argv=None):
         args.t = []
     try:
         thread_cap()
+        for t in args.t:
+            if not math.isfinite(t):
+                raise ValueError("--t must be a finite number, got %r" % t)
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -21,10 +21,6 @@ from .brauer import canonical_orientation, fnc, oriented_cycles
 # quaternion arrays
 # ---------------------------------------------------------------------------
 
-def quat_zeros(n, m):
-    return np.zeros((n, m, 4))
-
-
 def quat_eye(n):
     q = np.zeros((n, n, 4))
     q[..., 0] = np.eye(n)

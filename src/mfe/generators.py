@@ -76,26 +76,6 @@ def admissible_moves(b, word, df, fclass, creating_only=False):
     return out
 
 
-def reachable_basis(seed, word, df, fclass, bound=BASIS_BOUND):
-    """BFS closure of the seed under admissible left multiplications."""
-    if len(word) != seed.k:
-        raise ValueError("word length does not match diagram size")
-    basis, index = [seed], {seed: 0}
-    queue = [seed]
-    while queue:
-        b = queue.pop(0)
-        for _, r, _ in admissible_moves(b, word, df, fclass):
-            out = compose(r, b, df)
-            nxt = out.diagram
-            if nxt not in index:
-                if len(basis) >= bound:
-                    raise ValueError("reachable basis exceeds %d" % bound)
-                index[nxt] = len(basis)
-                basis.append(nxt)
-                queue.append(nxt)
-    return basis
-
-
 class GeneratorMatrix:
     """Generator as sparse rows of exact rationals over an ordered basis.
 
@@ -125,6 +105,18 @@ class GeneratorMatrix:
                 a[i, j] = float(v)
         return a
 
+    def sparse(self):
+        """The generator as a scipy CSR array of floats."""
+        from scipy.sparse import csr_array
+
+        indptr, indices, data = [0], [], []
+        for row in self.rows:
+            indices.extend(row)
+            data.extend(float(v) for v in row.values())
+            indptr.append(len(indices))
+        return csr_array((np.array(data, dtype=float), np.array(indices),
+                          np.array(indptr)), shape=(self.size, self.size))
+
     def __repr__(self):
         return "GeneratorMatrix(size=%d, word=%r)" % (self.size, self.word)
 
@@ -147,21 +139,100 @@ def _weight(weights, letter):
     return Fraction(weights[letter])
 
 
-def _ratio_factor(b, out, df, sign_scale):
-    """Product over classes of base^(loops + fnc(b') - fnc(b)).
+def _class_bases(df, quat):
+    """(class, base) per dimension class: the class dimension (or ratio),
+    negated and doubled for the quaternionic scale."""
+    return [(cls, -2 * df.value(cls) if quat else df.value(cls))
+            for cls in df.classes()]
 
-    base is the class dimension (or ratio), negated and doubled for the
-    quaternionic scale.
-    """
+
+def _loop_factor(bases, loops, fnc_out, fnc_in):
+    """Product over classes of base^(loops + fnc(b') - fnc(b))."""
     val = Fraction(1)
-    for cls in df.classes():
-        base = df.value(cls)
-        if sign_scale:
-            base = -2 * base
-        expo = (out.loops.get(cls, 0)
-                + fnc(out.diagram, df, cls) - fnc(b, df, cls))
-        val *= base ** expo
+    for (cls, base), f_out, f_in in zip(bases, fnc_out, fnc_in):
+        val *= base ** (loops.get(cls, 0) + f_out - f_in)
     return val
+
+
+def _ratio_factor(b, out, df, sign_scale):
+    """Loop factor of the single move b -> out."""
+    classes = df.classes()
+    return _loop_factor(_class_bases(df, sign_scale), out.loops,
+                        [fnc(out.diagram, df, c) for c in classes],
+                        [fnc(b, df, c) for c in classes])
+
+
+def _finite_rates(df, field):
+    """Drift c_N^K, class bases and the 1/base_N scale of the finite
+    generator, base = dims (R, C) or -2 dims (H)."""
+    total_n = sum(int(v) for v in df.dims.values())
+    quat = field == "H"
+    base_n = Fraction(-2 * total_n if quat else total_n)
+    return casimir_drift(field, total_n), _class_bases(df, quat), 1 / base_n
+
+
+def _limit_rates(ratios):
+    """Drift -1/2 and the ratio bases of the limit generator."""
+    if any(v <= 0 for v in ratios.dims.values()):
+        raise ValueError("ratios must be positive")
+    return Fraction(-1, 2), _class_bases(ratios, False), Fraction(1)
+
+
+def _sweep(states, word, df, fclass, creating_only=False, grow=True,
+           rates=None, weights=None, bound=BASIS_BOUND):
+    """The closure-and-generator pass behind every exact route.
+
+    Walks `states` in order and composes each admissible move onto each
+    state once.  With grow, a new product is appended, so the walk is the
+    breadth-first closure in discovery order, and passing `bound` states
+    is an error; without, `states` is a fixed basis and a product outside
+    it is an error.  With rates = (drift, bases, scale) the pass also
+    fills the generator rows: drift times the total letter weight on the
+    diagonal, and sign * weight * scale * loop factor per move, with fnc
+    computed once per state and class.  Returns (states, rows), rows None
+    without rates.
+    """
+    if grow and len(word) != states[0].k:
+        raise ValueError("word length does not match diagram size")
+    index = {b: i for i, b in enumerate(states)}
+    rows = None
+    if rates is not None:
+        drift, bases, scale = rates
+        diag = drift * sum(_weight(weights, l.letter) for l in word.letters)
+        classes = [cls for cls, _ in bases]
+        fncs = [[fnc(b, df, c) for c in classes] for b in states]
+        rows = []
+    i = 0
+    while i < len(states):
+        b = states[i]
+        if rates is not None:
+            row = {i: diag}
+            rows.append(row)
+        for (si, _), r, kind in admissible_moves(b, word, df, fclass,
+                                                 creating_only):
+            out = compose(r, b, df)
+            j = index.get(out.diagram)
+            if j is None:
+                if not grow:
+                    raise ValueError("basis not closed under %s at %s" % (
+                        kind, format_diagram(b)))
+                if len(states) >= bound:
+                    raise ValueError("reachable basis exceeds %d" % bound)
+                j = index[out.diagram] = len(states)
+                states.append(out.diagram)
+                if rates is not None:
+                    fncs.append([fnc(out.diagram, df, c) for c in classes])
+            if rates is not None:
+                val = _loop_factor(bases, out.loops, fncs[j], fncs[i]) \
+                    * scale * _weight(weights, word[si - 1].letter)
+                row[j] = row.get(j, 0) + (-val if kind == "tau" else val)
+        i += 1
+    return states, rows
+
+
+def reachable_basis(seed, word, df, fclass, bound=BASIS_BOUND):
+    """BFS closure of the seed under admissible left multiplications."""
+    return _sweep([seed], word, df, fclass, bound=bound)[0]
 
 
 def build_generator_finite(basis, word, df, field, weights=None):
@@ -171,27 +242,10 @@ def build_generator_finite(basis, word, df, field, weights=None):
       sign(r) * t_letter * (1/base_N) * prod_cls base_cls^(loops + dfnc)
     with base = dims (R, C) or -2 dims (H), base_N the matching total.
     """
-    fclass = field_class(field)
-    index = {b: i for i, b in enumerate(basis)}
-    total_n = sum(int(v) for v in df.dims.values())
-    quat = field == "H"
-    base_n = Fraction(-2 * total_n if quat else total_n)
-    drift_c = casimir_drift(field, total_n)
-    rows = [dict() for _ in basis]
-    for i, b in enumerate(basis):
-        d = drift_c * sum(_weight(weights, l.letter) for l in word.letters)
-        rows[i][i] = rows[i].get(i, Fraction(0)) + d
-        for (si, _), r, kind in admissible_moves(b, word, df, fclass):
-            out = compose(r, b, df)
-            if out.diagram not in index:
-                raise ValueError("basis not closed under %s at %s" % (
-                    kind, format_diagram(b)))
-            j = index[out.diagram]
-            sign = Fraction(-1 if kind == "tau" else 1)
-            wt = _weight(weights, word[si - 1].letter)
-            val = sign * wt * _ratio_factor(b, out, df, quat) / base_n
-            rows[i][j] = rows[i].get(j, Fraction(0)) + val
-    return GeneratorMatrix(basis, word, rows)
+    states, rows = _sweep(list(basis), word, df, field_class(field),
+                          grow=False, rates=_finite_rates(df, field),
+                          weights=weights)
+    return GeneratorMatrix(states, word, rows)
 
 
 def build_generator_limit(basis, word, ratios, fclass="real", weights=None):
@@ -201,25 +255,33 @@ def build_generator_limit(basis, word, ratios, fclass="real", weights=None):
     Built identically for the limits of the real and quaternionic
     processes; the complex variant differs only through the word filters.
     """
-    if any(v <= 0 for v in ratios.dims.values()):
-        raise ValueError("ratios must be positive")
-    index = {b: i for i, b in enumerate(basis)}
-    rows = [dict() for _ in basis]
-    for i, b in enumerate(basis):
-        d = Fraction(-1, 2) * sum(
-            _weight(weights, l.letter) for l in word.letters)
-        rows[i][i] = rows[i].get(i, Fraction(0)) + d
-        for (si, _), r, kind in admissible_moves(
-                b, word, ratios, fclass, creating_only=True):
-            out = compose(r, b, ratios)
-            if out.diagram not in index:
-                raise ValueError("basis not closed at %s" % format_diagram(b))
-            j = index[out.diagram]
-            sign = Fraction(-1 if kind == "tau" else 1)
-            wt = _weight(weights, word[si - 1].letter)
-            val = sign * wt * _ratio_factor(b, out, ratios, False)
-            rows[i][j] = rows[i].get(j, Fraction(0)) + val
-    return GeneratorMatrix(basis, word, rows)
+    states, rows = _sweep(list(basis), word, ratios, fclass,
+                          creating_only=True, grow=False,
+                          rates=_limit_rates(ratios), weights=weights)
+    return GeneratorMatrix(states, word, rows)
+
+
+def finite_generator(seed, word, df, field, weights=None):
+    """The seed's closure under every admissible move with the finite
+    generator on it, from one pass; equal to reachable_basis followed by
+    build_generator_finite."""
+    states, rows = _sweep([seed], word, df, field_class(field),
+                          rates=_finite_rates(df, field), weights=weights)
+    return GeneratorMatrix(states, word, rows)
+
+
+def limit_generator(seed, word, ratios, fclass="real", weights=None):
+    """The seed's closure under the creating moves only, with the limit
+    generator on it, from one pass.
+
+    The limit generator has no other moves, so the seed's row orbit
+    never leaves this closure: it has Catalan rather than factorial size
+    in the word length, and the limit moment on it is the one on the
+    full reachable basis.
+    """
+    states, rows = _sweep([seed], word, ratios, fclass, creating_only=True,
+                          rates=_limit_rates(ratios), weights=weights)
+    return GeneratorMatrix(states, word, rows)
 
 
 def square_ratios(n):

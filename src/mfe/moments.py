@@ -1,9 +1,10 @@
 """Moment functions of block trace statistics.
 
-Finite-dimension expectations come from a numeric matrix exponential of
-the generator; large-dimension limits are solved exactly: the Krylov
-orbit of the seed row is finite, its annihilator polynomial factors over
-the rationals, and matching Taylor coefficients yields a closed form
+Finite-dimension expectations come from the action of the matrix
+exponential of the sparse generator on the diagonal indicator;
+large-dimension limits are solved exactly: the Krylov orbit of the seed
+row is finite, its annihilator polynomial factors over the rationals,
+and matching Taylor coefficients yields a closed form
 sum_rate e^(rate t) * polynomial(t) with rational data.
 """
 
@@ -15,16 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
-from scipy.linalg import expm
 
 from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
     cycle_partition
 from .generators import (
-    build_generator_finite,
-    build_generator_limit,
     delta_diag,
-    field_class,
-    reachable_basis,
+    finite_generator,
+    limit_generator,
     square_ratios,
 )
 
@@ -329,9 +327,12 @@ def _match_exponentials(roots, taylor):
     return MomentFunction(terms)
 
 
-def solve_semigroup_row(gen, seed_index):
-    """Exact (delta_diag o e^(tL)) applied to one basis coordinate."""
-    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
+def solve_semigroup_row(gen, seed_index, dvec):
+    """Exact (dvec o e^(tL)) applied to one basis coordinate.
+
+    dvec holds one rational per basis state: delta_diag for a moment,
+    or any other statistic read off the states.
+    """
     rec, krylov = _krylov_annihilator(gen, seed_index)
     m = len(rec)
     if m == 0:
@@ -348,23 +349,40 @@ def solve_semigroup_row(gen, seed_index):
 # public operations
 # ---------------------------------------------------------------------------
 
+def finite_evaluator(seed, word, df, field, weights=None):
+    """t -> expected statistic of the seed diagram at time t, dimension df.
+
+    The closure and its generator are built once; each time is then one
+    action of e^(tL) on the delta_diag vector (Al-Mohy & Higham 2011),
+    on the sparse generator and without forming e^(tL).
+    """
+    from scipy.sparse.linalg import expm_multiply
+
+    gen = finite_generator(seed, word, df, field, weights)
+    a = gen.sparse()
+    dvec = np.array([float(delta_diag(b)) for b in gen.basis])
+    row = gen.index(seed)
+
+    def value(t):
+        if t < 0:
+            raise ValueError("negative time")
+        return float(expm_multiply(float(t) * a, dvec)[row])
+
+    return value
+
+
 def evolve_finite(seed, word, t, df, field, weights=None):
     """Expected statistic of the seed diagram at time t, dimension df."""
     if t < 0:
         raise ValueError("negative time")
-    fclass = field_class(field)
-    basis = reachable_basis(seed, word, df, fclass)
-    gen = build_generator_finite(basis, word, df, field, weights)
-    dvec = np.array([float(delta_diag(b)) for b in basis])
-    prop = expm(float(t) * gen.dense())
-    return float(prop[gen.index(seed)] @ dvec)
+    return finite_evaluator(seed, word, df, field, weights)(t)
 
 
 def evolve_limit(seed, word, ratios, fclass="real", weights=None):
     """Exact limit moment function of the seed diagram."""
-    basis = reachable_basis(seed, word, ratios, fclass)
-    gen = build_generator_limit(basis, word, ratios, fclass, weights)
-    return solve_semigroup_row(gen, gen.index(seed))
+    gen = limit_generator(seed, word, ratios, fclass, weights)
+    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
+    return solve_semigroup_row(gen, gen.index(seed), dvec)
 
 
 def moment_of_word(tokens, n, t=None, field=None, block_dim=None):

@@ -23,17 +23,13 @@ from .brauer import (
 )
 from .evaltrace import block_slice, qmatmul, total_dim
 from .generators import (
+    GeneratorMatrix,
     _ratio_factor,
     _weight,
     admissible_moves,
     delta_diag,
 )
-from .moments import (
-    MomentFunction,
-    _krylov_annihilator,
-    _match_exponentials,
-    _rational_roots,
-)
+from .moments import MomentFunction, solve_semigroup_row
 from .ncpart import (
     NonCrossingPartition,
     SetPartition,
@@ -291,23 +287,6 @@ def seed_diagram(pi, alpha, eps):
     return ColouredBrauerDiagram(pairing, cols)
 
 
-class _RowShim:
-    def __init__(self, rows):
-        self.rows = rows
-        self.size = len(rows)
-
-
-def _solve_row_against(rows, seed_idx, dvec):
-    rec, krylov = _krylov_annihilator(_RowShim(rows), seed_idx)
-    m = len(rec)
-    if m == 0:
-        return MomentFunction.zero()
-    roots = _rational_roots(rec)
-    taylor = [sum(x * d for x, d in zip(krylov[i], dvec) if x)
-              for i in range(m)]
-    return _match_exponentials(roots, taylor)
-
-
 def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
                                pi=None):
     """Exact limit coefficient c_beta(alpha, w, eps) as a MomentFunction.
@@ -357,7 +336,7 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
             row[j] = row.get(j, Fraction(0)) + val
     dvec = [Fraction(delta_diag(b)) if part == beta_p else Fraction(0)
             for b, part in states]
-    return _solve_row_against(rows, 0, dvec)
+    return solve_semigroup_row(GeneratorMatrix(states, word, rows), 0, dvec)
 
 
 def limit_statistic(pi, alpha, word, ratios, weights=None):

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mfe
 from mfe.cli import (
     main,
     parse_partition,
@@ -73,6 +77,20 @@ class TestMoment:
     def test_finite_needs_field(self, capsys):
         rc, _, err = run(capsys, "moment", "--word", "u11", "--t", "1")
         assert rc == 2 and "field" in err
+
+    def test_multi_t_finite_equals_single_t_calls(self, capsys):
+        argv = ["moment", "--field", "C", "--d", "3", "--word",
+                "u12 u21 u11 u11*", "--format", "csv"]
+        times = ["0", "0.25", "1", "2"]
+        rc, out, _ = run(capsys, *argv, *[a for t in times
+                                          for a in ("--t", t)])
+        assert rc == 0
+        singles = []
+        for t in times:
+            rc1, out1, _ = run(capsys, *argv, "--t", t)
+            assert rc1 == 0
+            singles.append(out1.splitlines()[1])
+        assert out.splitlines()[1:] == singles
 
     def test_word_index_above_n(self, capsys):
         rc, _, err = run(capsys, "moment", "--limit", "--n", "1",
@@ -168,6 +186,55 @@ class TestAmalgamated:
         rc, _, _ = run(capsys, "amalgamated", "--word", "u11 u11",
                        "--alpha", "1,1", "--ratios", "1")
         assert rc == 2
+
+
+def assert_one_line_error(rc, out, err):
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--limit", "--word", "u11 u11"],
+        ["moment", "--field", "C", "--d", "2", "--word", "u11 u11"],
+        ["cumulant", "--p", "2"],
+        ["simulate", "--field", "C", "--N", "2", "--word", "u11",
+         "--samples", "4"],
+        ["compare", "--field", "C", "--d", "2", "--word", "u11",
+         "--samples", "4"],
+        ["amalgamated", "--word", "u11 u11", "--alpha", "1,1,1",
+         "--ratios", "1"],
+    ])
+    def test_non_finite_time_rejected(self, capsys, argv, bad):
+        rc, out, err = run(capsys, *argv, "--t=" + bad)
+        assert_one_line_error(rc, out, err)
+        assert "--t" in err
+
+    def test_alpha_colour_outside_ratios(self, capsys):
+        for alpha in ("1,3,1", "0,1,1"):
+            rc, out, err = run(capsys, "amalgamated", "--word", "u11 u11",
+                               "--alpha", alpha, "--ratios", "1/2,1/2")
+            assert_one_line_error(rc, out, err)
+            assert "--alpha" in err
+
+    def test_compare_needs_two_samples(self, capsys):
+        rc, out, err = run(capsys, "compare", "--field", "C", "--d", "2",
+                           "--word", "u11", "--t", "1", "--samples", "1",
+                           "--check")
+        assert_one_line_error(rc, out, err)
+        assert "--samples" in err
+
+    def test_import_leaves_sparse_solver_unloaded(self):
+        code = ("import sys, mfe.cli; "
+                "print('scipy.sparse.linalg' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(mfe.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestOutputs:

@@ -28,8 +28,10 @@ from mfe.generators import (
     casimir_drift,
     compatible_words,
     delta_diag,
+    finite_generator,
     generator_free_process,
     is_compatible,
+    limit_generator,
     reachable_basis,
     schurmann_L,
     schurmann_eta,
@@ -181,6 +183,77 @@ class TestClosure:
         b, w = c2_seed()
         with pytest.raises(ValueError):
             reachable_basis(b, w, square_df(1), "real", bound=2)
+
+
+def catalan(k):
+    return math.comb(2 * k, k) // (k + 1)
+
+
+# (field, word, block dimension) with n read off the word
+ONE_PASS_CASES = [
+    ("R", [(1, 1, False)] * 4, 3),
+    ("R", [(1, 2, False), (2, 1, False), (1, 1, False), (1, 1, False)], 2),
+    ("C", [(1, 2, False), (2, 1, True), (1, 1, False), (1, 2, True),
+           (2, 1, False)], 2),
+    ("H", [(1, 2, False), (2, 1, False)] * 2, 2),
+    ("H", [(1, 1, False), (1, 1, True)] + [(1, 1, False)] * 3, 2),
+]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("field,tokens,d", ONE_PASS_CASES)
+    def test_finite_generator_equals_public_builders(self, field, tokens,
+                                                     d):
+        seed, word = encode_word(tokens)
+        df = square_df(max(max(i, j) for i, j, _ in tokens), d)
+        fclass = "complex" if field == "C" else "real"
+        gen = finite_generator(seed, word, df, field)
+        basis = reachable_basis(seed, word, df, fclass)
+        assert gen.basis == basis
+        assert gen.rows == build_generator_finite(basis, word, df,
+                                                  field).rows
+
+    def test_weights_and_word_length(self):
+        seed, word = c2_seed()
+        df = square_df(1, 3)
+        basis = reachable_basis(seed, word, df, "complex")
+        wts = {1: Fraction(2)}
+        assert finite_generator(seed, word, df, "C", wts).rows == \
+            build_generator_finite(basis, word, df, "C", wts).rows
+        with pytest.raises(ValueError):
+            limit_generator(identity_diagram(2, [1, 1]), plain_word(1),
+                            square_ratios(1))
+
+    def test_limit_closure_is_catalan(self):
+        # u11^k admits taus only: all k! permutations are reachable,
+        # the creating taus close on the Catalan(k) non-crossing ones
+        ratios = square_ratios(1)
+        for k in range(1, 7):
+            seed, word = encode_word([(1, 1, False)] * k)
+            gen = limit_generator(seed, word, ratios, "complex")
+            assert gen.size == catalan(k)
+            assert gen.basis[0] == seed
+
+    def test_limit_rows_are_public_rows_on_the_closure(self):
+        for tokens, n in (([(1, 1, False)] * 5, 1),
+                          ([(1, 2, False), (2, 1, False), (1, 1, True),
+                            (1, 1, True)], 2)):
+            seed, word = encode_word(tokens)
+            ratios = square_ratios(n)
+            small = limit_generator(seed, word, ratios, "complex")
+            full = build_generator_limit(
+                reachable_basis(seed, word, ratios, "complex"), word,
+                ratios, "complex")
+            for i, b in enumerate(small.basis):
+                row = {full.basis[j]: v
+                       for j, v in full.rows[full.index(b)].items()}
+                assert row == {small.basis[j]: v
+                               for j, v in small.rows[i].items()}
+
+    def test_sparse_matches_dense(self):
+        seed, word = encode_word(ONE_PASS_CASES[2][1])
+        gen = finite_generator(seed, word, square_df(2, 2), "C")
+        assert np.array_equal(gen.sparse().toarray(), gen.dense())
 
 
 class TestDrifts:

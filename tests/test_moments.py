@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mfe.brauer import (
     ColouredBrauerDiagram,
@@ -15,13 +16,22 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.generators import compatible_words, square_ratios
+from mfe.generators import (
+    build_generator_finite,
+    build_generator_limit,
+    compatible_words,
+    delta_diag,
+    reachable_basis,
+    square_ratios,
+)
 from mfe.moments import (
     MomentFunction,
     evolve_finite,
     evolve_limit,
     factorized_moment,
+    finite_evaluator,
     moment_of_word,
+    solve_semigroup_row,
 )
 
 
@@ -190,6 +200,67 @@ class TestEvolveLimit:
             real = evolve_limit(b, plain_word(k), ratios, "real")
             for w in compatible_words(b):
                 assert evolve_limit(b, w, ratios, "complex") == real
+
+
+def n_of(tokens):
+    return max(max(i, j) for i, j, _ in tokens)
+
+
+class TestSparseFiniteSolve:
+    # the sparse expm_multiply action against the dense matrix exponential
+    # of the generator from the public builders
+    CASES = [
+        ("R", [(1, 1, False)] * 4, 3),
+        ("R", [(1, 1, False), (1, 1, True)] + [(1, 1, False)] * 3, 3),
+        ("C", [(1, 2, False), (2, 1, False)] * 2, 2),
+        ("C", [(1, 2, False), (2, 1, True), (1, 1, False), (1, 2, True),
+               (2, 1, False)], 2),
+        ("H", [(1, 2, False), (2, 1, False)] * 2, 2),
+        ("H", [(1, 1, False), (1, 1, True)] + [(1, 1, False)] * 3, 2),
+    ]
+
+    @pytest.mark.parametrize("field,tokens,d", CASES)
+    def test_matches_dense_expm(self, field, tokens, d):
+        seed, word = encode_word(tokens)
+        df = square_df(n_of(tokens), d)
+        basis = reachable_basis(seed, word, df,
+                                "complex" if field == "C" else "real")
+        gen = build_generator_finite(basis, word, df, field)
+        dvec = np.array([float(delta_diag(b)) for b in basis])
+        value = finite_evaluator(seed, word, df, field)
+        for t in (0.0, 0.25, 1.0, 2.0):
+            want = (expm(t * gen.dense()) @ dvec)[gen.index(seed)]
+            assert abs(value(t) - want) <= 1e-12, (field, t)
+            assert evolve_finite(seed, word, t, df, field) == value(t)
+
+    def test_negative_time(self):
+        value = finite_evaluator(identity_diagram(1, [1]), plain_word(1),
+                                 square_df(1, 2), "C")
+        with pytest.raises(ValueError):
+            value(-0.5)
+
+
+class TestCreatingClosure:
+    # evolve_limit closes under creating moves only; the full reachable
+    # basis with the public limit builder must give the same function
+    def full_route(self, seed, word, ratios, fclass):
+        basis = reachable_basis(seed, word, ratios, fclass)
+        gen = build_generator_limit(basis, word, ratios, fclass)
+        dvec = [Fraction(delta_diag(b)) for b in basis]
+        return solve_semigroup_row(gen, gen.index(seed), dvec)
+
+    @pytest.mark.parametrize("tokens", [
+        [(1, 1, False)] * k for k in range(1, 7)] + [
+        [(1, 2, False), (2, 1, False), (1, 1, False), (1, 2, False),
+         (2, 1, False)],
+        [(1, 1, False), (1, 2, True), (1, 2, False), (1, 1, True)],
+    ])
+    def test_equals_full_basis(self, tokens):
+        seed, word = encode_word(tokens)
+        ratios = square_ratios(n_of(tokens))
+        got = evolve_limit(seed, word, ratios, "complex")
+        assert got != MomentFunction.zero()
+        assert got == self.full_route(seed, word, ratios, "complex")
 
 
 class TestMomentOfWord:
