@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .evaltrace import (
     m_stat,
@@ -161,6 +160,56 @@ def _unembed_quat_batch(c):
     return np.stack([x.real, x.imag, y.real, y.imag], axis=-1)
 
 
+# Taylor degrees m = 4k with the largest 1-norm x for which the remainder
+# bound x^(m+1) / (m+1)! / (1 - x/(m+2)) stays below 2^-53
+_TAYLOR = ((8, 0.0699), (12, 0.3352), (16, 0.8245), (20, 1.504))
+
+
+def expm(a):
+    """e^a for every matrix of a batch of shape (samples, n, n).
+
+    The batch is cut into chunks of 2^16 entries, so that the products
+    and sums of a chunk stay in cache.
+    """
+    out = np.empty_like(a)
+    step = max(1, 2 ** 16 // a.shape[-1] ** 2)
+    for i in range(0, len(a), step):
+        out[i:i + step] = _expm_chunk(a[i:i + step])
+    return out
+
+
+def _expm_chunk(a):
+    """Scaling and squaring with a truncated Taylor series of one degree
+    for the whole chunk, picked from its largest 1-norm, and evaluated by
+    Paterson-Stockmeyer in powers of a^4: at most seven batched products
+    before the squarings, and no solve.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max())
+    for m, theta in _TAYLOR:
+        if norm <= theta:
+            break
+    squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = a / 2.0 ** squarings
+    k = m // 4
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+    # block j holds the terms of degree 4j .. 4j+3 without a^(4j)
+    coef = np.array([[1.0 / math.factorial(4 * j + i) for i in (1, 2, 3)]
+                     for j in range(k)], dtype=a.dtype)
+    blocks = np.tensordot(coef, np.stack((a, a2, a3)), axes=1)
+    diag = np.arange(a.shape[-1])
+    for j in range(k):
+        blocks[j][..., diag, diag] += 1.0 / math.factorial(4 * j)
+    r = blocks[k - 1] + a4 / math.factorial(m)
+    for j in range(k - 2, -1, -1):
+        r = r @ a4
+        r += blocks[j]
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
 def _default_steps(t):
     return max(1, int(round(DEFAULT_STEPS_PER_UNIT_TIME * t)))
 
@@ -175,9 +224,15 @@ def _gaussian_lie(rng, N, field, samples):
         g = rng.standard_normal((samples, N, N))
         return (g - np.swapaxes(g, -1, -2)) / math.sqrt(2 * N)
     if field == "C":
-        z = rng.standard_normal((samples, N, N)) + \
-            1j * rng.standard_normal((samples, N, N))
-        return (z - np.conj(np.swapaxes(z, -1, -2))) / (2.0 * math.sqrt(N))
+        # (z - z^*) / (2 sqrt N) for z = x + iy, bit for bit, built part
+        # by part without complex temporaries
+        x = rng.standard_normal((samples, N, N))
+        y = rng.standard_normal((samples, N, N))
+        z = np.empty((samples, N, N), dtype=complex)
+        np.subtract(x, np.swapaxes(x, -1, -2), out=z.real)
+        np.add(y, np.swapaxes(y, -1, -2), out=z.imag)
+        z *= 1.0 / (2.0 * math.sqrt(N))
+        return z
     q = rng.standard_normal((samples, N, N, 4))
     qt = np.swapaxes(q, 1, 2)
     a = 1.0 / (2.0 * math.sqrt(2.0 * N))

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from mfe.brauer import (
     ColouredBrauerDiagram,
@@ -24,12 +25,14 @@ from mfe.rmt import (
     casimir_scalar_check,
     cluster_map,
     estimate_stat,
+    expm,
     extract_blocks,
     inner_product,
     lie_basis,
     sample_bm,
     sample_terminals,
 )
+from mfe.rmt import _embed_quat_batch, _gaussian_lie
 
 
 class TestLieBasis:
@@ -77,6 +80,43 @@ class TestCasimir:
 
     def test_quaternion_constant(self):
         assert np.isclose(casimir_constant("H", 2), -1.0 - 1.0 / 4)
+
+
+def lie_batch(field, N, samples, scale, seed=0):
+    a = _gaussian_lie(np.random.default_rng(seed), N, field, samples)
+    if field == "H":
+        a = _embed_quat_batch(a)
+    return a * scale
+
+
+class TestExpm:
+    # every Taylor degree, the scaling and squaring regime, and batches
+    # that span several chunks
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.05, 0.2, 0.5, 1.0, 8.0])
+    def test_matches_scipy(self, field, scale):
+        for N in (1, 2, 3, 8, 16):
+            a = lie_batch(field, N, 40, scale, seed=N)
+            want = scipy_expm(a)
+            got = expm(a)
+            assert got.dtype == a.dtype and got.shape == a.shape
+            tol = 1e-14 * max(1.0, float(np.abs(a).sum(axis=-2).max()))
+            assert np.abs(got - want).max() <= tol, (field, N, scale)
+
+    def test_chunks_and_single_matrix(self):
+        # 16x16 batches are cut every 256 matrices
+        a = lie_batch("C", 16, 600, 0.3)
+        got = expm(a)
+        assert np.abs(got - scipy_expm(a)).max() <= 1e-14
+        one = expm(a[500:501])
+        assert np.abs(one - got[500:501]).max() <= 1e-14
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_unitary(self, field):
+        for scale in (0.1, 0.7, 3.0):
+            e = expm(lie_batch(field, 8, 200, scale))
+            gram = np.conj(np.swapaxes(e, -1, -2)) @ e
+            assert np.abs(gram - np.eye(e.shape[-1])).max() <= 1e-13
 
 
 class TestSampling:
