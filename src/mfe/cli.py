@@ -91,17 +91,10 @@ def parse_ratios(text):
         {c: v for c, v in enumerate(vals, start=1)})
 
 
-def _mf_terms(mf: MomentFunction):
-    return [{"rate": str(r), "coeffs": [str(c) for c in coeffs]}
-            for r, coeffs in sorted(mf.terms.items())]
-
-
 def _mf_payload(mf, times):
-    out = {"terms": _mf_terms(mf)}
-    if len(mf.terms) == 1:
-        ((rate, coeffs),) = mf.terms.items()
-        out["rate"] = str(rate)
-        out["coeffs"] = [str(c) for c in coeffs]
+    out = {"terms": mf.term_records()}
+    if len(out["terms"]) == 1:
+        out.update(out["terms"][0])
     if times:
         out["values"] = [{"t": t, "value": float(mf.value(t))}
                          for t in times]
@@ -219,8 +212,6 @@ def cmd_simulate(args):
 def cmd_compare(args):
     tokens = parse_word(args.word)
     n = _infer_n(tokens, args.n)
-    if args.samples < 2:
-        raise ValueError("compare needs --samples >= 2 for a standard error")
     df = square_df(n, args.d)
     b, w = encode_word(tokens)
     limit_mf = moment_of_word(tokens, n)
@@ -266,11 +257,11 @@ def cmd_amalgamated(args):
         total = total + c
         per_beta.append({
             "beta": "/".join("".join(map(str, blk)) for blk in beta.blocks),
-            "terms": _mf_terms(c),
+            "terms": c.term_records(),
         })
     stat = limit_statistic(pi, alpha, w, ratios)
-    payload = {"cumulants": per_beta, "sum_terms": _mf_terms(total),
-               "statistic_terms": _mf_terms(stat),
+    payload = {"cumulants": per_beta, "sum_terms": total.term_records(),
+               "statistic_terms": stat.term_records(),
                "sum_matches_statistic": total == stat}
     if args.t:
         payload["values"] = [{"t": t, "value": float(stat.value(t))}
@@ -360,6 +351,8 @@ def main(argv=None):
         for t in args.t:
             if not math.isfinite(t):
                 raise ValueError("--t must be a finite number, got %r" % t)
+        if getattr(args, "samples", 2) < 2:
+            raise ValueError("a standard error needs --samples >= 2")
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -62,16 +62,16 @@ def q_re_trace(a):
 
 
 def quat_to_complex(a):
-    """Standard embedding of H^(n x m) into C^(2n x 2m)."""
+    """Standard embedding of H^(n x m) into C^(2n x 2m), batched over
+    leading axes."""
     x = a[..., 0] + 1j * a[..., 1]
     y = a[..., 2] + 1j * a[..., 3]
     return np.block([[x, y], [-y.conj(), x.conj()]])
 
 
 def complex_to_quat(c):
-    n2, m2 = c.shape
-    n, m = n2 // 2, m2 // 2
-    x, y = c[:n, :m], c[:n, m:]
+    n, m = c.shape[-2] // 2, c.shape[-1] // 2
+    x, y = c[..., :n, :m], c[..., :n, m:]
     return np.stack([x.real, x.imag, y.real, y.imag], axis=-1)
 
 

@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
     cycle_partition
@@ -56,10 +55,6 @@ class MomentFunction:
     @classmethod
     def exponential(cls, rate, coeffs=(1,)):
         return cls({Fraction(rate): list(coeffs)})
-
-    @property
-    def is_single_rate(self):
-        return len(self.terms) <= 1
 
     @property
     def rate(self):
@@ -172,18 +167,16 @@ class MomentFunction:
             bits.append("e^(%st)*%s" % (rate, self.terms[rate]))
         return "MomentFunction(%s)" % " + ".join(bits)
 
-    def to_json(self):
-        def enc(rate, coeffs):
-            return {"rate": str(Fraction(rate)),
-                    "coeffs": [str(c) for c in coeffs]}
+    def term_records(self):
+        """One {"rate", "coeffs"} record of strings per rate, by rate."""
+        return [{"rate": str(r), "coeffs": [str(c) for c in coeffs]}
+                for r, coeffs in sorted(self.terms.items())]
 
-        if len(self.terms) <= 1:
-            rate = next(iter(self.terms), Fraction(0))
-            coeffs = self.terms.get(rate, [Fraction(0)])
-            return json.dumps(enc(rate, coeffs))
-        return json.dumps(
-            {"terms": [enc(r, self.terms[r])
-                       for r in sorted(self.terms)]})
+    def to_json(self):
+        records = self.term_records() or [{"rate": "0", "coeffs": ["0"]}]
+        if len(records) == 1:
+            return json.dumps(records[0])
+        return json.dumps({"terms": records})
 
     @classmethod
     def from_json(cls, text):
@@ -268,23 +261,48 @@ def _krylov_annihilator(gen, seed_index):
             raise RuntimeError("krylov iteration failed to terminate")
 
 
+def _divide_linear(poly, r):
+    """Quotient and remainder of poly (highest power first) by x - r."""
+    acc = [poly[0]]
+    for c in poly[1:]:
+        acc.append(acc[-1] * r + c)
+    return acc[:-1], acc[-1]
+
+
+def _convergents(x, max_den):
+    """Continued-fraction convergents of x with denominator <= max_den."""
+    num, den = float(x).as_integer_ratio()
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        if k > max_den:
+            return
+        yield Fraction(h, k)
+
+
 def _rational_roots(rec_coeffs):
-    """Roots (with multiplicity) of x^m - sum a_i x^i over the rationals."""
-    m = len(rec_coeffs)
-    x = sympy.Symbol("x")
-    poly = x ** m - sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-                        for i, c in enumerate(rec_coeffs))
-    roots = sympy.roots(sympy.Poly(poly, x))
+    """Roots (with multiplicity) of x^m - sum a_i x^i over the rationals.
+
+    Candidates are the continued-fraction convergents of the float roots
+    whose denominators divide the lcm of the coefficient denominators
+    (rational root theorem); exact division confirms and removes them.
+    """
+    poly = [Fraction(1)] + [-c for c in reversed(rec_coeffs)]
     out = {}
-    total = 0
-    for r, mult in roots.items():
-        if not r.is_rational:
-            raise ValueError(
-                "limit system has an irrational rate: %s" % r)
-        out[Fraction(int(sympy.numer(r)), int(sympy.denom(r)))] = mult
-        total += mult
-    if total != m:
-        raise ValueError("annihilator does not factor over the rationals")
+    while len(poly) > 1:
+        den = math.lcm(*(c.denominator for c in poly))
+        root = next((r for z in np.roots([float(c) for c in poly])
+                     for r in _convergents(z.real, den)
+                     if den % r.denominator == 0
+                     and not _divide_linear(poly, r)[1]), None)
+        if root is None:
+            raise ValueError("annihilator does not factor over the rationals")
+        quot, rem = _divide_linear(poly, root)
+        while not rem:
+            poly = quot
+            out[root] = out.get(root, 0) + 1
+            quot, rem = _divide_linear(poly, root)
     return out
 
 

@@ -15,11 +15,13 @@ import math
 import numpy as np
 
 from .evaltrace import (
+    complex_to_quat,
     m_stat,
     q_re_trace,
     qconj,
     qmatmul,
     quat_eye,
+    quat_to_complex,
 )
 
 BETA = {"R": 1, "C": 2, "H": 4}
@@ -147,19 +149,6 @@ def casimir_scalar_check(basis: LieBasis):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _embed_quat_batch(a):
-    x = a[..., 0] + 1j * a[..., 1]
-    y = a[..., 2] + 1j * a[..., 3]
-    return np.block([[x, y], [-y.conj(), x.conj()]])
-
-
-def _unembed_quat_batch(c):
-    n = c.shape[-1] // 2
-    x = c[..., :n, :n]
-    y = c[..., :n, n:]
-    return np.stack([x.real, x.imag, y.real, y.imag], axis=-1)
-
-
 # Taylor degrees m = 4k with the largest 1-norm x for which the remainder
 # bound x^(m+1) / (m+1)! / (1 - x/(m+2)) stays below 2^-53
 _TAYLOR = ((8, 0.0699), (12, 0.3352), (16, 0.8245), (20, 1.504))
@@ -273,10 +262,10 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
         for _ in range(steps):
             incr = _gaussian_lie(rng, N, field, samples)
             if field == "H":
-                incr = _embed_quat_batch(incr)
+                incr = quat_to_complex(incr)
             u = u @ expm(incr * scale)
     if field == "H":
-        return _unembed_quat_batch(u)
+        return complex_to_quat(u)
     return u
 
 

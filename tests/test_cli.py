@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -220,16 +221,30 @@ class TestEdgeInputs:
             assert_one_line_error(rc, out, err)
             assert "--alpha" in err
 
-    def test_compare_needs_two_samples(self, capsys):
-        rc, out, err = run(capsys, "compare", "--field", "C", "--d", "2",
-                           "--word", "u11", "--t", "1", "--samples", "1",
-                           "--check")
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--d", "2", "--check"],
+        ["simulate", "--N", "2"],
+    ], ids=["compare", "simulate"])
+    def test_compare_needs_two_samples(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--field", "C", "--word", "u11",
+                           "--t", "1", "--samples", "1")
         assert_one_line_error(rc, out, err)
         assert "--samples" in err
 
-    def test_import_leaves_sparse_solver_unloaded(self):
+    def test_irrational_rate_exits_2(self, capsys, monkeypatch):
+        # an annihilator x^2 - 2 has no rational roots
+        monkeypatch.setattr(
+            "mfe.moments._krylov_annihilator",
+            lambda gen, seed: ([Fraction(2), Fraction(0)], []))
+        rc, out, err = run(capsys, "moment", "--limit", "--word", "u11 u11",
+                           "--t", "1")
+        assert_one_line_error(rc, out, err)
+        assert "rational" in err
+
+    @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "sympy"])
+    def test_import_leaves_sparse_solver_unloaded(self, module):
         code = ("import sys, mfe.cli; "
-                "print('scipy.sparse.linalg' in sys.modules)")
+                "print(%r in sys.modules)" % module)
         src = os.path.dirname(os.path.dirname(mfe.__file__))
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),

@@ -33,6 +33,7 @@ from mfe.moments import (
     moment_of_word,
     solve_semigroup_row,
 )
+from mfe.moments import _rational_roots
 
 
 def plain_word(k):
@@ -200,6 +201,45 @@ class TestEvolveLimit:
             real = evolve_limit(b, plain_word(k), ratios, "real")
             for w in compatible_words(b):
                 assert evolve_limit(b, w, ratios, "complex") == real
+
+
+def recurrence_of(poly):
+    """a_0..a_{m-1} with x^m - sum a_i x^i equal to the monic poly,
+    given lowest power first."""
+    return [-Fraction(c) for c in poly[:-1]]
+
+
+def poly_with_roots(roots):
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = [b - r * a for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("roots", [
+        {Fraction(-4): 8},
+        {Fraction(-7, 2): 7},
+        {Fraction(-4): 8, Fraction(-7, 2): 7},
+        {Fraction(-3, 7): 3, Fraction(5, 9): 1},
+        {Fraction(0): 2, Fraction(-1, 2): 1},
+        {Fraction(0): 1},
+    ], ids=["-4^8", "-7/2^7", "-4^8,-7/2^7", "-3/7^3,5/9", "0^2,-1/2",
+            "0"])
+    def test_exact_roots_with_multiplicity(self, roots):
+        flat = [r for r, mult in roots.items() for _ in range(mult)]
+        assert _rational_roots(recurrence_of(poly_with_roots(flat))) \
+            == roots
+
+    @pytest.mark.parametrize("poly", [
+        [-2, 0, 1],
+        [1, 0, 1],
+        [Fraction(4, 3), 0, 0, 1],
+        [-2, -2, 1, 1],
+    ], ids=["x^2-2", "x^2+1", "x^3+4/3", "(x+1)(x^2-2)"])
+    def test_no_rational_factorisation_raises(self, poly):
+        with pytest.raises(ValueError):
+            _rational_roots(recurrence_of(poly))
 
 
 def n_of(tokens):

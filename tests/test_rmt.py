@@ -15,7 +15,8 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.evaltrace import qconj, qmatmul, quat_eye, total_dim
+from mfe.evaltrace import qconj, qmatmul, quat_eye, quat_to_complex, \
+    total_dim
 from mfe.moments import evolve_finite
 from mfe.rmt import (
     BETA,
@@ -32,7 +33,7 @@ from mfe.rmt import (
     sample_bm,
     sample_terminals,
 )
-from mfe.rmt import _embed_quat_batch, _gaussian_lie
+from mfe.rmt import _gaussian_lie
 
 
 class TestLieBasis:
@@ -85,7 +86,7 @@ class TestCasimir:
 def lie_batch(field, N, samples, scale, seed=0):
     a = _gaussian_lie(np.random.default_rng(seed), N, field, samples)
     if field == "H":
-        a = _embed_quat_batch(a)
+        a = quat_to_complex(a)
     return a * scale
 
 
