@@ -225,10 +225,6 @@ class ColouredBrauerDiagram:
             for x, y in self.pairing.pairs
         )
 
-    def is_diagonal(self):
-        k = self.k
-        return all(self.colours[i] == self.colours[k + i] for i in range(k))
-
     def is_nonmixing(self):
         return all(self.colour(x) == self.colour(y) for x, y in self.pairing.pairs)
 
@@ -729,9 +725,6 @@ class Word:
 
     def n_count(self, letter):
         return sum(1 for l in self.letters if l.letter == letter)
-
-    def unbarred(self):
-        return Word(WordLetter(l.letter, False) for l in self.letters)
 
 
 def encode_word(tokens, letters=None):

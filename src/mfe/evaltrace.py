@@ -7,7 +7,8 @@ per-class normalizer d^(-fnc) (or (-2d)^(-fnc) in the quaternion case)
 makes the value dimension free.
 
 Quaternionic matrices are stored as real arrays of shape (n, m, 4) holding
-the 1, i, j, k components.
+the 1, i, j, k components.  Evaluation is batched: slot matrices may carry
+any leading sample axes, and the statistic then has those axes.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ def qconj(a):
 
 
 def qadjoint(a):
-    return np.swapaxes(qconj(a), 0, 1)
+    return np.swapaxes(qconj(a), -3, -2)
 
 
 def q_re_trace(a):
-    return float(np.trace(a[..., 0]))
+    """Real part of the trace, batched over leading axes."""
+    return np.trace(a[..., 0], axis1=-2, axis2=-1)
 
 
 def quat_to_complex(a):
@@ -148,16 +150,23 @@ def eval_cycle_trace(cycle, signs, b, mats, df, field):
     slot l upward contributes the (c(l), c(l')) block of mats[l-1],
     crossing it downward the transpose (adjoint for H) of that block.
     The quaternion value carries the real part of the trace and a
-    factor -2.
+    factor -2.  Leading sample axes of the matrices carry through.
     """
     k = b.k
     m = min(cycle)
     route = _loop_route(b.pairing, m, via_b_first=(signs[m] == 1))
     prod = None
     for l, direction in route:
-        f = extract_block(mats[l - 1], df, b.colour(l), b.colour(k + l))
-        if direction == -1:
-            f = qadjoint(f) if field == "H" else f.T
+        rows = block_slice(df, b.colour(l))
+        cols = block_slice(df, b.colour(k + l))
+        if field == "H":
+            f = mats[l - 1][..., rows, cols, :]
+            if direction == -1:
+                f = qadjoint(f)
+        else:
+            f = mats[l - 1][..., rows, cols]
+            if direction == -1:
+                f = np.swapaxes(f, -1, -2)
         if prod is None:
             prod = f
         elif field == "H":
@@ -166,16 +175,18 @@ def eval_cycle_trace(cycle, signs, b, mats, df, field):
             prod = prod @ f
     if field == "H":
         return -2.0 * q_re_trace(prod)
-    return np.trace(prod)
+    return np.trace(prod, axis1=-2, axis2=-1)
 
 
 def m_stat(b, mats, df, field="C", orientation=None):
     """Normalized trace statistic of a coloured diagram on slot matrices.
 
-    mats[l] is the full matrix for tensor slot l+1 (shape (N, N), or
-    (N, N, 4) for H).  The value does not depend on the orientation.
-    Loop variables, when present, contribute their class dimension
-    (-2 times it for H) -- they cancel against the extra normalizer.
+    mats[l] is the full matrix for tensor slot l+1, of shape (..., N, N),
+    or (..., N, N, 4) for H; the statistic has the leading axes, so one
+    call evaluates a whole pool of samples.  The value does not depend
+    on the orientation.  Loop variables, when present, contribute their
+    class dimension (-2 times it for H) -- they cancel against the extra
+    normalizer.
     """
     s = orientation if orientation is not None else canonical_orientation(
         b.pairing)

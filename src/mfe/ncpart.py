@@ -37,10 +37,6 @@ class SetPartition:
             raise ValueError("blocks do not cover the ground set")
 
     @classmethod
-    def singletons(cls, ground):
-        return cls([[x] for x in ground])
-
-    @classmethod
     def full(cls, ground):
         return cls([list(ground)])
 
@@ -55,12 +51,6 @@ class SetPartition:
 
     def __len__(self):
         return len(self.blocks)
-
-    def block_of(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
 
     def index_map(self):
         """Map element -> block index."""

@@ -80,9 +80,6 @@ class DiagonalElement:
     def star(self):
         return DiagonalElement(np.conjugate(v) for v in self.values)
 
-    def max_abs(self):
-        return max(abs(v) for v in self.values)
-
     def isclose(self, other, tol=1e-10):
         return all(abs(a - b) <= tol
                    for a, b in zip(self.values, other.values))

@@ -18,10 +18,12 @@ from .evaltrace import (
     complex_to_quat,
     m_stat,
     q_re_trace,
+    qadjoint,
     qconj,
     qmatmul,
     quat_eye,
     quat_to_complex,
+    total_dim,
 )
 
 BETA = {"R": 1, "C": 2, "H": 4}
@@ -38,7 +40,7 @@ def inner_product(field, N, x, y):
     """<X, Y>_N = (beta N / 2) Re Tr(X* Y)."""
     beta = BETA[field]
     if field == "H":
-        prod = qmatmul(qconj(np.swapaxes(x, 0, 1)), y)
+        prod = qmatmul(qadjoint(x), y)
         return beta * N / 2.0 * q_re_trace(prod)
     return beta * N / 2.0 * float(np.trace(x.conj().T @ y).real)
 
@@ -281,11 +283,17 @@ class SamplePath:
         self.matrix = matrix
 
     def unitarity_defect(self):
-        u = self.matrix
-        if self.field == "H":
-            prod = qmatmul(u, qconj(np.swapaxes(u, 0, 1)))
-            return float(np.abs(prod - quat_eye(self.N)).max())
-        return float(np.abs(u @ u.conj().T - np.eye(self.N)).max())
+        return unitarity_defect(self.matrix, self.field)
+
+
+def unitarity_defect(u, field):
+    """Largest entry of U U* - 1 over a batch of shape (..., N, N), or
+    (..., N, N, 4) for H."""
+    if field == "H":
+        prod = qmatmul(u, qadjoint(u)) - quat_eye(u.shape[-2])
+    else:
+        prod = u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1])
+    return float(np.abs(prod).max())
 
 
 def sample_bm(N, field, t, steps=None, seed=0) -> SamplePath:
@@ -367,10 +375,8 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
     evaluate on the entry-wise conjugate of the sampled matrix.
     """
     _check_field(field)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    from .evaltrace import total_dim
-
+    if samples < 2:
+        raise ValueError("a standard error needs samples >= 2")
     n = total_dim(df)
     letters = sorted({l.letter for l in word})
     times = {l: (t[l] if isinstance(t, dict) else float(t))
@@ -382,15 +388,10 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
         pools[letter] = sample_terminals(
             n, field, times[letter], samples, steps, child)
     conj = qconj if field == "H" else np.conj
-    values = np.empty(samples)
-    for s in range(samples):
-        mats = []
-        for l in word:
-            u = pools[l.letter][s]
-            mats.append(conj(u) if l.bar else u)
-        # samplewise statistics are complex; their expectation is real
-        values[s] = np.real(m_stat(b, mats, df, field))
+    barred = {c: conj(pools[c]) for c in {l.letter for l in word if l.bar}}
+    mats = [barred[l.letter] if l.bar else pools[l.letter] for l in word]
+    # samplewise statistics are complex; their expectation is real
+    values = np.real(m_stat(b, mats, df, field))
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) \
-        if samples > 1 else 0.0
+    stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return mean, stderr

@@ -37,12 +37,7 @@ from mfe.cumulants import (
     cumulants_from_moments,
     kappa_closed_form,
 )
-from mfe.evaltrace import (
-    _loop_route,
-    block_slice,
-    fnc,
-    oriented_cycles,
-)
+from mfe.evaltrace import m_stat
 from mfe.generators import (
     _ratio_factor,
     admissible_moves,
@@ -62,7 +57,12 @@ from mfe.opvalued import (
     limit_cumulant_coefficient,
     limit_statistic,
 )
-from mfe.rmt import lie_basis, casimir_scalar_check, sample_terminals
+from mfe.rmt import (
+    casimir_scalar_check,
+    lie_basis,
+    sample_terminals,
+    unitarity_defect,
+)
 
 
 def _criterion(num, ok, detail):
@@ -261,32 +261,6 @@ def test_criterion_05_casimir_scalar():
 # 6. Monte-Carlo estimates match the exact finite-d semigroup
 # ---------------------------------------------------------------------------
 
-def _m_stat_batch(b, mats, df):
-    """Vectorized complex-field trace statistic over a sample axis."""
-    s = canonical_orientation(b.pairing)
-    k = b.k
-    total = np.ones(mats[0].shape[0], dtype=complex)
-    for cycle, sg in oriented_cycles(b.pairing, s):
-        m = min(cycle)
-        route = _loop_route(b.pairing, m, via_b_first=(sg[m] == 1))
-        prod = None
-        for l, direction in route:
-            f = mats[l - 1][:, block_slice(df, b.colour(l)),
-                            block_slice(df, b.colour(k + l))]
-            if direction == -1:
-                f = np.swapaxes(f, -1, -2)
-            prod = f if prod is None else prod @ f
-        total = total * np.trace(prod, axis1=-2, axis2=-1)
-    for cls in df.classes():
-        total = total * float(df.value(cls)) ** (-fnc((b, s), df, cls))
-    return total
-
-
-def _unitarity_defect_batch(u):
-    prod = u @ np.conj(np.swapaxes(u, -1, -2))
-    return float(np.abs(prod - np.eye(u.shape[-1])).max())
-
-
 def test_criterion_06_monte_carlo_vs_exact():
     samples, steps = 10 ** 4, 150
     letters = [(i, j, s) for i in (1, 2) for j in (1, 2)
@@ -299,12 +273,12 @@ def test_criterion_06_monte_carlo_vs_exact():
         df = square_df(2, d)
         u = sample_terminals(2 * d, "C", t, samples, steps=steps,
                              seed=600 + cfg)
-        worst_defect = max(worst_defect, _unitarity_defect_batch(u))
+        worst_defect = max(worst_defect, unitarity_defect(u, "C"))
         uc = np.conj(u)
         for tokens in words:
             b, w = encode_word(tokens)
-            vals = np.real(_m_stat_batch(
-                b, [uc if star else u for _, _, star in tokens], df))
+            vals = np.real(m_stat(
+                b, [uc if star else u for _, _, star in tokens], df, "C"))
             mean = float(vals.mean())
             se = float(vals.std(ddof=1)) / math.sqrt(samples)
             exact = evolve_finite(b, w, t, df, "C")

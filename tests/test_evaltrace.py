@@ -138,6 +138,9 @@ class TestAgainstTensorOperator:
     @pytest.mark.parametrize("field", ["R", "C"])
     def test_random_diagrams(self, field):
         rng = random.Random(6)
+        # the batch draws from its own generator, so the diagrams and the
+        # first sample stay those of the unbatched check
+        extra = random.Random(60)
         for df in (square_df(1, 2), square_df(2, 2), DimensionFunction([1, 2])):
             n = total_dim(df)
             for _ in range(12):
@@ -151,6 +154,14 @@ class TestAgainstTensorOperator:
                     from mfe.brauer import fnc
                     norm *= float(df.value(cls)) ** fnc((b, s), df, cls)
                 assert np.isclose(got, rho_contract(b, mats, df) / norm)
+                pool = [mats] + [[rand_mat(extra, n, n, field)
+                                  for _ in range(k)] for _ in range(2)]
+                batched = m_stat(b, [np.stack(slot) for slot in zip(*pool)],
+                                 df, field)
+                assert batched.shape == (3,)
+                for value, sample in zip(batched, pool):
+                    assert np.isclose(value, m_stat(b, sample, df, field),
+                                      rtol=1e-12, atol=1e-12)
 
     def test_mixed_colour_pair_is_partial_isometry(self):
         # a mixed pair identifies offsets across two equal-dimension blocks
@@ -244,6 +255,30 @@ class TestOrientationIndependence:
                 flipped = Orientation(signs)
                 got = m_stat(b, mats, df, field, orientation=flipped)
                 assert np.isclose(got, base)
+
+
+class TestBatchedQuaternion:
+    def test_batch_matches_samplewise(self):
+        # unequal blocks, and conjugated slots as the Monte-Carlo estimator
+        # passes them for barred letters
+        rng = random.Random(15)
+        df = DimensionFunction([2, 3])
+        n = total_dim(df)
+        pool = np.stack([rand_mat(rng, n, n, "H") for _ in range(4)])
+        cases = [encode_word([(1, 2, True), (1, 2, False), (2, 2, False)]),
+                 encode_word([(2, 1, True), (2, 1, False), (1, 1, True)])]
+        for _ in range(6):
+            k = rng.randrange(1, 4)
+            cases.append((random_valid_diagram(rng, k, df), None))
+        for b, w in cases:
+            bars = [l.bar for l in w] if w is not None else [
+                rng.random() < 0.5 for _ in range(b.k)]
+            mats = [qconj(pool) if bar else pool for bar in bars]
+            batched = m_stat(b, mats, df, "H")
+            assert batched.shape == (4,)
+            for s, value in enumerate(batched):
+                want = m_stat(b, [m[s] for m in mats], df, "H")
+                assert np.isclose(value, want, rtol=1e-12, atol=1e-12)
 
 
 class TestQuaternionNormalization:

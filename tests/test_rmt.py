@@ -15,8 +15,8 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.evaltrace import qconj, qmatmul, quat_eye, quat_to_complex, \
-    total_dim
+from mfe.evaltrace import m_stat, qconj, qmatmul, quat_eye, \
+    quat_to_complex, total_dim
 from mfe.moments import evolve_finite
 from mfe.rmt import (
     BETA,
@@ -32,6 +32,7 @@ from mfe.rmt import (
     lie_basis,
     sample_bm,
     sample_terminals,
+    unitarity_defect,
 )
 from mfe.rmt import _gaussian_lie
 
@@ -140,6 +141,12 @@ class TestSampling:
         for seed in range(3):
             p = sample_bm(5, field, 1.3, steps=40, seed=seed)
             assert p.unitarity_defect() <= 1e-10
+        u = sample_terminals(5, field, 1.3, 6, steps=40, seed=3)
+        batched = unitarity_defect(u, field)
+        assert batched <= 1e-10
+        # entries are rounding errors, so a reordered sum moves them by eps
+        assert np.isclose(batched, max(unitarity_defect(x, field) for x in u),
+                          rtol=0, atol=4 * np.finfo(float).eps)
 
     def test_real_stays_in_identity_component(self):
         for seed in range(3):
@@ -231,11 +238,38 @@ class TestBlocks:
 
 
 class TestEstimateStat:
-    def test_zero_samples(self):
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_zero_samples(self, samples):
         b = identity_diagram(1, [1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples >= 2"):
             estimate_stat(b, Word([WordLetter(1)]), "C", square_df(1, 4),
-                          1.0, 0)
+                          1.0, samples)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_matches_samplewise_reference(self, field):
+        # the batched estimate against a per-sample loop over the same
+        # pools: two letters, one barred twice, unequal blocks
+        df = DimensionFunction([1, 2])
+        tokens = [(1, 2, True), (1, 1, False), (1, 2, False), (2, 2, True),
+                  (2, 2, False)]
+        b, w = encode_word(tokens, letters=[1, 2, 1, 1, 2])
+        samples, seed, steps, t = 40, 21, 5, 0.7
+        mean, se = estimate_stat(b, w, field, df, t, samples, seed=seed,
+                                 steps=steps)
+        letters = sorted({l.letter for l in w})
+        children = np.random.SeedSequence(seed).spawn(len(letters))
+        pools = {c: sample_terminals(total_dim(df), field, t, samples,
+                                     steps, child)
+                 for c, child in zip(letters, children)}
+        conj = qconj if field == "H" else np.conj
+        values = []
+        for s in range(samples):
+            mats = [conj(pools[l.letter][s]) if l.bar else pools[l.letter][s]
+                    for l in w]
+            values.append(np.real(m_stat(b, mats, df, field)))
+        assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
+        assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
+                          rtol=1e-12, atol=1e-14)
 
     def test_diagonal_block_complex(self):
         b = identity_diagram(1, [1])
