@@ -6,12 +6,18 @@ Composition stacks the left factor over the right one, removes closed
 loops and records them per dimension class.  Products vanish unless the
 colours on every fused link agree exactly -- this is what makes the
 representation b -> rho_d(b) multiplicative.
+
+Every walk of a diagram graph reads the point-to-partner matchings of
+the pairings directly: compose follows each strand across the fused
+slots, join_count and nc follow the cycles that alternate between two
+matchings, and the oriented cycles give the route of each loop.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .ncpart import Permutation, SetPartition, partition_join
 
@@ -59,6 +65,7 @@ class Pairing:
         return self._match[x]
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, k):
         return cls(k, [(i, k + i) for i in range(1, k + 1)])
 
@@ -69,6 +76,7 @@ class Pairing:
         return cls(k, [(i, k + sigma(i)) for i in range(1, k + 1)])
 
     @classmethod
+    @lru_cache(maxsize=None)
     def tau(cls, k, i, j):
         """Transposition diagram {i,j'},{j,i'}, identity elsewhere."""
         pairs = [(i, k + j), (j, k + i)]
@@ -76,6 +84,7 @@ class Pairing:
         return cls(k, pairs)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def e(cls, k, i, j):
         """Projector diagram {i,j},{i',j'}, identity elsewhere."""
         pairs = [(i, j), (k + i, k + j)]
@@ -104,16 +113,24 @@ def cycle_partition(b: Pairing) -> SetPartition:
     return partition_join(as_partition, ident)
 
 
-def nc(b: Pairing) -> int:
-    return len(cycle_partition(b))
-
-
 def join_count(b: Pairing, r: Pairing) -> int:
-    """Number of blocks of the join b v r of the two pairings."""
-    ground = range(1, 2 * b.k + 1)
-    pb = SetPartition(b.pairs, ground=ground)
-    pr = SetPartition(r.pairs, ground=ground)
-    return len(partition_join(pb, pr))
+    """Number of blocks of the join b v r of the two pairings: the cycles
+    of one walk that alternates between the two matchings."""
+    mb, mr = b._match, r._match
+    seen, count = set(), 0
+    for x in range(1, 2 * b.k + 1):
+        if x not in seen:
+            count += 1
+            while x not in seen:
+                y = mb[x]
+                seen.update((x, y))
+                x = mr[y]
+    return count
+
+
+def nc(b: Pairing) -> int:
+    """Number of cycles of b: the blocks of b v 1."""
+    return join_count(b, Pairing.identity(b.k))
 
 
 def stack_components(b1: Pairing, b2: Pairing) -> int:
@@ -315,8 +332,14 @@ class ExtendedDiagram:
 def compose(b1, b2, df: DimensionFunction):
     """Concatenation b1 o b2 (b1 stacked over b2) with loop extraction.
 
-    Returns an ExtendedDiagram, or Zero when a fused link carries two
-    different colours.  Removed loops are counted per dimension class of df.
+    Bottom slot i of b1 is fused to top slot i' of b2.  Each strand is
+    walked on the two matchings, crossing a fused slot whenever it meets
+    one, from a free end (a bottom point of b2 or a top point of b1) to
+    the other; both ends keep their labels in the product.  The fused
+    slots no strand crossed lie on closed loops, which are walked the
+    same way and counted per dimension class of df.  Returns an
+    ExtendedDiagram, or Zero when a fused slot carries two different
+    colours.
     """
     if b1 is Zero or b2 is Zero:
         return Zero
@@ -325,63 +348,39 @@ def compose(b1, b2, df: DimensionFunction):
     if not (b1.is_valid(df) and b2.is_valid(df)):
         raise ValueError("diagram invalid under the dimension function")
     k = b1.k
-    # nodes: (1, x) points of b1, (2, x) points of b2.
-    # glue: bottom i of b1 <-> top i' of b2, colours must agree exactly.
-    for i in range(1, k + 1):
-        if b1.colour(i) != b2.colour(k + i):
-            return Zero
-    outer = {(2, i) for i in range(1, k + 1)} | {(1, k + i) for i in range(1, k + 1)}
+    if b1.colours[:k] != b2.colours[k:]:
+        return Zero
+    m1, m2 = b1.pairing._match, b2.pairing._match
+    crossed = set()
 
-    def step(node, via_glue):
-        layer, x = node
-        if via_glue:
-            return ((2, x + k) if layer == 1 else (1, x - k))
-        b = b1 if layer == 1 else b2
-        return (layer, b.pairing.match(x))
-
-    seen = set()
-    new_pairs, loops = [], {}
-    for start in sorted(outer):
-        if start in seen:
-            continue
-        seen.add(start)
-        node = step(start, via_glue=False)
-        while node not in outer:
-            seen.add(node)
-            node = step(node, via_glue=True)
-            seen.add(node)
-            node = step(node, via_glue=False)
-        seen.add(node)
-        new_pairs.append((start, node))
-    # closed middle loops: alternate match / glue steps among inner nodes
-    inner = {
-        (1, i) for i in range(1, k + 1)
-    } | {(2, k + i) for i in range(1, k + 1)}
-    for start in sorted(inner):
-        if start in seen:
-            continue
-        node, cls = start, df.class_of(
-            (b1 if start[0] == 1 else b2).colour(start[1])
-        )
+    def walk(x, top):
+        """Follow the strand from point x of b1 (top) or of b2 to its
+        free end, or back to a crossed slot when it is a closed loop."""
         while True:
-            seen.add(node)
-            node = step(node, via_glue=False)
-            seen.add(node)
-            node = step(node, via_glue=True)
-            if node == start:
-                break
-        loops[cls] = loops.get(cls, 0) + 1
+            y = m1[x] if top else m2[x]
+            if (y > k) == top:
+                return y
+            slot = y if top else y - k
+            if slot in crossed:
+                return None
+            crossed.add(slot)
+            x, top = (y + k, False) if top else (slot, True)
 
-    def out_point(node):
-        layer, x = node
-        return x if layer == 2 else x  # bottom keeps label, top keeps label
-
-    pairs = [(out_point(a), out_point(b)) for a, b in new_pairs]
-    colours = [0] * (2 * k)
+    pairs, ends = [], set()
+    for x in range(1, 2 * k + 1):
+        if x not in ends:
+            y = walk(x, x > k)
+            ends.update((x, y))
+            pairs.append((x, y))
+    loops = {}
     for i in range(1, k + 1):
-        colours[i - 1] = b2.colour(i)
-        colours[k + i - 1] = b1.colour(k + i)
-    result = ColouredBrauerDiagram(Pairing(k, pairs), colours)
+        if i not in crossed:
+            crossed.add(i)
+            walk(i, True)
+            cls = df.class_of(b1.colours[i - 1])
+            loops[cls] = loops.get(cls, 0) + 1
+    result = ColouredBrauerDiagram(Pairing(k, pairs),
+                                   b2.colours[:k] + b1.colours[k:])
     return ExtendedDiagram(result, loops)
 
 

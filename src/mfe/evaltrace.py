@@ -117,55 +117,32 @@ def block_projector(df, c):
 # trace evaluation
 # ---------------------------------------------------------------------------
 
-def _loop_route(pairing, start, via_b_first):
-    """Vertical-edge crossings of one loop, in traversal order.
-
-    Walking alternates pairing and vertical edges; each crossing of the
-    vertical edge at slot l is reported as (l, +1) when walked bottom to
-    top and (l, -1) when walked top to bottom.
-    """
-    k = pairing.k
-    crossings = []
-    pt, use_b = start, via_b_first
-    while True:
-        if use_b:
-            nxt = pairing.match(pt)
-        else:
-            if pt <= k:
-                crossings.append((pt, 1))
-                nxt = pt + k
-            else:
-                crossings.append((pt - k, -1))
-                nxt = pt - k
-        use_b = not use_b
-        pt = nxt
-        if pt == start and use_b == via_b_first:
-            return crossings
-
-
 def eval_cycle_trace(cycle, signs, b, mats, df, field):
     """Trace of the block product read off one loop of the diagram.
 
-    The factors appear in traversal order: crossing the vertical edge of
-    slot l upward contributes the (c(l), c(l')) block of mats[l-1],
-    crossing it downward the transpose (adjoint for H) of that block.
-    The quaternion value carries the real part of the trace and a
-    factor -2.  Leading sample axes of the matrices carry through.
+    cycle and signs are one entry of oriented_cycles.  The factors
+    appear in traversal order: crossing the vertical edge of slot l
+    upward (signs[l] = -1) contributes the (c(l), c(l')) block of
+    mats[l-1], crossing it downward (signs[l] = +1) the transpose
+    (adjoint for H) of that block.  A walk that leaves its start slot
+    through the pairing edge crosses that slot last.  The quaternion
+    value carries the real part of the trace and a factor -2.  Leading
+    sample axes of the matrices carry through.
     """
     k = b.k
-    m = min(cycle)
-    route = _loop_route(b.pairing, m, via_b_first=(signs[m] == 1))
+    if signs[cycle[0]] == 1:
+        cycle = cycle[1:] + cycle[:1]
     prod = None
-    for l, direction in route:
+    for l in cycle:
         rows = block_slice(df, b.colour(l))
         cols = block_slice(df, b.colour(k + l))
         if field == "H":
             f = mats[l - 1][..., rows, cols, :]
-            if direction == -1:
+            if signs[l] == 1:
                 f = qadjoint(f)
         else:
             f = mats[l - 1][..., rows, cols]
-            if direction == -1:
+            if signs[l] == 1:
                 f = np.swapaxes(f, -1, -2)
         if prod is None:
             prod = f

@@ -12,12 +12,14 @@ the limit generator evaluated on words.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .brauer import (
     ColouredBrauerDiagram,
     DimensionFunction,
+    canonical_orientation,
     creates_cycle,
     compose,
     encode_word,
@@ -25,6 +27,7 @@ from .brauer import (
     format_diagram,
     matching_es,
     matching_tau,
+    oriented_cycles,
     Word,
     WordLetter,
 )
@@ -390,8 +393,6 @@ def is_compatible(b, word):
     Reading a bar as sign -1, the pattern must agree with the canonical
     orientation up to a global flip on each cycle of the diagram.
     """
-    from .brauer import canonical_orientation, oriented_cycles
-
     signs = [-1 if l.bar else 1 for l in word.letters]
     canon = canonical_orientation(b.pairing)
     for cyc, _ in oriented_cycles(b.pairing, canon):
@@ -408,10 +409,6 @@ def compatible_words(b, letter=1):
     equals the canonical orientation or its negation; the word puts a bar
     exactly at the negative slots.
     """
-    from itertools import product
-
-    from .brauer import canonical_orientation, oriented_cycles
-
     s = canonical_orientation(b.pairing)
     cycles = [c for c, _ in oriented_cycles(b.pairing, s)]
     words = []

@@ -171,7 +171,8 @@ def enumerate_nc(k: int):
         raise ValueError("k=%d over enumeration bound %d" % (k, NC_ENUM_BOUND))
     if k == 0:
         return tuple()
-    # grow point by point; crossing assignments are dropped at construction.
+    # grow point by point, each set partition once; crossing ones are
+    # dropped at construction.
     results = []
 
     def rec(j, blocks):
@@ -186,13 +187,7 @@ def enumerate_nc(k: int):
         rec(j + 1, blocks + [(j,)])
 
     rec(1, [])
-    # drop duplicates produced by symmetric growth paths
-    seen, out = set(), []
-    for p in results:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return tuple(out)
+    return tuple(results)
 
 
 def catalan(n):

@@ -308,12 +308,10 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
     # the step pairs used so far
     start = (seed, _discrete(k))
     states, index = [start], {start: 0}
-    queue = [start]
     rows = [dict()]
-    while queue:
-        cur = queue.pop(0)
-        b, part = cur
-        i = index[cur]
+    i = 0
+    while i < len(states):
+        b, part = states[i]
         row = rows[i]
         row[i] = row.get(i, Fraction(0)) + drift
         for (si, sj), r, kind in admissible_moves(
@@ -324,13 +322,13 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
             if nxt not in index:
                 index[nxt] = len(states)
                 states.append(nxt)
-                queue.append(nxt)
                 rows.append(dict())
             j = index[nxt]
             sign = Fraction(-1 if kind == "tau" else 1)
             wt = _weight(weights, word[si - 1].letter)
             val = sign * wt * _ratio_factor(b, res, ratios, False)
             row[j] = row.get(j, Fraction(0)) + val
+        i += 1
     dvec = [Fraction(delta_diag(b)) if part == beta_p else Fraction(0)
             for b, part in states]
     return solve_semigroup_row(GeneratorMatrix(states, word, rows), 0, dvec)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from mfe.brauer import (
     ColouredBrauerDiagram,
@@ -37,7 +37,7 @@ from mfe.brauer import (
     transpose_diagram,
     twist,
 )
-from mfe.ncpart import Permutation
+from mfe.ncpart import Permutation, SetPartition, partition_join
 
 
 def random_pairing(rng, k):
@@ -619,3 +619,28 @@ def test_creates_cycle_changes_count_by_one(p):
         # multiplying by an elementary can create, merge, or be neutral
         assert after in (before - 1, before, before + 1)
         assert creates_cycle(r, p) == (after == before + 1)
+
+
+pairing_upto7_st = st.integers(1, 7).flatmap(
+    lambda k: st.tuples(st.permutations(list(range(1, 2 * k + 1))),
+                        st.permutations(list(range(1, 2 * k + 1)))).map(
+        lambda pts: tuple(Pairing(k, [(p[2 * i], p[2 * i + 1])
+                                      for i in range(k)]) for p in pts)
+    )
+)
+
+
+@seed(20201)
+@given(pairing_upto7_st)
+@settings(max_examples=200, deadline=None)
+def test_join_count_matches_partition_join(pair):
+    """The matching walk counts the blocks of the set-partition join."""
+    b, r = pair
+    ground = range(1, 2 * b.k + 1)
+
+    def blocks(x, y):
+        return len(partition_join(SetPartition(x.pairs, ground=ground),
+                                  SetPartition(y.pairs, ground=ground)))
+
+    assert join_count(b, r) == blocks(b, r)
+    assert nc(b) == blocks(b, Pairing.identity(b.k))

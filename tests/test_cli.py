@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -240,6 +241,21 @@ class TestEdgeInputs:
                            "--t", "1")
         assert_one_line_error(rc, out, err)
         assert "rational" in err
+
+    def test_refused_allocation_exits_2(self):
+        # a 3 GiB address-space cap makes the 954 GiB sample array fail
+        # to allocate whatever the host's overcommit policy
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = os.path.dirname(os.path.dirname(mfe.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "mfe.cli", "simulate", "--field", "C",
+             "--N", "8", "--word", "u11", "--t", "1",
+             "--samples", "1000000000"],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, preexec_fn=cap, timeout=300)
+        assert_one_line_error(out.returncode, out.stdout, out.stderr)
 
     @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "sympy"])
     def test_import_leaves_sparse_solver_unloaded(self, module):
