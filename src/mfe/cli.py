@@ -2,9 +2,7 @@
 Monte-Carlo values of block trace statistics.
 
 Outputs are machine readable (JSON with a schema tag, or CSV) and byte
-identical for identical arguments and seed.  The environment variable
-MFE_THREADS caps parallelism; every computation stays within the cap
-(the current implementation runs on a single thread).
+identical for identical arguments and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -30,18 +27,6 @@ from .rmt import estimate_stat
 SCHEMA = 1
 
 _TOKEN = re.compile(r"u(?:(\d)(\d)|\[(\d+),(\d+)\])(\*?)$")
-
-
-def thread_cap():
-    """Positive parallelism cap from MFE_THREADS (default 1)."""
-    raw = os.environ.get("MFE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError("MFE_THREADS must be an integer, got %r" % raw)
-    if cap < 1:
-        raise ValueError("MFE_THREADS must be positive")
-    return cap
 
 
 def parse_word(text):
@@ -135,22 +120,18 @@ def cmd_moment(args):
     n = _infer_n(tokens, args.n)
     if args.limit:
         mf = moment_of_word(tokens, n)
-        payload = _mf_payload(mf, args.t)
-        rows = [[args.word, t, "", float(mf.value(t)), "", ""]
-                for t in args.t]
     else:
         if args.field is None or args.d is None:
             raise ValueError("finite mode needs --field and --d")
         if not args.t:
             raise ValueError("finite mode needs at least one --t")
         seed, word = encode_word(tokens)
-        value = finite_evaluator(seed, word, square_df(n, args.d),
-                                 args.field)
-        vals = [value(t) for t in args.t]
-        payload = {"values": [{"t": t, "value": v}
-                              for t, v in zip(args.t, vals)]}
-        rows = [[args.word, t, v, "", "", ""]
-                for t, v in zip(args.t, vals)]
+        mf = finite_evaluator(seed, word, square_df(n, args.d), args.field)
+    payload = _mf_payload(mf, args.t)
+    rows = []
+    for v in payload.get("values", []):
+        exact, lim = ("", v["value"]) if args.limit else (v["value"], "")
+        rows.append([args.word, v["t"], exact, lim, "", ""])
     _emit(args, payload, rows,
           ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
     return 0
@@ -347,7 +328,6 @@ def main(argv=None):
     if args.t is None:
         args.t = []
     try:
-        thread_cap()
         for t in args.t:
             if not math.isfinite(t):
                 raise ValueError("--t must be a finite number, got %r" % t)

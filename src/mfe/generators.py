@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .brauer import (
     ColouredBrauerDiagram,
     DimensionFunction,
@@ -100,25 +98,6 @@ class GeneratorMatrix:
     @property
     def size(self):
         return len(self.basis)
-
-    def dense(self):
-        a = np.zeros((self.size, self.size))
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                a[i, j] = float(v)
-        return a
-
-    def sparse(self):
-        """The generator as a scipy CSR array of floats."""
-        from scipy.sparse import csr_array
-
-        indptr, indices, data = [0], [], []
-        for row in self.rows:
-            indices.extend(row)
-            data.extend(float(v) for v in row.values())
-            indptr.append(len(indices))
-        return csr_array((np.array(data, dtype=float), np.array(indices),
-                          np.array(indptr)), shape=(self.size, self.size))
 
     def __repr__(self):
         return "GeneratorMatrix(size=%d, word=%r)" % (self.size, self.word)

@@ -1,10 +1,9 @@
 """Moment functions of block trace statistics.
 
-Finite-dimension expectations come from the action of the matrix
-exponential of the sparse generator on the diagonal indicator;
-large-dimension limits are solved exactly: the Krylov orbit of the seed
-row is finite, its annihilator polynomial factors over the rationals,
-and matching Taylor coefficients yields a closed form
+Finite-dimension expectations and large-dimension limits are solved
+exactly by one solver: the Krylov orbit of the seed row under the
+generator is finite, its annihilator polynomial factors over the
+rationals, and matching Taylor coefficients yields a closed form
 sum_rate e^(rate t) * polynomial(t) with rational data.
 """
 
@@ -13,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -76,6 +76,8 @@ class MomentFunction:
         return max((len(c) - 1 for c in self.terms.values()), default=0)
 
     def value(self, t):
+        if t < 0:
+            raise ValueError("negative time")
         t = float(t)
         total = 0.0
         for rate, coeffs in self.terms.items():
@@ -190,74 +192,62 @@ class MomentFunction:
 
 
 # ---------------------------------------------------------------------------
-# exact solution of the limit system
+# exact solution of the semigroup
 # ---------------------------------------------------------------------------
-
-def _row_echelon_insert(rows, pivots, vec):
-    """Reduce vec against stored echelon rows; returns the reduced vector
-    and the combination used, or (None, combo) if dependent."""
-    vec = list(vec)
-    combo = {}
-    for idx, (piv, row) in enumerate(zip(pivots, rows)):
-        if vec[piv]:
-            f = vec[piv]
-            combo[idx] = f
-            for c in range(len(vec)):
-                vec[c] -= f * row[c]
-    for c, v in enumerate(vec):
-        if v:
-            inv = Fraction(1) / v
-            norm = [x * inv for x in vec]
-            return norm, c, combo, v
-    return None, None, combo, None
-
 
 def _krylov_annihilator(gen, seed_index):
     """Minimal polynomial of the generator on the seed's Krylov row space.
 
     Returns (monic coefficient list a_0..a_{m-1} with x^m = sum a_i x^i,
-    list of Krylov row vectors v_0..v_m).
+    list of Krylov row vectors v_0..v_m).  The orbit runs on the integer
+    matrix den * L, den the lcm of the entry denominators, and the
+    dependency is found by fraction-free elimination on Python ints.
     """
     n = gen.size
-    rows_g = gen.rows
+    den = math.lcm(*(v.denominator for row in gen.rows
+                     for v in row.values()))
+    rows_g = [[(j, v.numerator * (den // v.denominator))
+               for j, v in row.items()] for row in gen.rows]
 
     def step(vec):
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, x in enumerate(vec):
             if x:
-                for j, g in rows_g[i].items():
+                for j, g in rows_g[i]:
                     out[j] += x * g
         return out
 
-    v = [Fraction(0)] * n
-    v[seed_index] = Fraction(1)
-    krylov = [v]
-    # reduced echelon basis of the Krylov space, with the expression of
-    # each original Krylov vector in terms of it
-    ech, pivots, expr = [], [], []
-    cur = v
+    cur = [0] * n
+    cur[seed_index] = 1
+    orbit = [cur]
+    # echelon rows (pivot, row, expr) with row = sum expr[i] * orbit[i];
+    # each row is zero at the pivots of the rows before it
+    ech = []
     while True:
-        red, piv, combo, scale = _row_echelon_insert(ech, pivots, cur)
-        if red is None:
-            # dependent: x^m = sum over previous powers
-            m = len(krylov) - 1
-            coeffs = [Fraction(0)] * m
-            for idx, f in combo.items():
-                for p_idx, c in expr[idx].items():
-                    coeffs[p_idx] += f * c
-            return coeffs, krylov
-        ech.append(red)
-        pivots.append(piv)
-        # red = (cur - sum combo*ech_prev)/scale; track powers instead:
-        # express ech rows in terms of Krylov powers
-        e = {len(krylov) - 1: Fraction(1) / scale}
-        for idx, f in combo.items():
-            for p_idx, c in expr[idx].items():
-                e[p_idx] = e.get(p_idx, Fraction(0)) - f * c / scale
-        expr.append(e)
+        k = len(orbit) - 1
+        red, expr = list(cur), [0] * k + [1]
+        for piv, row, e in ech:
+            f = red[piv]
+            if f:
+                p = row[piv]
+                red = [p * x - f * y for x, y in zip(red, row)]
+                expr = [p * x - f * y
+                        for x, y in zip_longest(expr, e, fillvalue=0)]
+                g = math.gcd(*red, *expr)
+                red = [x // g for x in red]
+                expr = [x // g for x in expr]
+        piv = next((c for c, x in enumerate(red) if x), None)
+        if piv is None:
+            # sum expr[i] * (den L)^i = 0 on the seed row: x^k in terms of
+            # lower powers, rescaled from den * L to L
+            coeffs = [Fraction(-expr[i], expr[k] * den ** (k - i))
+                      for i in range(k)]
+            return coeffs, [[Fraction(x, den ** i) for x in v]
+                            for i, v in enumerate(orbit)]
+        ech.append((piv, red, expr))
         cur = step(cur)
-        krylov.append(cur)
-        if len(krylov) > n + 1:
+        orbit.append(cur)
+        if len(orbit) > n + 1:
             raise RuntimeError("krylov iteration failed to terminate")
 
 
@@ -359,7 +349,7 @@ def solve_semigroup_row(gen, seed_index, dvec):
     taylor = []
     for i in range(m):
         taylor.append(sum(x * d for x, d in zip(krylov[i], dvec)
-                          if x))
+                          if x and d))
     return _match_exponentials(roots, taylor)
 
 
@@ -368,32 +358,15 @@ def solve_semigroup_row(gen, seed_index, dvec):
 # ---------------------------------------------------------------------------
 
 def finite_evaluator(seed, word, df, field, weights=None):
-    """t -> expected statistic of the seed diagram at time t, dimension df.
-
-    The closure and its generator are built once; each time is then one
-    action of e^(tL) on the delta_diag vector (Al-Mohy & Higham 2011),
-    on the sparse generator and without forming e^(tL).
-    """
-    from scipy.sparse.linalg import expm_multiply
-
+    """Exact moment function of the seed diagram at dimension df."""
     gen = finite_generator(seed, word, df, field, weights)
-    a = gen.sparse()
-    dvec = np.array([float(delta_diag(b)) for b in gen.basis])
-    row = gen.index(seed)
-
-    def value(t):
-        if t < 0:
-            raise ValueError("negative time")
-        return float(expm_multiply(float(t) * a, dvec)[row])
-
-    return value
+    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
+    return solve_semigroup_row(gen, gen.index(seed), dvec)
 
 
 def evolve_finite(seed, word, t, df, field, weights=None):
     """Expected statistic of the seed diagram at time t, dimension df."""
-    if t < 0:
-        raise ValueError("negative time")
-    return finite_evaluator(seed, word, df, field, weights)(t)
+    return finite_evaluator(seed, word, df, field, weights).value(t)
 
 
 def evolve_limit(seed, word, ratios, fclass="real", weights=None):

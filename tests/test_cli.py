@@ -14,7 +14,6 @@ from mfe.cli import (
     parse_partition,
     parse_ratios,
     parse_word,
-    thread_cap,
 )
 
 
@@ -48,15 +47,6 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_ratios("0,1")
 
-    def test_thread_cap(self, monkeypatch):
-        monkeypatch.delenv("MFE_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("MFE_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("MFE_THREADS", "0")
-        with pytest.raises(ValueError):
-            thread_cap()
-
 
 class TestMoment:
     def test_limit_json(self, capsys):
@@ -75,6 +65,14 @@ class TestMoment:
         assert rc == 0
         got = json.loads(out)["values"][0]["value"]
         assert got == pytest.approx(math.exp(-0.5), abs=0.05)
+
+    def test_finite_exact_terms(self, capsys):
+        rc, out, _ = run(capsys, "moment", "--field", "C", "--d", "2",
+                         "--word", "u11", "--t", "1")
+        data = json.loads(out)
+        assert rc == 0
+        assert data["terms"] == [{"rate": "-1/2", "coeffs": ["1"]}]
+        assert data["values"][0]["value"] == math.exp(-0.5)
 
     def test_finite_needs_field(self, capsys):
         rc, _, err = run(capsys, "moment", "--word", "u11", "--t", "1")
@@ -198,7 +196,7 @@ def assert_one_line_error(rc, out, err):
 
 
 class TestEdgeInputs:
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "-1"])
     @pytest.mark.parametrize("argv", [
         ["moment", "--limit", "--word", "u11 u11"],
         ["moment", "--field", "C", "--d", "2", "--word", "u11 u11"],
@@ -213,7 +211,7 @@ class TestEdgeInputs:
     def test_non_finite_time_rejected(self, capsys, argv, bad):
         rc, out, err = run(capsys, *argv, "--t=" + bad)
         assert_one_line_error(rc, out, err)
-        assert "--t" in err
+        assert ("negative time" if bad == "-1" else "--t") in err
 
     def test_alpha_colour_outside_ratios(self, capsys):
         for alpha in ("1,3,1", "0,1,1"):
@@ -242,6 +240,18 @@ class TestEdgeInputs:
         assert_one_line_error(rc, out, err)
         assert "rational" in err
 
+    def test_irrational_rate_on_finite_route_exits_2(self, capsys,
+                                                     monkeypatch):
+        # the finite route shares the exact solver and has no float
+        # fallback
+        monkeypatch.setattr(
+            "mfe.moments._krylov_annihilator",
+            lambda gen, seed: ([Fraction(2), Fraction(0)], []))
+        rc, out, err = run(capsys, "moment", "--field", "R", "--d", "2",
+                           "--word", "u11 u11", "--t", "1")
+        assert_one_line_error(rc, out, err)
+        assert "rational" in err
+
     def test_refused_allocation_exits_2(self):
         # a 3 GiB address-space cap makes the 954 GiB sample array fail
         # to allocate whatever the host's overcommit policy
@@ -267,6 +277,17 @@ class TestEdgeInputs:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_finite_run_leaves_scipy_unloaded(self):
+        code = ("import sys, mfe.cli; "
+                "mfe.cli.main(['moment', '--field', 'C', '--d', '2', "
+                "'--word', 'u11 u11', '--t', '1']); "
+                "print('scipy' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(mfe.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+
 
 class TestOutputs:
     def test_out_file(self, capsys, tmp_path):
@@ -275,11 +296,6 @@ class TestOutputs:
                          "--out", str(path))
         assert rc == 0 and out == ""
         assert json.loads(path.read_text())["rate"] == "-1/2"
-
-    def test_invalid_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MFE_THREADS", "zero")
-        rc, _, err = run(capsys, "moment", "--limit", "--word", "u11")
-        assert rc == 2 and "MFE_THREADS" in err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -136,6 +136,17 @@ class TestEvolveFinite:
             evolve_finite(identity_diagram(1, [1]), plain_word(1),
                           -1.0, square_df(1, 2), "C")
 
+    def test_large_time_exact(self):
+        # the generator has eigenvalues up to +2/3, which float rounding
+        # excites at large t; the exact closed form has no growing mode
+        seed, word = encode_word([(1, 1, False)] * 4)
+        df = square_df(1, 3)
+        mf = finite_evaluator(seed, word, df, "R")
+        assert mf == MomentFunction({Fraction(-10, 3): [3],
+                                     Fraction(-2): [Fraction(-7, 3)],
+                                     0: [Fraction(1, 3)]})
+        assert abs(evolve_finite(seed, word, 60, df, "R") - 1 / 3) <= 1e-12
+
     def test_initial_condition(self):
         rng = random.Random(30)
         df = square_df(2, 2)
@@ -246,8 +257,17 @@ def n_of(tokens):
     return max(max(i, j) for i, j, _ in tokens)
 
 
+def dense(gen):
+    """The exact generator as a float matrix."""
+    a = np.zeros((gen.size, gen.size))
+    for i, row in enumerate(gen.rows):
+        for j, v in row.items():
+            a[i, j] = float(v)
+    return a
+
+
 class TestSparseFiniteSolve:
-    # the sparse expm_multiply action against the dense matrix exponential
+    # the exact finite solve against the float dense matrix exponential
     # of the generator from the public builders
     CASES = [
         ("R", [(1, 1, False)] * 4, 3),
@@ -269,7 +289,7 @@ class TestSparseFiniteSolve:
         dvec = np.array([float(delta_diag(b)) for b in basis])
         value = finite_evaluator(seed, word, df, field)
         for t in (0.0, 0.25, 1.0, 2.0):
-            want = (expm(t * gen.dense()) @ dvec)[gen.index(seed)]
+            want = (expm(t * dense(gen)) @ dvec)[gen.index(seed)]
             assert abs(value(t) - want) <= 1e-12, (field, t)
             assert evolve_finite(seed, word, t, df, field) == value(t)
 
