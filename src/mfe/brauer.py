@@ -337,7 +337,9 @@ def compose(b1, b2, df: DimensionFunction):
     one, from a free end (a bottom point of b2 or a top point of b1) to
     the other; both ends keep their labels in the product.  The fused
     slots no strand crossed lie on closed loops, which are walked the
-    same way and counted per dimension class of df.  Returns an
+    same way and counted per dimension class of df.  Both operands must
+    be valid under df; the caller checks that, as the product of valid
+    diagrams glued on equal colours is valid again.  Returns an
     ExtendedDiagram, or Zero when a fused slot carries two different
     colours.
     """
@@ -345,8 +347,6 @@ def compose(b1, b2, df: DimensionFunction):
         return Zero
     if b1.k != b2.k:
         raise ValueError("size mismatch")
-    if not (b1.is_valid(df) and b2.is_valid(df)):
-        raise ValueError("diagram invalid under the dimension function")
     k = b1.k
     if b1.colours[:k] != b2.colours[k:]:
         return Zero
@@ -585,10 +585,6 @@ def fnc(x, df: DimensionFunction, cls) -> int:
     return total
 
 
-def fnc_vector(x, df: DimensionFunction):
-    return {cls: fnc(x, df, cls) for cls in df.classes()}
-
-
 # ---------------------------------------------------------------------------
 # elementary diagrams matched against a target, and the T/W subsets
 # ---------------------------------------------------------------------------
@@ -721,10 +717,6 @@ class Word:
 
     def __repr__(self):
         return "Word(%s)" % (list(self.letters),)
-
-    def n_count(self, letter):
-        return sum(1 for l in self.letters if l.letter == letter)
-
 
 def encode_word(tokens, letters=None):
     """Encode a word on the generators u_ij^eps as (diagram, word).

@@ -128,20 +128,24 @@ def _class_bases(df, quat):
             for cls in df.classes()]
 
 
-def _loop_factor(bases, loops, fnc_out, fnc_in):
-    """Product over classes of base^(loops + fnc(b') - fnc(b))."""
+def _ratio_factor(b, out, df, sign_scale):
+    """Loop factor of the single move b -> out: the product over classes
+    of base^(loops + fnc(b') - fnc(b)), recomputed from both diagrams as
+    a per-move reference for the generator rows."""
     val = Fraction(1)
-    for (cls, base), f_out, f_in in zip(bases, fnc_out, fnc_in):
-        val *= base ** (loops.get(cls, 0) + f_out - f_in)
+    for cls, base in _class_bases(df, sign_scale):
+        val *= base ** (out.loops.get(cls, 0) + fnc(out.diagram, df, cls)
+                        - fnc(b, df, cls))
     return val
 
 
-def _ratio_factor(b, out, df, sign_scale):
-    """Loop factor of the single move b -> out."""
-    classes = df.classes()
-    return _loop_factor(_class_bases(df, sign_scale), out.loops,
-                        [fnc(out.diagram, df, c) for c in classes],
-                        [fnc(b, df, c) for c in classes])
+def _loop_weight(b, df, bases):
+    """prod_cls base_cls^fnc(b, cls); a move b -> b' removing loops has
+    loop factor w(b') / w(b) * prod_cls base_cls^loops."""
+    val = Fraction(1)
+    for cls, base in bases:
+        val *= base ** fnc(b, df, cls)
+    return val
 
 
 def _finite_rates(df, field):
@@ -161,52 +165,66 @@ def _limit_rates(ratios):
 
 
 def _sweep(states, word, df, fclass, creating_only=False, grow=True,
-           rates=None, weights=None, bound=BASIS_BOUND):
+           rates=None, weights=None, bound=BASIS_BOUND, join=None):
     """The closure-and-generator pass behind every exact route.
 
     Walks `states` in order and composes each admissible move onto each
     state once.  With grow, a new product is appended, so the walk is the
     breadth-first closure in discovery order, and passing `bound` states
     is an error; without, `states` is a fixed basis and a product outside
-    it is an error.  With rates = (drift, bases, scale) the pass also
-    fills the generator rows: drift times the total letter weight on the
-    diagonal, and sign * weight * scale * loop factor per move, with fnc
-    computed once per state and class.  Returns (states, rows), rows None
-    without rates.
+    it is an error.  Each given state is checked valid under df once;
+    products of valid states glued on equal colours stay valid, so the
+    states found are not re-checked.  With rates = (drift, bases, scale)
+    the pass also fills the generator rows: drift times the total letter
+    weight on the diagonal, and sign * weight * scale * loop factor per
+    move, from one loop weight per state.  With join, a state is a
+    (diagram, label) pair and the move at slots (i, j) leads to
+    (product, join(label, i, j)); moves and weights are read off the
+    diagram.  Returns (states, rows), rows None without rates.
     """
-    if grow and len(word) != states[0].k:
+    diagrams = states if join is None else [b for b, _ in states]
+    if grow and len(word) != diagrams[0].k:
         raise ValueError("word length does not match diagram size")
-    index = {b: i for i, b in enumerate(states)}
+    if not all(b.is_valid(df) for b in diagrams):
+        raise ValueError("diagram invalid under the dimension function")
+    index = {s: i for i, s in enumerate(states)}
     rows = None
     if rates is not None:
         drift, bases, scale = rates
+        base = dict(bases)
         diag = drift * sum(_weight(weights, l.letter) for l in word.letters)
-        classes = [cls for cls, _ in bases]
-        fncs = [[fnc(b, df, c) for c in classes] for b in states]
+        slot = [scale * _weight(weights, l.letter) for l in word.letters]
+        loop_w = [_loop_weight(b, df, bases) for b in diagrams]
         rows = []
     i = 0
     while i < len(states):
-        b = states[i]
+        b = diagrams[i]
         if rates is not None:
             row = {i: diag}
             rows.append(row)
-        for (si, _), r, kind in admissible_moves(b, word, df, fclass,
-                                                 creating_only):
+            inv_w = 1 / loop_w[i]
+        for (si, sj), r, kind in admissible_moves(b, word, df, fclass,
+                                                  creating_only):
             out = compose(r, b, df)
-            j = index.get(out.diagram)
+            nxt = out.diagram if join is None else \
+                (out.diagram, join(states[i][1], si, sj))
+            j = index.get(nxt)
             if j is None:
                 if not grow:
                     raise ValueError("basis not closed under %s at %s" % (
                         kind, format_diagram(b)))
                 if len(states) >= bound:
                     raise ValueError("reachable basis exceeds %d" % bound)
-                j = index[out.diagram] = len(states)
-                states.append(out.diagram)
+                j = index[nxt] = len(states)
+                states.append(nxt)
+                if join is not None:
+                    diagrams.append(out.diagram)
                 if rates is not None:
-                    fncs.append([fnc(out.diagram, df, c) for c in classes])
+                    loop_w.append(_loop_weight(out.diagram, df, bases))
             if rates is not None:
-                val = _loop_factor(bases, out.loops, fncs[j], fncs[i]) \
-                    * scale * _weight(weights, word[si - 1].letter)
+                val = loop_w[j] * inv_w * slot[si - 1]
+                for cls, m in out.loops.items():
+                    val *= base[cls] ** m
                 row[j] = row.get(j, 0) + (-val if kind == "tau" else val)
         i += 1
     return states, rows
@@ -282,15 +300,8 @@ def generator_free_process(tokens, n):
     if not tokens:
         raise ValueError("empty word")
     seed, word = encode_word(tokens)
-    ratios = square_ratios(n)
-    total = Fraction(-1, 2) * len(word) * delta_diag(seed)
-    for _, r, kind in admissible_moves(
-            seed, word, ratios, "complex", creating_only=True):
-        out = compose(r, seed, ratios)
-        sign = Fraction(-1 if kind == "tau" else 1)
-        total += (sign * _ratio_factor(seed, out, ratios, False)
-                  * delta_diag(out.diagram))
-    return total
+    gen = limit_generator(seed, word, square_ratios(n), "complex")
+    return sum(v * delta_diag(gen.basis[j]) for j, v in gen.rows[0].items())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
-    cycle_partition
+    cycle_partition, square_df
 from .generators import (
     delta_diag,
     finite_generator,
@@ -390,8 +390,6 @@ def moment_of_word(tokens, n, t=None, field=None, block_dim=None):
     if field is not None:
         if block_dim is None or t is None:
             raise ValueError("finite evaluation needs block_dim and t")
-        from .brauer import square_df
-
         df = square_df(n, block_dim)
         return evolve_finite(seed, word, t, df, field)
     mf = evolve_limit(seed, word, square_ratios(n), "complex")

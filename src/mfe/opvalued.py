@@ -4,7 +4,9 @@ The conditional expectation keeps one normalized trace per diagonal
 block; nesting it along a non-crossing partition and applying a Moebius
 transformation gives amalgamated cumulants.  On the limit side, the
 cumulant coefficients are sums over paths of cycle- or loop-creating
-elementary diagrams, split by the partition the path's steps generate.
+elementary diagrams, split by the partition the path's steps generate:
+the generator pass closes (diagram, partition) states, checking the
+seed's validity once, and the semigroup solve reads them off.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from .brauer import (
 from .evaltrace import block_slice, qmatmul, total_dim
 from .generators import (
     GeneratorMatrix,
-    _ratio_factor,
-    _weight,
+    _limit_rates,
+    _sweep,
     admissible_moves,
     delta_diag,
 )
-from .moments import MomentFunction, solve_semigroup_row
+from .moments import MomentFunction, evolve_limit, solve_semigroup_row
 from .ncpart import (
     NonCrossingPartition,
     SetPartition,
@@ -259,13 +261,6 @@ def enumerate_paths(b, word, s, df, beta=None):
     return out
 
 
-def diagram_admissible(b, df):
-    """Whether every strand of the diagram joins blocks of one common
-    dimension (the colouring is admissible for the dimension function)."""
-    return all(df.value(b.colour(x)) == df.value(b.colour(y))
-               for x, y in b.pairing.pairs)
-
-
 def seed_diagram(pi, alpha, eps):
     """The partition's cycle diagram, twisted at the starred slots and
     coloured by the boundary tuple alpha = (a_0, ..., a_k)."""
@@ -300,35 +295,14 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
     beta_p = _as_set_partition(beta, k)
     eps = [l.bar for l in word.letters]
     seed = seed_diagram(beta_p if pi is None else pi, alpha, eps)
-    if not diagram_admissible(seed, ratios):
+    if not seed.is_valid(ratios):
         return MomentFunction.zero()
-    drift = Fraction(-1, 2) * sum(
-        _weight(weights, l.letter) for l in word.letters)
     # states pair a reachable diagram with the partition generated by
     # the step pairs used so far
-    start = (seed, _discrete(k))
-    states, index = [start], {start: 0}
-    rows = [dict()]
-    i = 0
-    while i < len(states):
-        b, part = states[i]
-        row = rows[i]
-        row[i] = row.get(i, Fraction(0)) + drift
-        for (si, sj), r, kind in admissible_moves(
-                b, word, ratios, "real", creating_only=True):
-            res = compose(r, b, ratios)
-            nxt = (res.diagram,
-                   partition_join(part, _pair_partition(k, si, sj)))
-            if nxt not in index:
-                index[nxt] = len(states)
-                states.append(nxt)
-                rows.append(dict())
-            j = index[nxt]
-            sign = Fraction(-1 if kind == "tau" else 1)
-            wt = _weight(weights, word[si - 1].letter)
-            val = sign * wt * _ratio_factor(b, res, ratios, False)
-            row[j] = row.get(j, Fraction(0)) + val
-        i += 1
+    states, rows = _sweep(
+        [(seed, _discrete(k))], word, ratios, "real", creating_only=True,
+        rates=_limit_rates(ratios), weights=weights,
+        join=lambda part, i, j: partition_join(part, _pair_partition(k, i, j)))
     dvec = [Fraction(delta_diag(b)) if part == beta_p else Fraction(0)
             for b, part in states]
     return solve_semigroup_row(GeneratorMatrix(states, word, rows), 0, dvec)
@@ -337,12 +311,10 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
 def limit_statistic(pi, alpha, word, ratios, weights=None):
     """The limit moment of the partition's seed diagram, summed over all
     cumulant coefficients below the partition."""
-    from .moments import evolve_limit
-
     word = word if isinstance(word, Word) else \
         Word(WordLetter(l) for l in word)
     eps = [l.bar for l in word.letters]
     seed = seed_diagram(pi, alpha, eps)
-    if not diagram_admissible(seed, ratios):
+    if not seed.is_valid(ratios):
         return MomentFunction.zero()
     return evolve_limit(seed, word, ratios, "real", weights)

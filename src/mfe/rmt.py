@@ -329,16 +329,6 @@ def extract_blocks(a, dims):
     return out
 
 
-def assemble_blocks(blocks, dims):
-    """Inverse of extract_blocks."""
-    dims = _dims_list(dims)
-    rows = []
-    for i in range(1, len(dims) + 1):
-        rows.append([np.asarray(blocks[(i, j)])
-                     for j in range(1, len(dims) + 1)])
-    return np.block(rows)
-
-
 def cluster_map(a, dims, pi):
     """Regroup the blocks of `a` by the classes of the partition `pi` of
     the block indices; classes must hold blocks of one common dimension.

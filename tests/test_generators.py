@@ -194,6 +194,35 @@ class TestClosure:
             reachable_basis(b, w, square_df(1), "real", bound=2)
 
 
+RECT_DF = DimensionFunction({1: 2, 2: 3})
+
+
+class TestValidity:
+    def test_invalid_seed_rejected_by_every_builder(self):
+        # strand {2, 1'} joins a block of dimension 2 to one of dimension 3
+        seed, word = encode_word([(1, 2, False), (1, 1, False)])
+        assert not seed.is_valid(RECT_DF)
+        ratios = DimensionFunction({1: Fraction(2, 5), 2: Fraction(3, 5)})
+        for build in (lambda: finite_generator(seed, word, RECT_DF, "C"),
+                      lambda: limit_generator(seed, word, ratios, "complex"),
+                      lambda: build_generator_finite([seed], word, RECT_DF,
+                                                     "C")):
+            with pytest.raises(ValueError, match="invalid"):
+                build()
+
+    def test_closure_of_a_valid_seed_stays_valid(self):
+        # the invariant that lets compose skip re-validating its operands
+        rng = random.Random(20)
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            seed = random_valid_diagram(rng, k, RECT_DF)
+            word = Word(WordLetter(rng.choice((1, 1, 1, 2)),
+                                   rng.random() < 0.5) for _ in range(k))
+            field = rng.choice("RCH")
+            basis = finite_generator(seed, word, RECT_DF, field).basis
+            assert all(b.is_valid(RECT_DF) for b in basis)
+
+
 def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
 

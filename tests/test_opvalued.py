@@ -24,7 +24,6 @@ from mfe.opvalued import (
     DiagonalElement,
     amalgamated_cumulant,
     cond_expectation,
-    diagram_admissible,
     e_pi,
     enumerate_paths,
     limit_cumulant_coefficient,
@@ -213,9 +212,9 @@ class TestSeedDiagram:
 
     def test_admissibility_sees_rectangular_strands(self):
         ok = seed_diagram(one_nc(2), (1, 2, 1), [False, False])
-        assert diagram_admissible(ok, RECT)
+        assert ok.is_valid(RECT)
         bad = seed_diagram(one_nc(2), (1, 2, 2), [False, False])
-        assert not diagram_admissible(bad, RECT)
+        assert not bad.is_valid(RECT)
 
 
 class TestEnumeratePaths:
