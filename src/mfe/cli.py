@@ -151,7 +151,9 @@ def cmd_cumulant(args):
     else:
         if args.p is None:
             raise ValueError("need --p or --word")
-        p, n = args.p, args.n or 1
+        p, n = args.p, 1 if args.n is None else args.n
+        if n < 1:
+            raise ValueError("--n must be a positive integer, got %d" % n)
         col = Colourization.constant(p)
     closed = kappa_closed_form(p, n, col)
 
@@ -191,6 +193,9 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    if args.bound is not None and not 0 <= args.bound < math.inf:
+        raise ValueError("--bound must be a finite non-negative number, "
+                         "got %r" % args.bound)
     tokens = parse_word(args.word)
     n = _infer_n(tokens, args.n)
     df = square_df(n, args.d)

@@ -6,10 +6,16 @@ exponential of a Gaussian element of the Lie algebra, so every sample
 stays exactly in the group.  Quaternionic matrices are kept in the
 native (N, N, 4) layout; they pass through the complex 2N-dimensional
 representation only inside the exponential kernel.
+
+The step kernel, `expm` and the product u e^A, takes its Taylor degree
+from ||A^4||_1^(1/4) and a bound on ||A^5||_1^(1/5), near the spectral
+radius of these normal increments, and multiplies complex matrices of
+side 2 to 5 as one float64 product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -151,53 +157,139 @@ def casimir_scalar_check(basis: LieBasis):
 # sampling
 # ---------------------------------------------------------------------------
 
-# Taylor degrees m = 4k with the largest 1-norm x for which the remainder
-# bound x^(m+1) / (m+1)! / (1 - x/(m+2)) stays below 2^-53
+# Taylor degrees m = 4k with the largest x for which the remainder bound
+# x^(m+1) / (m+1)! / (1 - x/(m+2)) stays below 2^-53.  x bounds the
+# remainder where it is the 1-norm, or alpha_p = max(d_p, d_(p+1)) with
+# d_p = ||a^p||_1^(1/p) for p(p-1) <= m+1 (Al-Mohy & Higham 2009)
 _TAYLOR = ((8, 0.0699), (12, 0.3352), (16, 0.8245), (20, 1.504))
+
+# past this 1-norm the squarings would amplify the rounding of the Taylor
+# sum by more than 2^52, which leaves no correct digit
+_NORM_MAX = 2.0 ** 52 * _TAYLOR[-1][1]
+
+# entries per chunk of a batch, so that the dozen arrays of a chunk's
+# products and sums stay in a core's cache: on a Xeon with 2 MiB of L2,
+# chunks of 2^14 to 2^16 entries made a step up to a fifth slower
+_CHUNK = 2 ** 13
+
+# complex sides whose products run faster as one float64 product: the
+# batched complex product costs about 0.4 us per matrix above side 1
+_REAL_SIDES = range(2, 6)
 
 
 def expm(a):
-    """e^a for every matrix of a batch of shape (samples, n, n).
+    """e^a for every matrix of a batch of shape (samples, n, n), float64
+    or complex128.
 
-    The batch is cut into chunks of 2^16 entries, so that the products
-    and sums of a chunk stay in cache.
+    Scaling and squaring with a truncated Taylor series of one degree
+    per chunk of _CHUNK entries.  The degree and the number of squarings
+    come from alpha = max(||a^4||_1^(1/4), ||a^5||_1^(1/5)), the fifth
+    root bounded by (||a^4||_1 ||a||_1)^(1/5), the largest over the
+    chunk.  alpha is at most the 1-norm and near the spectral radius for
+    the normal matrices of a Lie algebra, so the degree is never higher
+    than the 1-norm would give.  Complex matrices of side 2 to 5 are
+    multiplied as one float64 product (see `_mul`).
+
+    Raises ValueError for a 1-norm above 2^52 * 1.504, or one that is not
+    finite, where the squarings would leave no correct digit.
     """
+    a = np.ascontiguousarray(a)
     out = np.empty_like(a)
-    step = max(1, 2 ** 16 // a.shape[-1] ** 2)
+    step = max(1, _CHUNK // a.shape[-1] ** 2)
     for i in range(0, len(a), step):
         out[i:i + step] = _expm_chunk(a[i:i + step])
     return out
 
 
-def _expm_chunk(a):
-    """Scaling and squaring with a truncated Taylor series of one degree
-    for the whole chunk, picked from its largest 1-norm, and evaluated by
-    Paterson-Stockmeyer in powers of a^4: at most seven batched products
-    before the squarings, and no solve.
+def _norm1(a):
+    """1-norm of each matrix of a batch.
+
+    The column sums come out column-major, so that the maximum runs over
+    n long rows: numpy's reductions over a short last axis cost several
+    times more on small sides.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())
-    for m, theta in _TAYLOR:
-        if norm <= theta:
+    return functools.reduce(np.maximum, np.einsum("...ij->j...", np.abs(a)))
+
+
+def _degree(norm, a3, a4):
+    """Taylor degree m and squaring count s for a chunk whose matrices
+    have 1-norms `norm` and cubes and fourth powers a3 and a4.
+
+    p(p-1) <= m+1 admits alpha_4 from m = 12 on; degree 8 needs
+    alpha_3 = max(d_3, d_4).  Each alpha is capped by the 1-norm, which
+    also bounds the remainder.
+    """
+    theta8, theta_top = _TAYLOR[0][1], _TAYLOR[-1][1]
+    top = float(norm.max())
+    n4 = _norm1(a4)
+    d4 = float(n4.max()) ** 0.25
+    if top <= theta8 or (
+            d4 <= theta8 and float(_norm1(a3).max()) ** (1 / 3) <= theta8):
+        return 8, 0
+    alpha = min(top, max(d4, float((n4 * norm).max()) ** 0.2))
+    s = math.ceil(math.log2(alpha / theta_top)) if alpha > theta_top else 0
+    for m, theta in _TAYLOR[1:]:
+        if alpha <= theta * 2.0 ** s:
             break
-    squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
-    a = a / 2.0 ** squarings
-    k = m // 4
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a2 @ a2
-    # block j holds the terms of degree 4j .. 4j+3 without a^(4j)
-    coef = np.array([[1.0 / math.factorial(4 * j + i) for i in (1, 2, 3)]
-                     for j in range(k)], dtype=a.dtype)
-    blocks = np.tensordot(coef, np.stack((a, a2, a3)), axes=1)
-    diag = np.arange(a.shape[-1])
-    for j in range(k):
-        blocks[j][..., diag, diag] += 1.0 / math.factorial(4 * j)
-    r = blocks[k - 1] + a4 / math.factorial(m)
-    for j in range(k - 2, -1, -1):
-        r = r @ a4
-        r += blocks[j]
-    for _ in range(squarings):
-        r = r @ r
+    return m, s
+
+
+def _right_factor(y):
+    """y as the right factor of `_mul`: for complex sides in _REAL_SIDES
+    its 2n x 2n real form, rows 2k and 2k+1 holding row k of y and of
+    i*y as interleaved (re, im) pairs; otherwise y itself."""
+    n = y.shape[-1]
+    if y.dtype != np.complex128 or n not in _REAL_SIDES:
+        return y
+    yr = np.empty(y.shape[:-2] + (n, 2, 2 * n))
+    yr[..., 0, :] = y.view(np.float64)
+    np.multiply(y, 1j, out=yr[..., 1, :].view(np.complex128))
+    return yr.reshape(y.shape[:-2] + (2 * n, 2 * n))
+
+
+def _mul(x, yr):
+    """x @ y over a batch, for yr = _right_factor(y).
+
+    A real form yr takes the interleaved float64 view of x, whose row k
+    times yr is row k of x @ y as (re, im) pairs: the same sums of
+    products, one float64 product in place of a complex one whose batched
+    call costs more on small sides.
+    """
+    if yr.dtype == x.dtype:
+        return x @ yr
+    return np.matmul(x.view(np.float64), yr).view(np.complex128)
+
+
+def _expm_chunk(a):
+    """Paterson-Stockmeyer in powers of a^4, summed in place: at most
+    seven batched products before the squarings, and no solve.  The
+    scaling by 2^-s is folded into the coefficients and a^4, exact in
+    binary.
+    """
+    norm = _norm1(a)
+    if not norm.max() <= _NORM_MAX:
+        raise ValueError("a matrix exponent of 1-norm %.3g is past %.3g, "
+                         "where the squarings leave no correct digit"
+                         % (norm.max(), _NORM_MAX))
+    ar = _right_factor(a)
+    a2 = _mul(a, ar)
+    a3 = _mul(a2, ar)
+    a4 = _mul(a2, _right_factor(a2))
+    m, s = _degree(norm, a3, a4)
+    if s:
+        a4 *= 2.0 ** (-4 * s)
+    a4r = _right_factor(a4)
+    r = a4 * (1.0 / math.factorial(m))
+    for j in range(m // 4 - 1, -1, -1):
+        if j < m // 4 - 1:
+            r = _mul(r, a4r)
+        for i, x in enumerate((a, a2, a3), start=1):
+            r += x * (2.0 ** (-s * i) / math.factorial(4 * j + i))
+        # r is C-contiguous, so the reshape is a view of its diagonals
+        r.reshape(len(r), -1)[:, ::a.shape[-1] + 1] += \
+            1.0 / math.factorial(4 * j)
+    for _ in range(s):
+        r = _mul(r, _right_factor(r))
     return r
 
 
@@ -265,7 +357,13 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
             incr = _gaussian_lie(rng, N, field, samples)
             if field == "H":
                 incr = quat_to_complex(incr)
-            u = u @ expm(incr * scale)
+            incr *= scale
+            try:
+                e = expm(incr)
+            except ValueError as exc:
+                raise ValueError("step size t/steps = %g is too large: %s"
+                                 % (t / steps, exc)) from None
+            u = _mul(u, _right_factor(e))
     if field == "H":
         return complex_to_quat(u)
     return u

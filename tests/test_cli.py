@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,33 @@ class TestEdgeInputs:
                            "--t", "1", "--samples", "1")
         assert_one_line_error(rc, out, err)
         assert "--samples" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "3", "--n", "0"],
+        ["--p", "2", "--n", "-1"],
+    ])
+    def test_cumulant_n_must_be_positive(self, capsys, argv):
+        rc, out, err = run(capsys, "cumulant", *argv)
+        assert_one_line_error(rc, out, err)
+        assert "--n" in err
+
+    @pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
+    def test_compare_bound_must_be_finite_non_negative(self, capsys, bound):
+        rc, out, err = run(capsys, "compare", "--field", "C", "--d", "2",
+                           "--word", "u11", "--t", "1", "--samples", "4",
+                           "--bound=" + bound)
+        assert_one_line_error(rc, out, err)
+        assert "--bound" in err
+
+    def test_overflowing_step_exits_2(self, capsys):
+        # the error comes before numpy overflows, so no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "simulate", "--field", "C", "--N", "2",
+                               "--word", "u11", "--t", "1e300",
+                               "--samples", "3", "--steps", "1")
+        assert_one_line_error(rc, out, err)
+        assert "step size" in err
 
     def test_irrational_rate_exits_2(self, capsys, monkeypatch):
         # an annihilator x^2 - 2 has no rational roots

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from mfe.rmt import (
     sample_terminals,
     unitarity_defect,
 )
-from mfe.rmt import _gaussian_lie
+from mfe.rmt import _CHUNK, _TAYLOR, _degree, _gaussian_lie, _mul, \
+    _norm1, _right_factor
 
 
 class TestLieBasis:
@@ -90,6 +92,35 @@ def lie_batch(field, N, samples, scale, seed=0):
     return a * scale
 
 
+def powers(a):
+    """1-norms, cube and fourth power of a batch, as _degree takes them."""
+    a2 = a @ a
+    return _norm1(a), a2 @ a, a2 @ a2
+
+
+def norm_degree(norm):
+    """The degree and squarings a 1-norm test alone gives."""
+    top = float(norm.max())
+    for m, theta in _TAYLOR:
+        if top <= theta:
+            return m, 0
+    return _TAYLOR[-1][0], math.ceil(math.log2(top / _TAYLOR[-1][1]))
+
+
+def non_normal(dtype, n, norm, samples=40, seed=0):
+    """Strictly upper-triangular batches of largest 1-norm `norm` plus a
+    diagonal of size 1e-3: alpha is far below the 1-norm."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.standard_normal((samples, n, n)), 1).astype(dtype)
+    if dtype is complex:
+        a += 1j * np.triu(rng.standard_normal((samples, n, n)), 1)
+    a *= norm / _norm1(a).max()
+    diag = 1e-3 * rng.standard_normal((samples, n))
+    idx = np.arange(n)
+    a[:, idx, idx] = 1j * diag if dtype is complex else diag
+    return a
+
+
 class TestExpm:
     # every Taylor degree, the scaling and squaring regime, and batches
     # that span several chunks
@@ -105,12 +136,61 @@ class TestExpm:
             assert np.abs(got - want).max() <= tol, (field, N, scale)
 
     def test_chunks_and_single_matrix(self):
-        # 16x16 batches are cut every 256 matrices
+        # 16x16 batches are cut into several chunks
         a = lie_batch("C", 16, 600, 0.3)
+        assert 600 > 2 * _CHUNK // 16 ** 2
         got = expm(a)
         assert np.abs(got - scipy_expm(a)).max() <= 1e-14
         one = expm(a[500:501])
         assert np.abs(one - got[500:501]).max() <= 1e-14
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("norm", [0.5, 2.0, 8.0])
+    def test_non_normal_matches_scipy(self, dtype, norm):
+        for n in (2, 3, 4, 8):
+            a = non_normal(dtype, n, norm, seed=n)
+            got = expm(a)
+            tol = 1e-14 * max(1.0, float(_norm1(a).max()))
+            assert np.abs(got - scipy_expm(a)).max() <= tol, (dtype, n, norm)
+
+    def test_alpha_takes_fewer_squarings(self):
+        # at 1-norm 8 the 1-norm test asks for 3 squarings; on sides up
+        # to 4 alpha needs none
+        for dtype in (float, complex):
+            for n in (2, 3, 4):
+                a = non_normal(dtype, n, 8.0, seed=n)
+                assert norm_degree(_norm1(a)) == (20, 3)
+                assert _degree(*powers(a))[1] == 0
+
+    def test_degree_8_needs_alpha_3(self):
+        # a^4 = 0 makes alpha_4 vanish, but degree 8 needs
+        # alpha_3 = max(d_3, d_4), which is past theta_8 here
+        rng = np.random.default_rng(5)
+        a = np.triu(rng.standard_normal((20, 4, 4)), 1) * 0.5
+        norm, a3, a4 = powers(a)
+        assert np.abs(a4).max() == 0.0
+        assert _norm1(a3).max() ** (1 / 3) > _TAYLOR[0][1]
+        assert _degree(norm, a3, a4) == (12, 0)
+        assert np.abs(expm(a) - scipy_expm(a)).max() <= 1e-14 * max(
+            1.0, float(norm.max()))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_diagonal_reaches_every_chunk(self, n):
+        # e^0 is the identity only if the diagonal term lands in every
+        # matrix of every chunk
+        samples = 2 * (_CHUNK // n ** 2) + 3
+        for dtype in (float, complex):
+            got = expm(np.zeros((samples, n, n), dtype=dtype))
+            assert np.array_equal(got, np.broadcast_to(np.eye(n), got.shape))
+
+    def test_too_large_norm_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (1e20, np.inf, np.nan):
+                a = lie_batch("C", 3, 4, 1.0)
+                a[2, 0, 1] = bad
+                with pytest.raises(ValueError, match="1-norm"):
+                    expm(a)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_unitary(self, field):
@@ -118,6 +198,55 @@ class TestExpm:
             e = expm(lie_batch(field, 8, 200, scale))
             gram = np.conj(np.swapaxes(e, -1, -2)) @ e
             assert np.abs(gram - np.eye(e.shape[-1])).max() <= 1e-13
+
+
+class TestDegree:
+    def test_simulate_default_step(self):
+        # C, N=8 at 200 steps per unit time
+        a = lie_batch("C", 8, 500, math.sqrt(1 / 200), seed=1)
+        assert _degree(*powers(a)) == (12, 0)
+        assert norm_degree(_norm1(a)) == (16, 0)
+
+    def test_criterion_10_step(self):
+        # C, N=32 at dt = 0.01, in chunks of 64 matrices, as large as
+        # expm cuts them at any chunk size up to 2^16 entries
+        a = lie_batch("C", 32, 256, 0.1, seed=2)
+        for i in range(0, 256, 64):
+            assert _degree(*powers(a[i:i + 64])) == (12, 0)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_never_above_norm_choice(self, field):
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            scale = 10 ** rng.uniform(-3, 1)
+            a = lie_batch(field, n, 8, scale, seed=trial)
+            if trial % 2:
+                a = a + rng.standard_normal(a.shape) * scale
+            m, s = _degree(*powers(a))
+            m1, s1 = norm_degree(_norm1(a))
+            assert m <= m1 and s <= s1, (field, n, scale, (m, s), (m1, s1))
+
+
+class TestSmallProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_matmul(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal(
+            (300, n, n))
+        b = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal(
+            (300, n, n))
+        got = _mul(a, _right_factor(b))
+        assert got.dtype == np.complex128 and got.shape == a.shape
+        # the same sums of products, added in another order
+        bound = 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+        assert (np.abs(got - a @ b) <= bound).all()
+
+    def test_real_batches_use_matmul(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 50, 3, 3))
+        assert _right_factor(b) is b
+        assert np.array_equal(_mul(a, b), a @ b)
 
 
 class TestSampling:
@@ -146,6 +275,13 @@ class TestSampling:
         # entries are rounding errors, so a reordered sum moves them by eps
         assert np.isclose(batched, max(unitarity_defect(x, field) for x in u),
                           rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_overflowing_step_names_step_size(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step size t/steps = 1e"
+                                                 r"\+300"):
+                sample_terminals(2, "C", 1e300, 3, steps=1)
 
     def test_real_stays_in_identity_component(self):
         for seed in range(3):
