@@ -242,9 +242,6 @@ class ColouredBrauerDiagram:
             for x, y in self.pairing.pairs
         )
 
-    def is_nonmixing(self):
-        return all(self.colour(x) == self.colour(y) for x, y in self.pairing.pairs)
-
     def __eq__(self, other):
         return (
             isinstance(other, ColouredBrauerDiagram)
@@ -382,14 +379,6 @@ def compose(b1, b2, df: DimensionFunction):
     result = ColouredBrauerDiagram(Pairing(k, pairs),
                                    b2.colours[:k] + b1.colours[k:])
     return ExtendedDiagram(result, loops)
-
-
-def project_loops(x: ExtendedDiagram, df: DimensionFunction):
-    """Specialize every loop variable to its dimension value."""
-    scalar = Fraction(1)
-    for cls, m in x.loops.items():
-        scalar *= df.class_value(cls) ** m
-    return x.diagram, scalar
 
 
 def twist(b, i):
@@ -749,15 +738,3 @@ def encode_word(tokens, letters=None):
     word = Word(WordLetter(letter, bool(star))
                 for letter, (_, _, star) in zip(letters, tokens))
     return diagram, word
-
-
-def expand_uncoloured(pairing: Pairing, n):
-    """Injection of an uncoloured diagram: all non-mixing colourings."""
-    out = []
-    pairs = pairing.pairs
-    for choice in itertools.product(range(1, n + 1), repeat=len(pairs)):
-        cols = [0] * (2 * pairing.k)
-        for (x, y), c in zip(pairs, choice):
-            cols[x - 1] = cols[y - 1] = c
-        out.append(ColouredBrauerDiagram(pairing, cols))
-    return out

@@ -69,7 +69,10 @@ def parse_partition(text, k):
 
 
 def parse_ratios(text):
-    vals = [Fraction(p.strip()) for p in text.split(",")]
+    try:
+        vals = [Fraction(p.strip()) for p in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in --ratios %r" % text) from None
     if not vals or any(v <= 0 for v in vals):
         raise ValueError("ratios must be positive fractions")
     return DimensionFunction(

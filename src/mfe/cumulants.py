@@ -50,11 +50,6 @@ class Colourization:
     def p(self):
         return len(self.i)
 
-    def act(self, sigma: Permutation) -> "Colourization":
-        """Position action (sigma . s)_l = s_{sigma(l)} on both rows."""
-        return Colourization(colour_act(self.i, sigma),
-                             colour_act(self.j, sigma))
-
     def relabel(self, sigma: Permutation) -> "Colourization":
         """Relabel colour values by a permutation of the blocks."""
         return Colourization(tuple(sigma(x) for x in self.i),
@@ -147,7 +142,7 @@ def taylor_coeff_geodesic(pi, kdx, col: Colourization, n) -> Fraction:
     return Fraction(total, n ** kdx)
 
 
-def kappa_closed_form(p, n, col: Colourization, t=None):
+def kappa_closed_form(p, n, col: Colourization):
     """Closed form of the p-th free cumulant of a word of block entries:
     e^(-pt/2) (-t/n)^(p-1) p^(p-2)/(p-1)! when the colours chain along
     the full cycle, zero otherwise."""
@@ -160,10 +155,7 @@ def kappa_closed_form(p, n, col: Colourization, t=None):
     top = p ** (p - 2) if p >= 2 else 1
     coeff = delta * Fraction(-1, n) ** (p - 1) * \
         Fraction(top, math.factorial(p - 1))
-    out = MomentFunction({Fraction(-p, 2): [0] * (p - 1) + [coeff]})
-    if t is not None:
-        return out.value(t)
-    return out
+    return MomentFunction({Fraction(-p, 2): [0] * (p - 1) + [coeff]})
 
 
 def _block_functional(moments, p):
@@ -195,6 +187,9 @@ def cumulants_from_moments(moments, p):
     corresponding subword.  Values may be numbers or MomentFunctions.
     """
     phi = _block_functional(moments, p)
+    # NC(p) is the largest lattice of the sweep: past the enumeration bound
+    # this fails before the smaller ones are swept
+    enumerate_nc(p)
     out = []
     for q in range(1, p + 1):
         top = one_nc(q)
@@ -223,7 +218,7 @@ def moments_from_cumulants(cumulants, p):
 BIANE_BOUND = 6
 
 
-def biane_moment(p, t=None):
+def biane_moment(p):
     """Moment of the p-th power in the single-block limit,
     e^(-pt/2) sum_k (-t)^k/k! P_k, with P_k the number of k-step
     cycle-splitting transposition chains started at the full cycle."""
@@ -242,7 +237,4 @@ def biane_moment(p, t=None):
     walk(cp, 0)
     coeffs = [Fraction((-1) ** k * counts[k], math.factorial(k))
               for k in range(p)]
-    out = MomentFunction({Fraction(-p, 2): coeffs})
-    if t is not None:
-        return out.value(t)
-    return out
+    return MomentFunction({Fraction(-p, 2): coeffs})

@@ -100,19 +100,6 @@ def block_slice(df, c):
     return slice(off[c], off[c] + d)
 
 
-def extract_block(a, df, c, cp):
-    """Sub-block of rows in colour block c, columns in colour block cp."""
-    return a[block_slice(df, c), block_slice(df, cp)]
-
-
-def block_projector(df, c):
-    n = total_dim(df)
-    p = np.zeros((n, n))
-    s = block_slice(df, c)
-    p[s, s] = np.eye(int(df.value(c)))
-    return p
-
-
 # ---------------------------------------------------------------------------
 # trace evaluation
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ sum_rate e^(rate t) * polynomial(t) with rational data.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import zip_longest
@@ -17,7 +16,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
-    cycle_partition, square_df
+    cycle_partition
 from .generators import (
     delta_diag,
     finite_generator,
@@ -98,17 +97,6 @@ class MomentFunction:
                     total += c * rate ** (i - j) / math.factorial(i - j)
         return total
 
-    def derivative(self):
-        out = {}
-        for rate, coeffs in self.terms.items():
-            d = [Fraction(0)] * len(coeffs)
-            for j, c in enumerate(coeffs):
-                d[j] += rate * c
-                if j:
-                    d[j - 1] += j * c
-            out[rate] = d
-        return MomentFunction(out)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MomentFunction.constant(other)
@@ -173,22 +161,6 @@ class MomentFunction:
         """One {"rate", "coeffs"} record of strings per rate, by rate."""
         return [{"rate": str(r), "coeffs": [str(c) for c in coeffs]}
                 for r, coeffs in sorted(self.terms.items())]
-
-    def to_json(self):
-        records = self.term_records() or [{"rate": "0", "coeffs": ["0"]}]
-        if len(records) == 1:
-            return json.dumps(records[0])
-        return json.dumps({"terms": records})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if "terms" in data:
-            items = data["terms"]
-        else:
-            items = [data]
-        return cls({Fraction(d["rate"]): [Fraction(c) for c in d["coeffs"]]
-                    for d in items})
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +348,14 @@ def evolve_limit(seed, word, ratios, fclass="real", weights=None):
     return solve_semigroup_row(gen, gen.index(seed), dvec)
 
 
-def moment_of_word(tokens, n, t=None, field=None, block_dim=None):
-    """Moment of a word in the block entries u_ij^eps.
-
-    With field and block_dim given, returns the finite-dimension value at
-    time t for square blocks of that dimension; otherwise returns the
-    exact limit MomentFunction (evaluated at t when t is given).
-    """
+def moment_of_word(tokens, n):
+    """Exact limit MomentFunction of a word in the block entries u_ij^eps
+    over n square blocks."""
     tokens = list(tokens)
     if not tokens:
         raise ValueError("empty word")
     seed, word = encode_word(tokens)
-    if field is not None:
-        if block_dim is None or t is None:
-            raise ValueError("finite evaluation needs block_dim and t")
-        df = square_df(n, block_dim)
-        return evolve_finite(seed, word, t, df, field)
-    mf = evolve_limit(seed, word, square_ratios(n), "complex")
-    if t is not None:
-        return mf.value(t)
-    return mf
+    return evolve_limit(seed, word, square_ratios(n), "complex")
 
 
 def _restrict_to_cycle(b, word, slots):
@@ -422,7 +382,7 @@ def _restrict_to_cycle(b, word, slots):
     return sub, sub_word
 
 
-def factorized_moment(b, word, ratios, fclass="real", t=None):
+def factorized_moment(b, word, ratios, fclass="real"):
     """Limit moment computed as a product over the diagram's cycles."""
     cp = cycle_partition(b.pairing)
     out = MomentFunction.constant(1)
@@ -430,6 +390,4 @@ def factorized_moment(b, word, ratios, fclass="real", t=None):
         slots = sorted(p for p in block if p <= b.k)
         sub, sub_word = _restrict_to_cycle(b, word, slots)
         out = out * evolve_limit(sub, sub_word, ratios, fclass)
-    if t is not None:
-        return out.value(t)
     return out

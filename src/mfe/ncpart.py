@@ -95,20 +95,6 @@ def partition_join(p: SetPartition, q: SetPartition) -> SetPartition:
     return SetPartition(groups.values())
 
 
-def partition_meet(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Greatest partition below both: pairwise block intersections."""
-    if p.ground != q.ground:
-        raise ValueError("mismatched ground sets")
-    blocks = []
-    for a in p.blocks:
-        sa = set(a)
-        for b in q.blocks:
-            c = sa.intersection(b)
-            if c:
-                blocks.append(c)
-    return SetPartition(blocks)
-
-
 def is_noncrossing(p: SetPartition) -> bool:
     """No a < b < c < d with a, c in one block and b, d in another."""
     for b1, b2 in itertools.combinations(p.blocks, 2):

@@ -20,7 +20,6 @@ from .brauer import (
     Pairing,
     Word,
     WordLetter,
-    compose,
     twist,
 )
 from .evaltrace import block_slice, qmatmul, total_dim
@@ -28,7 +27,6 @@ from .generators import (
     GeneratorMatrix,
     _limit_rates,
     _sweep,
-    admissible_moves,
     delta_diag,
 )
 from .moments import MomentFunction, evolve_limit, solve_semigroup_row
@@ -202,28 +200,8 @@ def amalgamated_cumulant(pi, mats, df, field=None) -> DiagonalElement:
 
 
 # ---------------------------------------------------------------------------
-# limit-side path sums
+# limit cumulant coefficients
 # ---------------------------------------------------------------------------
-
-class PathTuple:
-    """A chain of elementary coloured diagrams, each cycle- or
-    loop-creating for the running composition; steps are stored in
-    application order (the first step multiplies the seed first)."""
-
-    __slots__ = ("steps", "endpoint", "partition")
-
-    def __init__(self, steps, endpoint, partition):
-        self.steps = tuple(steps)
-        self.endpoint = endpoint
-        self.partition = partition
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __repr__(self):
-        return "PathTuple(len=%d, partition=%s)" % (
-            len(self.steps), sorted(map(sorted, self.partition.blocks)))
-
 
 def _discrete(k):
     return SetPartition([(i,) for i in range(1, k + 1)],
@@ -235,30 +213,15 @@ def _pair_partition(k, i, j):
     return SetPartition(blocks, ground=range(1, k + 1))
 
 
-def enumerate_paths(b, word, s, df, beta=None):
-    """All length-s creating chains on top of b that the word admits.
-
-    With beta given, keep only the paths whose step pairs generate that
-    partition of the slots.
-    """
-    if s < 0:
-        raise ValueError("negative path length")
-    want = None if beta is None else _as_set_partition(beta, b.k)
-    out = []
-
-    def rec(cur, part, steps):
-        if len(steps) == s:
-            if want is None or part == want:
-                out.append(PathTuple(steps, cur, part))
-            return
-        for (i, j), r, kind in admissible_moves(
-                cur, word, df, "real", creating_only=True):
-            res = compose(r, cur, df)
-            rec(res.diagram, partition_join(part, _pair_partition(
-                cur.k, i, j)), steps + [((i, j), kind, r)])
-
-    rec(b, _discrete(b.k), [])
-    return out
+def _coefficient_walk(seed, word, ratios, weights=None):
+    """States and limit generator rows of the creating walk from the
+    seed: a state pairs a reachable diagram with the partition generated
+    by the step pairs used so far, starting from the discrete one."""
+    k = seed.k
+    return _sweep(
+        [(seed, _discrete(k))], word, ratios, "real", creating_only=True,
+        rates=_limit_rates(ratios), weights=weights,
+        join=lambda part, i, j: partition_join(part, _pair_partition(k, i, j)))
 
 
 def seed_diagram(pi, alpha, eps):
@@ -297,12 +260,7 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,
     seed = seed_diagram(beta_p if pi is None else pi, alpha, eps)
     if not seed.is_valid(ratios):
         return MomentFunction.zero()
-    # states pair a reachable diagram with the partition generated by
-    # the step pairs used so far
-    states, rows = _sweep(
-        [(seed, _discrete(k))], word, ratios, "real", creating_only=True,
-        rates=_limit_rates(ratios), weights=weights,
-        join=lambda part, i, j: partition_join(part, _pair_partition(k, i, j)))
+    states, rows = _coefficient_walk(seed, word, ratios, weights)
     dvec = [Fraction(delta_diag(b)) if part == beta_p else Fraction(0)
             for b, part in states]
     return solve_semigroup_row(GeneratorMatrix(states, word, rows), 0, dvec)

@@ -36,6 +36,9 @@ BETA = {"R": 1, "C": 2, "H": 4}
 
 DEFAULT_STEPS_PER_UNIT_TIME = 200
 
+# resource limit on the steps of one sampling run, given or default
+MAX_STEPS = 10 ** 6
+
 
 def _check_field(field):
     if field not in BETA:
@@ -79,9 +82,6 @@ class LieBasis:
                 got = inner_product(self.field, self.N, x, y)
                 worst = max(worst, abs(got - (1.0 if a == b else 0.0)))
         return worst
-
-    def stacked(self):
-        return np.stack(self.elements)
 
 
 def lie_basis(N, field) -> LieBasis:
@@ -293,10 +293,6 @@ def _expm_chunk(a):
     return r
 
 
-def _default_steps(t):
-    return max(1, int(round(DEFAULT_STEPS_PER_UNIT_TIME * t)))
-
-
 def _gaussian_lie(rng, N, field, samples):
     """Standard Gaussian elements of the Lie algebra, sampled entrywise.
 
@@ -333,7 +329,9 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
     """Terminal matrices of `samples` independent Brownian paths.
 
     Returns an array of shape (samples, N, N) for R and C, and
-    (samples, N, N, 4) for H.
+    (samples, N, N, 4) for H.  Without `steps`, takes
+    DEFAULT_STEPS_PER_UNIT_TIME * t steps, rounded, at least one.  Raises
+    ValueError past MAX_STEPS steps.
     """
     _check_field(field)
     if t < 0:
@@ -341,9 +339,14 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
     if samples < 1:
         raise ValueError("need at least one sample")
     if steps is None:
-        steps = _default_steps(t)
+        # rounded only below the bound, as 200 t may overflow to inf
+        steps = max(1.0, DEFAULT_STEPS_PER_UNIT_TIME * t)
     if steps < 1:
         raise ValueError("need at least one step")
+    if steps > MAX_STEPS:
+        raise ValueError("t = %g takes %.7g steps, more than the %d allowed"
+                         % (t, steps, MAX_STEPS))
+    steps = int(round(steps))
     rng = np.random.default_rng(seed)
     if field == "H":
         u = np.broadcast_to(np.eye(2 * N, dtype=complex),
@@ -369,21 +372,6 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
     return u
 
 
-class SamplePath:
-    """One sampled path, holding only its terminal matrix."""
-
-    def __init__(self, N, field, t, steps, seed, matrix):
-        self.N = N
-        self.field = field
-        self.t = t
-        self.steps = steps
-        self.seed = seed
-        self.matrix = matrix
-
-    def unitarity_defect(self):
-        return unitarity_defect(self.matrix, self.field)
-
-
 def unitarity_defect(u, field):
     """Largest entry of U U* - 1 over a batch of shape (..., N, N), or
     (..., N, N, 4) for H."""
@@ -392,63 +380,6 @@ def unitarity_defect(u, field):
     else:
         prod = u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1])
     return float(np.abs(prod).max())
-
-
-def sample_bm(N, field, t, steps=None, seed=0) -> SamplePath:
-    """One Brownian sample on U(N, K) via the multiplicative scheme."""
-    if steps is None:
-        steps = _default_steps(t)
-    mat = sample_terminals(N, field, t, 1, steps, seed)[0]
-    return SamplePath(N, field, t, steps, seed, mat)
-
-
-# ---------------------------------------------------------------------------
-# block bookkeeping
-# ---------------------------------------------------------------------------
-
-def _dims_list(dims):
-    out = [int(d) for d in dims]
-    if not out or any(d < 1 for d in out):
-        raise ValueError("dims must be positive integers")
-    return out
-
-
-def extract_blocks(a, dims):
-    """Map (i, j) -> d_i x d_j sub-block, blocks indexed from 1."""
-    dims = _dims_list(dims)
-    if sum(dims) != a.shape[0] or sum(dims) != a.shape[1]:
-        raise ValueError("dims do not tile the matrix")
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    out = {}
-    for i in range(len(dims)):
-        for j in range(len(dims)):
-            out[(i + 1, j + 1)] = a[starts[i]:starts[i + 1],
-                                    starts[j]:starts[j + 1]]
-    return out
-
-
-def cluster_map(a, dims, pi):
-    """Regroup the blocks of `a` by the classes of the partition `pi` of
-    the block indices; classes must hold blocks of one common dimension.
-    The result is the same matrix with rows and columns permuted so each
-    class becomes one contiguous square block."""
-    dims = _dims_list(dims)
-    if sum(dims) != a.shape[0] or sum(dims) != a.shape[1]:
-        raise ValueError("dims do not tile the matrix")
-    blocks = [tuple(sorted(c)) for c in pi]
-    flat = sorted(x for c in blocks for x in c)
-    if flat != list(range(1, len(dims) + 1)):
-        raise ValueError("pi is not a partition of the block indices")
-    for c in blocks:
-        if len({dims[x - 1] for x in c}) != 1:
-            raise ValueError("class %s mixes block dimensions" % (c,))
-    starts = np.concatenate([[0], np.cumsum(dims)])
-    order = []
-    for c in sorted(blocks):
-        for x in c:
-            order.extend(range(starts[x - 1], starts[x]))
-    order = np.array(order)
-    return a[order][:, order]
 
 
 # ---------------------------------------------------------------------------

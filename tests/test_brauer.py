@@ -19,7 +19,6 @@ from mfe.brauer import (
     diamond,
     elementary_sets,
     encode_word,
-    expand_uncoloured,
     fnc,
     format_diagram,
     identity_diagram,
@@ -30,13 +29,13 @@ from mfe.brauer import (
     nc,
     oriented_cycles,
     parse_diagram,
-    project_loops,
     sigma_of,
     square_df,
     transpose_diagram,
     twist,
     WordLetter,
 )
+from mfe.generators import _ratio_factor
 from mfe.ncpart import Permutation, SetPartition, partition_join
 
 
@@ -216,11 +215,13 @@ class TestCompose:
                 assert sum(out2.loops.values()) == sum(out.loops.values())
 
     def test_project_loops(self):
+        # the generator's loop factor specializes each loop to its
+        # class dimension
         df = DimensionFunction([3])
         e = parse_diagram("(1,2)@1 (1',2')@1")
         out = compose(e, e, df)
-        d, scalar = project_loops(out, df)
-        assert d == e and scalar == 3
+        assert out.diagram == e
+        assert _ratio_factor(e, out, df, False) == 3
 
 
 def _compose3(a, b, c, df, left_first):
@@ -576,14 +577,6 @@ class TestEncodeWord:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             encode_word([])
-
-
-class TestExpand:
-    def test_count(self):
-        out = expand_uncoloured(Pairing.identity(2), 3)
-        assert len(out) == 9
-        assert all(b.is_nonmixing() for b in out)
-        assert len(set(out)) == 9
 
 
 pairing_st = st.integers(2, 5).flatmap(

@@ -248,6 +248,26 @@ class TestEdgeInputs:
         assert_one_line_error(rc, out, err)
         assert "--bound" in err
 
+    # inputs that used to raise a traceback or run for hours
+    @pytest.mark.parametrize("argv,msg", [
+        (["amalgamated", "--word", "u11", "--alpha", "1,1",
+          "--ratios", "1/0"], "--ratios"),
+        (["amalgamated", "--word", "u11", "--alpha", "1,1",
+          "--ratios", "1/4,3/0"], "--ratios"),
+        (["cumulant", "--p", "13"], "enumeration bound 12"),
+        (["cumulant", "--word", " ".join(["u11"] * 13)],
+         "enumeration bound 12"),
+        (["simulate", "--N", "2", "--samples", "3", "--field", "C",
+          "--word", "u11", "--t", "1e300"], "more than the 1000000 allowed"),
+        (["compare", "--d", "2", "--samples", "3", "--field", "C",
+          "--word", "u11", "--t", "1e6"], "more than the 1000000 allowed"),
+    ], ids=["ratio-1/0", "ratio-3/0", "cumulant-p13", "cumulant-word13",
+            "simulate-t1e300", "compare-t1e6"])
+    def test_fails_fast(self, capsys, argv, msg):
+        rc, out, err = run(capsys, *argv)
+        assert_one_line_error(rc, out, err)
+        assert msg in err
+
     def test_overflowing_step_exits_2(self, capsys):
         # the error comes before numpy overflows, so no warning is raised
         with warnings.catch_warnings():

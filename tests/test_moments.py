@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,11 @@ from mfe.moments import (
     solve_semigroup_row,
 )
 from mfe.moments import _rational_roots
+
+
+def from_records(records):
+    """The MomentFunction that term_records wrote."""
+    return MomentFunction({Fraction(r["rate"]): r["coeffs"] for r in records})
 
 
 def plain_word(k):
@@ -94,19 +100,23 @@ class TestMomentFunction:
         assert f.taylor_coeff(0) == 1
         assert f.taylor_coeff(1) == -2
         assert f.taylor_coeff(2) == Fraction(3, 2)
-        d = f.derivative()
-        for i in range(5):
-            assert d.taylor_coeff(i) == f.taylor_coeff(i + 1) * (i + 1)
+        # the first coefficient is the slope of value at 0 (a one-sided
+        # second-order difference, as negative times are rejected)
+        h = 1e-4
+        slope = (4 * f.value(h) - 3 * f.value(0) - f.value(2 * h)) / (2 * h)
+        assert math.isclose(slope, f.taylor_coeff(1), abs_tol=1e-6)
+
+    # the JSON output carries term_records; its strings are exact
 
     def test_json_roundtrip_single(self):
         f = MomentFunction({Fraction(-3, 2): [1, -3, Fraction(3, 2)]})
-        text = f.to_json()
+        text = json.dumps(f.term_records())
         assert '"rate": "-3/2"' in text
-        assert MomentFunction.from_json(text) == f
+        assert from_records(json.loads(text)) == f
 
     def test_json_roundtrip_multi(self):
         f = MomentFunction({0: [Fraction(1, 2)], -1: [Fraction(1, 2)]})
-        assert MomentFunction.from_json(f.to_json()) == f
+        assert from_records(json.loads(json.dumps(f.term_records()))) == f
 
     def test_degree(self):
         assert MomentFunction({Fraction(-1): [1, -3, 2]}).degree() == 2
@@ -328,7 +338,7 @@ class TestMomentOfWord:
         assert moment_of_word([(1, 1, False)], 1) == \
             MomentFunction({Fraction(-1, 2): [1]})
         for t in (0.0, 0.5, 2.0):
-            assert moment_of_word([(1, 2, False)], 2, t=t) == 0.0
+            assert moment_of_word([(1, 2, False)], 2).value(t) == 0.0
 
     def test_two_block_cycle_value(self):
         f = moment_of_word([(1, 2, False), (2, 1, False)], 2)
@@ -345,14 +355,12 @@ class TestMomentOfWord:
             assert total * Fraction(1, n) == \
                 MomentFunction({Fraction(-1): [1, -1]})
 
-    def test_finite_evaluation(self):
-        got = moment_of_word([(1, 1, False)], 1, t=1.0, field="C",
-                             block_dim=3)
-        assert np.isclose(got, math.exp(-0.5))
+    # finite block dimensions go through finite_evaluator
 
-    def test_finite_needs_time_and_dim(self):
-        with pytest.raises(ValueError):
-            moment_of_word([(1, 1, False)], 1, field="C")
+    def test_finite_evaluation(self):
+        seed, word = encode_word([(1, 1, False)])
+        got = finite_evaluator(seed, word, square_df(1, 3), "C").value(1.0)
+        assert np.isclose(got, math.exp(-0.5))
 
     def test_empty_word(self):
         with pytest.raises(ValueError):
@@ -360,11 +368,12 @@ class TestMomentOfWord:
 
     def test_finite_approaches_limit(self):
         tokens = [(1, 2, False), (2, 1, False)]
-        lim = moment_of_word(tokens, 2, t=1.0)
+        lim = moment_of_word(tokens, 2).value(1.0)
+        seed, word = encode_word(tokens)
         errs = []
         for d in (2, 4, 8):
-            fin = moment_of_word(tokens, 2, t=1.0, field="C", block_dim=d)
-            errs.append(abs(fin - lim))
+            fin = finite_evaluator(seed, word, square_df(2, d), "C")
+            errs.append(abs(fin.value(1.0) - lim))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 0.02
 
@@ -387,7 +396,7 @@ class TestFactorizedMoment:
         from mfe.generators import delta_diag
         for _ in range(6):
             b = random_valid_diagram(rng, 3, df)
-            got = factorized_moment(b, plain_word(3), df, t=0.0)
+            got = factorized_moment(b, plain_word(3), df).value(0.0)
             assert np.isclose(got, delta_diag(b))
 
     def test_matches_whole_diagram_evolution(self):

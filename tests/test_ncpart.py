@@ -20,7 +20,6 @@ from mfe.ncpart import (
     nc_to_permutation,
     one_nc,
     partition_join,
-    partition_meet,
     zero_nc,
 )
 
@@ -60,20 +59,6 @@ class TestJoinMeet:
         q = SetPartition([[2, 3], [1], [4]])
         assert partition_join(p, q) == SetPartition([[1, 2, 3, 4]])
 
-    def test_meet_idempotent(self):
-        p = SetPartition([[1, 3], [2]])
-        assert partition_meet(p, p) == p
-
-    def test_meet_comparable(self):
-        p = SetPartition([[1, 2, 3]])
-        q = SetPartition([[1, 2], [3]])
-        assert partition_meet(p, q) == q
-
-    def test_meet_pairwise_intersections(self):
-        p = SetPartition([[1, 2], [3, 4]])
-        q = SetPartition([[1, 3], [2, 4]])
-        assert partition_meet(p, q) == SetPartition([[1], [2], [3], [4]])
-
     def test_mismatched_ground_rejected(self):
         with pytest.raises(ValueError):
             partition_join(SetPartition([[1]]), SetPartition([[1, 2]]))
@@ -83,12 +68,11 @@ class TestJoinMeet:
     def test_lattice_laws(self, p, q):
         if p.ground != q.ground:
             return
-        j, m = partition_join(p, q), partition_meet(p, q)
+        j = partition_join(p, q)
         assert j == partition_join(q, p)
-        assert m == partition_meet(q, p)
-        # absorption
-        assert partition_meet(p, j) == p
-        assert partition_join(p, m) == p
+        # an upper bound of both that absorbs them
+        assert p.leq(j) and q.leq(j)
+        assert partition_join(p, j) == j
 
     def test_lattice_associativity_random(self):
         rng = random.Random(7)
@@ -97,9 +81,6 @@ class TestJoinMeet:
             p, q, r = (random_partition(rng, k) for _ in range(3))
             assert partition_join(p, partition_join(q, r)) == partition_join(
                 partition_join(p, q), r
-            )
-            assert partition_meet(p, partition_meet(q, r)) == partition_meet(
-                partition_meet(p, q), r
             )
 
 

@@ -25,11 +25,11 @@ from mfe.opvalued import (
     amalgamated_cumulant,
     cond_expectation,
     e_pi,
-    enumerate_paths,
     limit_cumulant_coefficient,
     limit_statistic,
     seed_diagram,
 )
+from mfe.opvalued import _coefficient_walk, _discrete
 
 DF = DimensionFunction({1: 2, 2: 3})
 
@@ -218,39 +218,42 @@ class TestSeedDiagram:
 
 
 class TestEnumeratePaths:
-    def test_negative_length(self):
-        b = seed_diagram(one_nc(1), (1, 1), [False])
-        with pytest.raises(ValueError):
-            enumerate_paths(b, Word([WordLetter(1)]), -1, square_df(1))
+    """Creating paths on top of a seed, enumerated by the (diagram,
+    partition) states of the coefficient walk: a path's endpoint and the
+    partition of the slots its step pairs generate."""
 
     def test_zero_length_is_the_empty_path(self):
         b = seed_diagram(one_nc(2), (1, 1, 1), [False, False])
         w = Word([WordLetter(1)] * 2)
-        paths = enumerate_paths(b, w, 0, square_df(1))
-        assert len(paths) == 1 and len(paths[0]) == 0
-        assert paths[0].endpoint == b
+        states, _ = _coefficient_walk(b, w, square_df(1))
+        assert states[0] == (b, _discrete(2))
 
     def test_single_step_of_a_squared_letter(self):
         b = seed_diagram(one_nc(2), (1, 1, 1), [False, False])
         w = Word([WordLetter(1)] * 2)
-        paths = enumerate_paths(b, w, 1, square_df(1))
-        assert [(p.steps[0][0], p.steps[0][1]) for p in paths] == \
-            [((1, 2), "tau")]
+        states, rows = _coefficient_walk(b, w, square_df(1))
+        assert [part for _, part in states] == [_discrete(2), one_nc(2).p]
+        # the one step is a tau at slots (1, 2), entered with a minus sign
+        assert rows[0][1] < 0
 
     def test_mixed_letters_cannot_join(self):
         b = seed_diagram(one_nc(2), (1, 1, 1), [False, False])
         w = Word([WordLetter(1), WordLetter(2)])
-        assert enumerate_paths(b, w, 1, square_df(1), beta=one_nc(2)) == []
+        states, _ = _coefficient_walk(b, w, square_df(1))
+        assert [part for _, part in states] == [_discrete(2)]
 
     def test_endpoint_partitions_noncrossing_below_seed(self):
         w = Word([WordLetter(1)] * 3)
+        joined = 0
         for pi in enumerate_nc(3):
             seed = seed_diagram(pi, (1, 1, 1, 1), [False] * 3)
             top = SetPartition(pi.blocks, ground=range(1, 4))
-            for s in range(4):
-                for p in enumerate_paths(seed, w, s, square_df(1)):
-                    assert is_noncrossing(p.partition)
-                    assert p.partition.leq(top)
+            states, _ = _coefficient_walk(seed, w, square_df(1))
+            for _, part in states:
+                assert is_noncrossing(part)
+                assert part.leq(top)
+                joined += part != _discrete(3)
+        assert joined
 
 
 class TestLimitCumulantCoefficient:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -16,21 +17,19 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.evaltrace import m_stat, qconj, qmatmul, quat_eye, \
+from mfe.evaltrace import block_slice, m_stat, qconj, qmatmul, quat_eye, \
     quat_to_complex, total_dim
 from mfe.moments import evolve_finite
 from mfe.rmt import (
     BETA,
+    MAX_STEPS,
     LieBasis,
     casimir_constant,
     casimir_scalar_check,
-    cluster_map,
     estimate_stat,
     expm,
-    extract_blocks,
     inner_product,
     lie_basis,
-    sample_bm,
     sample_terminals,
     unitarity_defect,
 )
@@ -251,24 +250,38 @@ class TestSmallProduct:
 
 class TestSampling:
     def test_time_zero_is_identity(self):
-        p = sample_bm(4, "C", 0.0, seed=0)
-        assert np.allclose(p.matrix, np.eye(4))
-        q = sample_bm(3, "H", 0.0, seed=0)
-        assert np.allclose(q.matrix, quat_eye(3))
+        p = sample_terminals(4, "C", 0.0, 1, seed=0)
+        assert np.allclose(p[0], np.eye(4))
+        q = sample_terminals(3, "H", 0.0, 1, seed=0)
+        assert np.allclose(q[0], quat_eye(3))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            sample_bm(4, "C", -1.0)
+            sample_terminals(4, "C", -1.0, 1)
         with pytest.raises(ValueError):
-            sample_bm(4, "C", 1.0, steps=0)
+            sample_terminals(4, "C", 1.0, 1, steps=0)
         with pytest.raises(ValueError):
             sample_terminals(4, "C", 1.0, 0)
+
+    @pytest.mark.parametrize("t,steps", [
+        (1e6, None), (1e300, None), (1.0, MAX_STEPS + 1)])
+    def test_step_count_bounded(self, t, steps):
+        with pytest.raises(ValueError, match=re.escape("t = %g takes" % t)):
+            sample_terminals(2, "C", t, 3, steps=steps)
+
+    def test_default_steps(self):
+        # 200 per unit time, rounded, at least one; MAX_STEPS is allowed
+        assert np.array_equal(sample_terminals(2, "C", 0.02, 3, seed=5),
+                              sample_terminals(2, "C", 0.02, 3, 4, seed=5))
+        assert np.array_equal(sample_terminals(2, "R", 1e-4, 3, seed=5),
+                              sample_terminals(2, "R", 1e-4, 3, 1, seed=5))
+        sample_terminals(1, "R", 0.0, 1, steps=MAX_STEPS)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_unitarity_defect(self, field):
         for seed in range(3):
-            p = sample_bm(5, field, 1.3, steps=40, seed=seed)
-            assert p.unitarity_defect() <= 1e-10
+            u = sample_terminals(5, field, 1.3, 1, steps=40, seed=seed)
+            assert unitarity_defect(u, field) <= 1e-10
         u = sample_terminals(5, field, 1.3, 6, steps=40, seed=3)
         batched = unitarity_defect(u, field)
         assert batched <= 1e-10
@@ -285,8 +298,8 @@ class TestSampling:
 
     def test_real_stays_in_identity_component(self):
         for seed in range(3):
-            p = sample_bm(5, "R", 2.0, steps=40, seed=seed)
-            assert np.isclose(np.linalg.det(p.matrix), 1.0)
+            u = sample_terminals(5, "R", 2.0, 1, steps=40, seed=seed)
+            assert np.isclose(np.linalg.det(u[0]), 1.0)
 
     def test_reproducible(self):
         a = sample_terminals(3, "C", 0.5, 4, steps=20, seed=7)
@@ -318,58 +331,21 @@ class TestSampling:
 
 class TestBlocks:
     def test_extract_and_reassemble(self):
+        # the block layout that the Monte-Carlo statistic reads
         rng = np.random.default_rng(1)
         a = rng.standard_normal((8, 8))
-        dims = (1, 3, 1, 3)
-        blocks = extract_blocks(a, dims)
-        assert blocks[(2, 2)].shape == (3, 3)
-        assert blocks[(1, 4)].shape == (1, 3)
-        assert np.array_equal(blocks[(2, 4)], a[1:4, 5:8])
+        df = DimensionFunction([1, 3, 1, 3])
+        assert total_dim(df) == 8
 
-    def test_dims_must_tile(self):
-        with pytest.raises(ValueError):
-            extract_blocks(np.eye(5), (2, 2))
+        def blk(i, j):
+            return a[block_slice(df, i), block_slice(df, j)]
 
-    def test_cluster_map_rearrangement(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((8, 8))
-        dims = (1, 3, 1, 3)
-        c = cluster_map(a, dims, [{1, 3}, {2, 4}])
-        blocks = extract_blocks(a, dims)
-        # the two 1x1 blocks form the leading 2x2 corner
-        assert np.array_equal(c[:2, :2], np.block(
-            [[blocks[(1, 1)], blocks[(1, 3)]],
-             [blocks[(3, 1)], blocks[(3, 3)]]]))
-        # the two 3x3 blocks form the trailing 6x6 corner
-        assert np.array_equal(c[2:, 2:], np.block(
-            [[blocks[(2, 2)], blocks[(2, 4)]],
-             [blocks[(4, 2)], blocks[(4, 4)]]]))
-        # cross shapes sit off the diagonal
-        assert np.array_equal(c[:2, 2:], np.block(
-            [[blocks[(1, 2)], blocks[(1, 4)]],
-             [blocks[(3, 2)], blocks[(3, 4)]]]))
-
-    def test_cluster_map_is_permutation_similarity(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 8))
-        c = cluster_map(a, (1, 3, 1, 3), [{1, 3}, {2, 4}])
-        assert np.isclose(np.trace(c), np.trace(a))
-        assert sorted(np.linalg.eigvals(c).real.round(8)) == \
-            sorted(np.linalg.eigvals(a).real.round(8))
-
-    def test_equal_dims_identity_relabeling(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((4, 4))
+        assert blk(2, 2).shape == (3, 3)
+        assert blk(1, 4).shape == (1, 3)
+        assert np.array_equal(blk(2, 4), a[1:4, 5:8])
         assert np.array_equal(
-            cluster_map(a, (2, 2), [{1}, {2}]), a)
-
-    def test_mixed_dimension_class_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_map(np.eye(4), (1, 3), [{1, 2}])
-
-    def test_bad_partition_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_map(np.eye(2), (1, 1), [{1}])
+            np.block([[blk(i, j) for j in range(1, 5)] for i in range(1, 5)]),
+            a)
 
 
 class TestEstimateStat:
