@@ -192,15 +192,6 @@ class DimensionFunction:
     def classes(self):
         return sorted({self.class_of(c) for c in self.dims})
 
-    def class_value(self, cls):
-        return self.dims[cls]
-
-    def kernel(self) -> SetPartition:
-        groups = {}
-        for c in self.dims:
-            groups.setdefault(self.class_of(c), []).append(c)
-        return SetPartition(groups.values())
-
     def __eq__(self, other):
         return isinstance(other, DimensionFunction) and self.dims == other.dims
 
@@ -707,6 +698,17 @@ class Word:
     def __repr__(self):
         return "Word(%s)" % (list(self.letters),)
 
+
+def twisted_cycle_diagram(sigma, stars, bottom, top):
+    """The cycle diagram of the permutation sigma, twisted at the starred
+    slots, with c(l) = bottom[l-1] and c(l') = top[l-1]."""
+    pairing = Pairing.from_permutation(sigma.inverse())
+    for l, star in enumerate(stars, start=1):
+        if star:
+            pairing = twist(pairing, l)
+    return ColouredBrauerDiagram(pairing, list(bottom) + list(top))
+
+
 def encode_word(tokens, letters=None):
     """Encode a word on the generators u_ij^eps as (diagram, word).
 
@@ -724,15 +726,10 @@ def encode_word(tokens, letters=None):
     k = len(tokens)
     # bottom l is paired with top (l-1)': the column index of letter l-1
     # is identified with the row index of letter l, cyclically
-    cyc = Permutation.from_cycles(k, [list(range(1, k + 1))])
-    pairing = Pairing.from_permutation(cyc.inverse())
-    for l, (_, _, star) in enumerate(tokens, start=1):
-        if star:
-            pairing = twist(pairing, l)
-    cols = [0] * (2 * k)
-    for l, (i, j, _) in enumerate(tokens, start=1):
-        cols[l - 1], cols[k + l - 1] = i, j
-    diagram = ColouredBrauerDiagram(pairing, cols)
+    diagram = twisted_cycle_diagram(
+        Permutation.from_cycles(k, [list(range(1, k + 1))]),
+        [star for _, _, star in tokens], [i for i, _, _ in tokens],
+        [j for _, j, _ in tokens])
     if letters is None:
         letters = [1] * k
     word = Word(WordLetter(letter, bool(star))

@@ -160,9 +160,13 @@ def cmd_cumulant(args):
         col = Colourization.constant(p)
     closed = kappa_closed_form(p, n, col)
 
+    letters, moments = col.tokens(), {}
+
     def phi(block):
-        toks = [col.tokens()[v - 1] for v in block]
-        return moment_of_word(toks, n)
+        toks = tuple(letters[v - 1] for v in block)
+        if toks not in moments:
+            moments[toks] = moment_of_word(toks, n)
+        return moments[toks]
 
     inverted = cumulants_from_moments(phi, p)[p - 1]
     agree = closed == inverted

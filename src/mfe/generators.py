@@ -22,7 +22,6 @@ from .brauer import (
     compose,
     encode_word,
     fnc,
-    format_diagram,
     matching_es,
     matching_tau,
     oriented_cycles,
@@ -159,50 +158,44 @@ def _finite_rates(df, field):
 
 def _limit_rates(ratios):
     """Drift -1/2 and the ratio bases of the limit generator."""
-    if any(v <= 0 for v in ratios.dims.values()):
-        raise ValueError("ratios must be positive")
     return Fraction(-1, 2), _class_bases(ratios, False), Fraction(1)
 
 
-def _sweep(states, word, df, fclass, creating_only=False, grow=True,
-           rates=None, weights=None, bound=BASIS_BOUND, join=None):
+def _sweep(states, word, df, fclass, rates, creating_only=False,
+           weights=None, join=None):
     """The closure-and-generator pass behind every exact route.
 
     Walks `states` in order and composes each admissible move onto each
-    state once.  With grow, a new product is appended, so the walk is the
-    breadth-first closure in discovery order, and passing `bound` states
-    is an error; without, `states` is a fixed basis and a product outside
-    it is an error.  Each given state is checked valid under df once;
-    products of valid states glued on equal colours stay valid, so the
-    states found are not re-checked.  With rates = (drift, bases, scale)
-    the pass also fills the generator rows: drift times the total letter
-    weight on the diagonal, and sign * weight * scale * loop factor per
-    move, from one loop weight per state.  With join, a state is a
-    (diagram, label) pair and the move at slots (i, j) leads to
-    (product, join(label, i, j)); moves and weights are read off the
-    diagram.  Returns (states, rows), rows None without rates.
+    state once; a new product is appended, so the walk is the
+    breadth-first closure of the given states in discovery order, and
+    passing BASIS_BOUND states is an error.  Each given state is checked
+    valid under df once; products of valid states glued on equal colours
+    stay valid, so the states found are not re-checked.  From rates =
+    (drift, bases, scale) the pass fills the generator rows: drift times
+    the total letter weight on the diagonal, and sign * weight * scale *
+    loop factor per move, from one loop weight per state.  With join, a
+    state is a (diagram, label) pair and the move at slots (i, j) leads
+    to (product, join(label, i, j)); moves and weights are read off the
+    diagram.  Returns (states, rows).
     """
     diagrams = states if join is None else [b for b, _ in states]
-    if grow and len(word) != diagrams[0].k:
+    if len(word) != diagrams[0].k:
         raise ValueError("word length does not match diagram size")
     if not all(b.is_valid(df) for b in diagrams):
         raise ValueError("diagram invalid under the dimension function")
     index = {s: i for i, s in enumerate(states)}
-    rows = None
-    if rates is not None:
-        drift, bases, scale = rates
-        base = dict(bases)
-        diag = drift * sum(_weight(weights, l.letter) for l in word.letters)
-        slot = [scale * _weight(weights, l.letter) for l in word.letters]
-        loop_w = [_loop_weight(b, df, bases) for b in diagrams]
-        rows = []
+    drift, bases, scale = rates
+    base = dict(bases)
+    diag = drift * sum(_weight(weights, l.letter) for l in word.letters)
+    slot = [scale * _weight(weights, l.letter) for l in word.letters]
+    loop_w = [_loop_weight(b, df, bases) for b in diagrams]
+    rows = []
     i = 0
     while i < len(states):
         b = diagrams[i]
-        if rates is not None:
-            row = {i: diag}
-            rows.append(row)
-            inv_w = 1 / loop_w[i]
+        row = {i: diag}
+        rows.append(row)
+        inv_w = 1 / loop_w[i]
         for (si, sj), r, kind in admissible_moves(b, word, df, fclass,
                                                   creating_only):
             out = compose(r, b, df)
@@ -210,77 +203,57 @@ def _sweep(states, word, df, fclass, creating_only=False, grow=True,
                 (out.diagram, join(states[i][1], si, sj))
             j = index.get(nxt)
             if j is None:
-                if not grow:
-                    raise ValueError("basis not closed under %s at %s" % (
-                        kind, format_diagram(b)))
-                if len(states) >= bound:
-                    raise ValueError("reachable basis exceeds %d" % bound)
+                if len(states) >= BASIS_BOUND:
+                    raise ValueError(
+                        "reachable basis exceeds %d" % BASIS_BOUND)
                 j = index[nxt] = len(states)
                 states.append(nxt)
                 if join is not None:
                     diagrams.append(out.diagram)
-                if rates is not None:
-                    loop_w.append(_loop_weight(out.diagram, df, bases))
-            if rates is not None:
-                val = loop_w[j] * inv_w * slot[si - 1]
-                for cls, m in out.loops.items():
-                    val *= base[cls] ** m
-                row[j] = row.get(j, 0) + (-val if kind == "tau" else val)
+                loop_w.append(_loop_weight(out.diagram, df, bases))
+            val = loop_w[j] * inv_w * slot[si - 1]
+            for cls, m in out.loops.items():
+                val *= base[cls] ** m
+            row[j] = row.get(j, 0) + (-val if kind == "tau" else val)
         i += 1
     return states, rows
 
 
-def reachable_basis(seed, word, df, fclass, bound=BASIS_BOUND):
+def reachable_basis(seed, word, df, fclass):
     """BFS closure of the seed under admissible left multiplications."""
-    return _sweep([seed], word, df, fclass, bound=bound)[0]
+    return _sweep([seed], word, df, fclass, _limit_rates(df))[0]
 
 
-def build_generator_finite(basis, word, df, field, weights=None):
-    """Finite-dimension generator on a closed basis; exact rationals.
+def build_generator_finite(states, word, df, field, weights=None):
+    """Finite-dimension generator on the closure of the given states
+    under every admissible move, the given states first; exact rationals.
 
     Entry for a move r at slots (i, j):
       sign(r) * t_letter * (1/base_N) * prod_cls base_cls^(loops + dfnc)
     with base = dims (R, C) or -2 dims (H), base_N the matching total.
     """
-    states, rows = _sweep(list(basis), word, df, field_class(field),
-                          grow=False, rates=_finite_rates(df, field),
+    states, rows = _sweep(list(states), word, df, field_class(field),
+                          _finite_rates(df, field), weights=weights)
+    return GeneratorMatrix(states, word, rows)
+
+
+def build_generator_limit(states, word, ratios, fclass="real",
+                          weights=None):
+    """Large-dimension limit generator on the closure of the given
+    states under the creating moves, the given states first: drift -1/2
+    per weighted letter and only the cycle- or loop-creating moves,
+    weighted by ratio factors.
+
+    The limit generator has no other moves, so a seed's row orbit never
+    leaves this closure: it has Catalan rather than factorial size in
+    the word length, and the limit moment on it is the one on the full
+    reachable basis.  Built identically for the limits of the real and
+    quaternionic processes; the complex variant differs only through the
+    word filters.
+    """
+    states, rows = _sweep(list(states), word, ratios, fclass,
+                          _limit_rates(ratios), creating_only=True,
                           weights=weights)
-    return GeneratorMatrix(states, word, rows)
-
-
-def build_generator_limit(basis, word, ratios, fclass="real", weights=None):
-    """Large-dimension limit generator: drift -1/2 per weighted letter and
-    only the cycle- or loop-creating moves, weighted by ratio factors.
-
-    Built identically for the limits of the real and quaternionic
-    processes; the complex variant differs only through the word filters.
-    """
-    states, rows = _sweep(list(basis), word, ratios, fclass,
-                          creating_only=True, grow=False,
-                          rates=_limit_rates(ratios), weights=weights)
-    return GeneratorMatrix(states, word, rows)
-
-
-def finite_generator(seed, word, df, field, weights=None):
-    """The seed's closure under every admissible move with the finite
-    generator on it, from one pass; equal to reachable_basis followed by
-    build_generator_finite."""
-    states, rows = _sweep([seed], word, df, field_class(field),
-                          rates=_finite_rates(df, field), weights=weights)
-    return GeneratorMatrix(states, word, rows)
-
-
-def limit_generator(seed, word, ratios, fclass="real", weights=None):
-    """The seed's closure under the creating moves only, with the limit
-    generator on it, from one pass.
-
-    The limit generator has no other moves, so the seed's row orbit
-    never leaves this closure: it has Catalan rather than factorial size
-    in the word length, and the limit moment on it is the one on the
-    full reachable basis.
-    """
-    states, rows = _sweep([seed], word, ratios, fclass, creating_only=True,
-                          rates=_limit_rates(ratios), weights=weights)
     return GeneratorMatrix(states, word, rows)
 
 
@@ -300,7 +273,7 @@ def generator_free_process(tokens, n):
     if not tokens:
         raise ValueError("empty word")
     seed, word = encode_word(tokens)
-    gen = limit_generator(seed, word, square_ratios(n), "complex")
+    gen = build_generator_limit([seed], word, square_ratios(n), "complex")
     return sum(v * delta_diag(gen.basis[j]) for j, v in gen.rows[0].items())
 
 

@@ -18,9 +18,9 @@ import numpy as np
 from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
     cycle_partition
 from .generators import (
+    build_generator_finite,
+    build_generator_limit,
     delta_diag,
-    finite_generator,
-    limit_generator,
     square_ratios,
 )
 
@@ -80,10 +80,18 @@ class MomentFunction:
         t = float(t)
         total = 0.0
         for rate, coeffs in self.terms.items():
+            try:
+                scale = math.exp(float(rate) * t)
+            except OverflowError:
+                raise ValueError("moment overflows at t=%r" % t) from None
+            if not scale:
+                continue
             poly = 0.0
             for c in reversed(coeffs):
                 poly = poly * t + float(c)
-            total += math.exp(float(rate) * t) * poly
+            total += scale * poly
+        if not math.isfinite(total):
+            raise ValueError("moment is not finite at t=%r" % t)
         return total
 
     __call__ = value
@@ -329,11 +337,17 @@ def solve_semigroup_row(gen, seed_index, dvec):
 # public operations
 # ---------------------------------------------------------------------------
 
+def _seed_moment(gen):
+    """Exact moment function of state 0, the seed the generator was
+    built from."""
+    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
+    return solve_semigroup_row(gen, 0, dvec)
+
+
 def finite_evaluator(seed, word, df, field, weights=None):
     """Exact moment function of the seed diagram at dimension df."""
-    gen = finite_generator(seed, word, df, field, weights)
-    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
-    return solve_semigroup_row(gen, gen.index(seed), dvec)
+    return _seed_moment(
+        build_generator_finite([seed], word, df, field, weights))
 
 
 def evolve_finite(seed, word, t, df, field, weights=None):
@@ -343,9 +357,8 @@ def evolve_finite(seed, word, t, df, field, weights=None):
 
 def evolve_limit(seed, word, ratios, fclass="real", weights=None):
     """Exact limit moment function of the seed diagram."""
-    gen = limit_generator(seed, word, ratios, fclass, weights)
-    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
-    return solve_semigroup_row(gen, gen.index(seed), dvec)
+    return _seed_moment(
+        build_generator_limit([seed], word, ratios, fclass, weights))
 
 
 def moment_of_word(tokens, n):

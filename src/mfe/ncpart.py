@@ -157,19 +157,18 @@ def enumerate_nc(k: int):
         raise ValueError("k=%d over enumeration bound %d" % (k, NC_ENUM_BOUND))
     if k == 0:
         return tuple()
-    # grow point by point, each set partition once; crossing ones are
-    # dropped at construction.
+    # grow point by point, each set partition once, in the order of the
+    # full growth; j joins block B only if no other block C has
+    # min C < max B < max C, so no crossing partial partition is grown
     results = []
 
     def rec(j, blocks):
         if j > k:
-            try:
-                results.append(NonCrossingPartition([list(b) for b in blocks]))
-            except ValueError:
-                pass
+            results.append(NonCrossingPartition([list(b) for b in blocks]))
             return
-        for i in range(len(blocks)):
-            rec(j + 1, blocks[:i] + [blocks[i] + (j,)] + blocks[i + 1:])
+        for i, b in enumerate(blocks):
+            if not any(c[0] < b[-1] < c[-1] for c in blocks):
+                rec(j + 1, blocks[:i] + [b + (j,)] + blocks[i + 1:])
         rec(j + 1, blocks + [(j,)])
 
     rec(1, [])

@@ -15,13 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .brauer import (
-    ColouredBrauerDiagram,
-    Pairing,
-    Word,
-    WordLetter,
-    twist,
-)
+from .brauer import Word, WordLetter, twisted_cycle_diagram
 from .evaltrace import block_slice, qmatmul, total_dim
 from .generators import (
     GeneratorMatrix,
@@ -219,8 +213,8 @@ def _coefficient_walk(seed, word, ratios, weights=None):
     by the step pairs used so far, starting from the discrete one."""
     k = seed.k
     return _sweep(
-        [(seed, _discrete(k))], word, ratios, "real", creating_only=True,
-        rates=_limit_rates(ratios), weights=weights,
+        [(seed, _discrete(k))], word, ratios, "real", _limit_rates(ratios),
+        creating_only=True, weights=weights,
         join=lambda part, i, j: partition_join(part, _pair_partition(k, i, j)))
 
 
@@ -231,15 +225,9 @@ def seed_diagram(pi, alpha, eps):
     if len(alpha) != k + 1:
         raise ValueError("boundary tuple must have length k + 1")
     part = _as_set_partition(pi, k)
-    sigma = nc_to_permutation(NonCrossingPartition(part.blocks))
-    pairing = Pairing.from_permutation(sigma.inverse())
-    for l in range(1, k + 1):
-        if eps[l - 1]:
-            pairing = twist(pairing, l)
-    cols = [0] * (2 * k)
-    for l in range(1, k + 1):
-        cols[l - 1], cols[k + l - 1] = alpha[l - 1], alpha[l]
-    return ColouredBrauerDiagram(pairing, cols)
+    return twisted_cycle_diagram(
+        nc_to_permutation(NonCrossingPartition(part.blocks)), eps,
+        alpha[:-1], alpha[1:])
 
 
 def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None,

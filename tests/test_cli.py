@@ -16,6 +16,7 @@ from mfe.cli import (
     parse_ratios,
     parse_word,
 )
+from mfe.moments import moment_of_word
 
 
 def run(capsys, *argv):
@@ -120,6 +121,19 @@ class TestCumulant:
     def test_starred_word_rejected(self, capsys):
         rc, _, err = run(capsys, "cumulant", "--word", "u11*")
         assert rc == 2
+
+    def test_one_moment_solve_per_sub_word(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(tokens, n):
+            calls.append(tuple(tokens))
+            return moment_of_word(tokens, n)
+
+        monkeypatch.setattr("mfe.cli.moment_of_word", counted)
+        rc, out, _ = run(capsys, "cumulant", "--p", "5")
+        assert rc == 0
+        assert json.loads(out)["cross_check"] == "exact"
+        assert len(calls) == len(set(calls)) == 5
 
 
 class TestSimulate:
@@ -267,6 +281,15 @@ class TestEdgeInputs:
         rc, out, err = run(capsys, *argv)
         assert_one_line_error(rc, out, err)
         assert msg in err
+
+    def test_limit_moment_at_huge_t(self, capsys):
+        argv = ["moment", "--limit", "--word", "u11 u11 u11", "--t", "1e300"]
+        rc, out, err = run(capsys, *argv, "--format", "csv")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1].split(",")[3] == "0.0"
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["values"] == [{"t": 1e300, "value": 0.0}]
 
     def test_overflowing_step_exits_2(self, capsys):
         # the error comes before numpy overflows, so no warning is raised

@@ -28,10 +28,8 @@ from mfe.generators import (
     casimir_drift,
     compatible_words,
     delta_diag,
-    finite_generator,
     generator_free_process,
     is_compatible,
-    limit_generator,
     reachable_basis,
     schurmann_L,
     schurmann_eta,
@@ -188,10 +186,27 @@ class TestClosure:
             reachable_basis(identity_diagram(2, [1, 1]), plain_word(1),
                             square_df(1), "real")
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         b, w = c2_seed()
-        with pytest.raises(ValueError):
-            reachable_basis(b, w, square_df(1), "real", bound=2)
+        monkeypatch.setattr("mfe.generators.BASIS_BOUND", 2)
+        with pytest.raises(ValueError, match="exceeds 2"):
+            reachable_basis(b, w, square_df(1), "real")
+
+    def test_partial_states_are_closed_given_states_first(self):
+        seed, word = encode_word([(1, 2, False), (2, 1, False),
+                                  (1, 1, False)])
+        df = square_df(2, 2)
+        full = build_generator_finite([seed], word, df, "R")
+        last = full.basis[-1]
+        gen = build_generator_finite([last, seed], word, df, "R")
+        assert gen.basis[:2] == [last, seed]
+        assert set(gen.basis) == set(full.basis)
+        for i, b in enumerate(gen.basis):
+            assert {gen.basis[j]: v for j, v in gen.rows[i].items()} == \
+                {full.basis[j]: v
+                 for j, v in full.rows[full.index(b)].items()}
+        alone = build_generator_finite([last], word, df, "R")
+        assert alone.basis == reachable_basis(last, word, df, "real")
 
 
 RECT_DF = DimensionFunction({1: 2, 2: 3})
@@ -203,10 +218,12 @@ class TestValidity:
         seed, word = encode_word([(1, 2, False), (1, 1, False)])
         assert not seed.is_valid(RECT_DF)
         ratios = DimensionFunction({1: Fraction(2, 5), 2: Fraction(3, 5)})
-        for build in (lambda: finite_generator(seed, word, RECT_DF, "C"),
-                      lambda: limit_generator(seed, word, ratios, "complex"),
-                      lambda: build_generator_finite([seed], word, RECT_DF,
-                                                     "C")):
+        for build in (lambda: build_generator_finite([seed], word, RECT_DF,
+                                                     "C"),
+                      lambda: build_generator_limit([seed], word, ratios,
+                                                    "complex"),
+                      lambda: reachable_basis(seed, word, RECT_DF,
+                                              "complex")):
             with pytest.raises(ValueError, match="invalid"):
                 build()
 
@@ -219,7 +236,8 @@ class TestValidity:
             word = Word(WordLetter(rng.choice((1, 1, 1, 2)),
                                    rng.random() < 0.5) for _ in range(k))
             field = rng.choice("RCH")
-            basis = finite_generator(seed, word, RECT_DF, field).basis
+            basis = build_generator_finite([seed], word, RECT_DF,
+                                           field).basis
             assert all(b.is_valid(RECT_DF) for b in basis)
 
 
@@ -245,7 +263,7 @@ class TestOnePass:
         seed, word = encode_word(tokens)
         df = square_df(max(max(i, j) for i, j, _ in tokens), d)
         fclass = "complex" if field == "C" else "real"
-        gen = finite_generator(seed, word, df, field)
+        gen = build_generator_finite([seed], word, df, field)
         basis = reachable_basis(seed, word, df, fclass)
         assert gen.basis == basis
         assert gen.rows == build_generator_finite(basis, word, df,
@@ -256,11 +274,11 @@ class TestOnePass:
         df = square_df(1, 3)
         basis = reachable_basis(seed, word, df, "complex")
         wts = {1: Fraction(2)}
-        assert finite_generator(seed, word, df, "C", wts).rows == \
+        assert build_generator_finite([seed], word, df, "C", wts).rows == \
             build_generator_finite(basis, word, df, "C", wts).rows
         with pytest.raises(ValueError):
-            limit_generator(identity_diagram(2, [1, 1]), plain_word(1),
-                            square_ratios(1))
+            build_generator_limit([identity_diagram(2, [1, 1])],
+                                  plain_word(1), square_ratios(1))
 
     def test_limit_closure_is_catalan(self):
         # u11^k admits taus only: all k! permutations are reachable,
@@ -268,7 +286,7 @@ class TestOnePass:
         ratios = square_ratios(1)
         for k in range(1, 7):
             seed, word = encode_word([(1, 1, False)] * k)
-            gen = limit_generator(seed, word, ratios, "complex")
+            gen = build_generator_limit([seed], word, ratios, "complex")
             assert gen.size == catalan(k)
             assert gen.basis[0] == seed
 
@@ -278,7 +296,7 @@ class TestOnePass:
                             (1, 1, True)], 2)):
             seed, word = encode_word(tokens)
             ratios = square_ratios(n)
-            small = limit_generator(seed, word, ratios, "complex")
+            small = build_generator_limit([seed], word, ratios, "complex")
             full = build_generator_limit(
                 reachable_basis(seed, word, ratios, "complex"), word,
                 ratios, "complex")
@@ -381,11 +399,6 @@ class TestFiniteAgainstTensorOperator:
         for i in range(g1.size):
             for j in range(g1.size):
                 assert g2.entry(i, j) == 2 * g1.entry(i, j)
-
-    def test_unclosed_basis_rejected(self):
-        seed, word = c2_seed()
-        with pytest.raises(ValueError):
-            build_generator_finite([seed], word, square_df(1, 3), "C")
 
 
 class TestQuaternionEntries:

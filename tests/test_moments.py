@@ -121,6 +121,16 @@ class TestMomentFunction:
     def test_degree(self):
         assert MomentFunction({Fraction(-1): [1, -3, 2]}).degree() == 2
 
+    def test_value_at_large_t(self):
+        # e^(rate t) underflows to 0 while the polynomial overflows: the
+        # term is 0, not 0 * inf = nan
+        f = MomentFunction({Fraction(-3, 2): [1, -3, Fraction(3, 2)]})
+        assert f.value(1e300) == 0.0
+        with pytest.raises(ValueError, match="t=1e"):
+            MomentFunction({0: [0, 0, 1]}).value(1e300)
+        with pytest.raises(ValueError, match="t=1e"):
+            MomentFunction.exponential(1).value(1e300)
+
 
 class TestEvolveFinite:
     def test_complex_single_slot(self):

@@ -110,6 +110,23 @@ class TestEnumerateNC:
         assert got == brute
         assert len(got) == count
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_order_of_filtered_full_growth(self, k):
+        # the amalgamated output follows this order: every set partition
+        # grown point by point, the crossing ones dropped
+        def grow(j, blocks):
+            if j > k:
+                part = SetPartition(blocks)
+                if is_noncrossing(part):
+                    yield part
+                return
+            for i in range(len(blocks)):
+                yield from grow(j + 1, blocks[:i] + [blocks[i] + [j]]
+                                + blocks[i + 1:])
+            yield from grow(j + 1, blocks + [[j]])
+
+        assert [p.p for p in enumerate_nc(k)] == list(grow(1, []))
+
     @pytest.mark.parametrize("k", range(1, 11))
     def test_catalan_counts(self, k):
         assert len(enumerate_nc(k)) == catalan(k)
