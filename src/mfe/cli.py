@@ -346,7 +346,7 @@ def main(argv=None):
         if getattr(args, "samples", 2) < 2:
             raise ValueError("a standard error needs --samples >= 2")
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

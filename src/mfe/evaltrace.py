@@ -6,9 +6,10 @@ product of sub-blocks (transposed where the orientation sign is -1), and a
 per-class normalizer d^(-fnc) (or (-2d)^(-fnc) in the quaternion case)
 makes the value dimension free.
 
-Quaternionic matrices are stored as real arrays of shape (n, m, 4) holding
-the 1, i, j, k components.  Evaluation is batched: slot matrices may carry
-any leading sample axes, and the statistic then has those axes.
+A quaternion n x m matrix is stored as its complex embedding of shape
+(2n, 2m), made by quat_embed, so that one layout serves the three fields.
+Evaluation is batched: slot matrices may carry any leading sample axes,
+and the statistic then has those axes.
 """
 
 from __future__ import annotations
@@ -19,62 +20,28 @@ from .brauer import canonical_orientation, fnc, oriented_cycles
 
 
 # ---------------------------------------------------------------------------
-# quaternion arrays
+# quaternion matrices
 # ---------------------------------------------------------------------------
 
-def quat_eye(n):
-    q = np.zeros((n, n, 4))
-    q[..., 0] = np.eye(n)
-    return q
+def quat_embed(a):
+    """Complex embedding of quaternion matrices, batched over leading axes.
 
-
-def quat_from_real(a):
-    q = np.zeros(a.shape + (4,))
-    q[..., 0] = a
-    return q
-
-
-def qmatmul(a, b):
-    a0, a1, a2, a3 = (a[..., i] for i in range(4))
-    b0, b1, b2, b3 = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-        ],
-        axis=-1,
-    )
-
-
-def qconj(a):
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def qadjoint(a):
-    return np.swapaxes(qconj(a), -3, -2)
-
-
-def q_re_trace(a):
-    """Real part of the trace, batched over leading axes."""
-    return np.trace(a[..., 0], axis1=-2, axis2=-1)
-
-
-def quat_to_complex(a):
-    """Standard embedding of H^(n x m) into C^(2n x 2m), batched over
-    leading axes."""
+    a holds the 1, i, j, k components of n x m quaternion matrices in its
+    last axis, shape (..., n, m, 4).  The result has shape (..., 2n, 2m):
+    entry a+bi+cj+dk becomes the 2x2 block [[a+bi, c+di], [-c+di, a-bi]].
+    The map is a *-homomorphism, so products are matrix products, the
+    quaternion adjoint is the conjugate transpose, and the real part of
+    the quaternion trace is half that of the complex one.
+    """
+    n, m = a.shape[-3:-1]
     x = a[..., 0] + 1j * a[..., 1]
     y = a[..., 2] + 1j * a[..., 3]
-    return np.block([[x, y], [-y.conj(), x.conj()]])
-
-
-def complex_to_quat(c):
-    n, m = c.shape[-2] // 2, c.shape[-1] // 2
-    x, y = c[..., :n, :m], c[..., :n, m:]
-    return np.stack([x.real, x.imag, y.real, y.imag], axis=-1)
+    out = np.empty(a.shape[:-3] + (n, 2, m, 2), dtype=complex)
+    out[..., 0, :, 0] = x
+    out[..., 0, :, 1] = y
+    out[..., 1, :, 0] = -y.conj()
+    out[..., 1, :, 1] = x.conj()
+    return out.reshape(a.shape[:-3] + (2 * n, 2 * m))
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +61,12 @@ def total_dim(df):
     return block_offsets(df)[1]
 
 
-def block_slice(df, c):
+def block_slice(df, c, scale=1):
+    """Indices of colour block c; scale 2 gives its rows or columns in
+    the complex embedding of a quaternion matrix."""
     off, _ = block_offsets(df)
     d = int(df.value(c))
-    return slice(off[c], off[c] + d)
+    return slice(scale * off[c], scale * (off[c] + d))
 
 
 # ---------------------------------------------------------------------------
@@ -113,42 +82,36 @@ def eval_cycle_trace(cycle, signs, b, mats, df, field):
     mats[l-1], crossing it downward (signs[l] = +1) the transpose
     (adjoint for H) of that block.  A walk that leaves its start slot
     through the pairing edge crosses that slot last.  The quaternion
-    value carries the real part of the trace and a factor -2.  Leading
+    value is -2 times the real part of the quaternion trace, which is
+    minus the real part of the trace of the complex embedding.  Leading
     sample axes of the matrices carry through.
     """
     k = b.k
+    quat = field == "H"
+    scale = 2 if quat else 1
     if signs[cycle[0]] == 1:
         cycle = cycle[1:] + cycle[:1]
     prod = None
     for l in cycle:
-        rows = block_slice(df, b.colour(l))
-        cols = block_slice(df, b.colour(k + l))
-        if field == "H":
-            f = mats[l - 1][..., rows, cols, :]
-            if signs[l] == 1:
-                f = qadjoint(f)
-        else:
-            f = mats[l - 1][..., rows, cols]
-            if signs[l] == 1:
-                f = np.swapaxes(f, -1, -2)
-        if prod is None:
-            prod = f
-        elif field == "H":
-            prod = qmatmul(prod, f)
-        else:
-            prod = prod @ f
-    if field == "H":
-        return -2.0 * q_re_trace(prod)
-    return np.trace(prod, axis1=-2, axis2=-1)
+        rows = block_slice(df, b.colour(l), scale)
+        cols = block_slice(df, b.colour(k + l), scale)
+        f = mats[l - 1][..., rows, cols]
+        if signs[l] == 1:
+            f = np.swapaxes(f, -1, -2)
+            if quat:
+                f = f.conj()
+        prod = f if prod is None else prod @ f
+    tr = np.trace(prod, axis1=-2, axis2=-1)
+    return -tr.real if quat else tr
 
 
 def m_stat(b, mats, df, field="C", orientation=None):
     """Normalized trace statistic of a coloured diagram on slot matrices.
 
     mats[l] is the full matrix for tensor slot l+1, of shape (..., N, N),
-    or (..., N, N, 4) for H; the statistic has the leading axes, so one
-    call evaluates a whole pool of samples.  The value does not depend
-    on the orientation.  Loop variables, when present, contribute their
+    or (..., 2N, 2N) for H, its complex embedding (see quat_embed); the
+    statistic has the leading axes, so one call evaluates a whole pool
+    of samples.  The value does not depend on the orientation.  Loop variables, when present, contribute their
     class dimension (-2 times it for H) -- they cancel against the extra
     normalizer.
     """

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .brauer import Word, WordLetter, twisted_cycle_diagram
-from .evaltrace import block_slice, qmatmul, total_dim
+from .evaltrace import block_slice, total_dim
 from .generators import (
     GeneratorMatrix,
     _limit_rates,
@@ -79,17 +79,13 @@ class DiagonalElement:
                    for a, b in zip(self.values, other.values))
 
     def to_matrix(self, df, field="C"):
-        """The block-diagonal matrix sum_i v_i p_i."""
-        n = total_dim(df)
-        if field == "H":
-            out = np.zeros((n, n, 4))
-            for i, c in enumerate(sorted(df.dims)):
-                s = block_slice(df, c)
-                out[s, s, 0] = np.eye(s.stop - s.start) * self.values[i]
-            return out
+        """The block-diagonal matrix sum_i v_i p_i, of side 2n in the
+        complex embedding for H."""
+        scale = 2 if field == "H" else 1
+        n = scale * total_dim(df)
         out = np.zeros((n, n), dtype=complex)
         for i, c in enumerate(sorted(df.dims)):
-            s = block_slice(df, c)
+            s = block_slice(df, c, scale)
             out[s, s] = np.eye(s.stop - s.start) * self.values[i]
         return out
 
@@ -97,30 +93,29 @@ class DiagonalElement:
         return "DiagonalElement(%s)" % (list(self.values),)
 
 
-def _is_quat(a):
-    return a.ndim == 3 and a.shape[-1] == 4
-
-
 def cond_expectation(a, df) -> DiagonalElement:
-    """E[A] = sum_i (1/d_i) Tr(p_i A p_i) p_i, with Re Tr over H."""
+    """E[A] = sum_i (1/d_i) Tr(p_i A p_i) p_i, with Re Tr over H.
+
+    A matrix of side 2n, twice that of the dimension function, is a
+    quaternion matrix in its complex embedding, whose block traces are
+    twice the quaternion ones in their real part.
+    """
     n = total_dim(df)
-    if a.shape[0] != n or a.shape[1] != n:
+    if a.shape not in ((n, n), (2 * n, 2 * n)):
         raise ValueError("matrix does not match the dimension function")
+    scale = a.shape[0] // n
     vals = []
     for c in sorted(df.dims):
-        s = block_slice(df, c)
-        d = s.stop - s.start
-        if _is_quat(a):
-            vals.append(float(np.trace(a[s, s, 0])) / d)
-        else:
-            vals.append(np.trace(a[s, s]) / d)
+        s = block_slice(df, c, scale)
+        v = np.trace(a[s, s]) / (s.stop - s.start)
+        vals.append(float(v.real) if scale == 2 else v)
     return DiagonalElement(vals)
 
 
-def _mat_product(mats, field):
+def _mat_product(mats):
     out = mats[0]
     for m in mats[1:]:
-        out = qmatmul(out, m) if field == "H" else out @ m
+        out = out @ m
     return out
 
 
@@ -132,16 +127,17 @@ def _as_set_partition(pi, k):
     return SetPartition(pi, ground=range(1, k + 1))
 
 
-def e_pi(pi, mats, df, field=None) -> DiagonalElement:
+def e_pi(pi, mats, df) -> DiagonalElement:
     """Nested conditional expectation along a non-crossing partition.
 
     Innermost interval blocks are evaluated first and their diagonal
     results multiplied back in place of the subproduct they replace.
+    Matrices of side twice total_dim(df) are H matrices in their complex
+    embedding, as for cond_expectation.
     """
     mats = list(mats)
     k = len(mats)
-    if field is None:
-        field = "H" if _is_quat(mats[0]) else "C"
+    field = "H" if len(mats[0]) == 2 * total_dim(df) else "C"
     part = _as_set_partition(pi, k)
     if len(part.blocks) == 0 or \
             sorted(x for b in part.blocks for x in b) != list(range(1, k + 1)):
@@ -156,17 +152,15 @@ def e_pi(pi, mats, df, field=None) -> DiagonalElement:
             if idx != list(range(min(idx), min(idx) + len(blk))):
                 continue
             d = cond_expectation(
-                _mat_product([work[p] for p in blk], field), df)
+                _mat_product([work[p] for p in blk]), df)
             dm = d.to_matrix(df, field)
             lo = min(idx)
             if lo > 0:
                 left = positions[lo - 1]
-                work[left] = qmatmul(work[left], dm) if field == "H" \
-                    else work[left] @ dm
+                work[left] = work[left] @ dm
             else:
                 right = positions[lo + len(blk)]
-                work[right] = qmatmul(dm, work[right]) if field == "H" \
-                    else dm @ work[right]
+                work[right] = dm @ work[right]
             for p in blk:
                 positions.remove(p)
             blocks.pop(bi)
@@ -175,10 +169,10 @@ def e_pi(pi, mats, df, field=None) -> DiagonalElement:
             raise ValueError("no interval block: partition is crossing")
     last = blocks[0]
     return cond_expectation(
-        _mat_product([work[p] for p in sorted(last)], field), df)
+        _mat_product([work[p] for p in sorted(last)]), df)
 
 
-def amalgamated_cumulant(pi, mats, df, field=None) -> DiagonalElement:
+def amalgamated_cumulant(pi, mats, df) -> DiagonalElement:
     """c_pi = sum_{gamma <= pi} mu(gamma, pi) E_gamma."""
     k = len(mats)
     part = _as_set_partition(pi, k)
@@ -189,7 +183,7 @@ def amalgamated_cumulant(pi, mats, df, field=None) -> DiagonalElement:
         if not gamma.leq(top):
             continue
         w = float(mobius_nc(gamma, top))
-        out = out + w * e_pi(gamma, mats, df, field)
+        out = out + w * e_pi(gamma, mats, df)
     return out
 
 

@@ -3,9 +3,9 @@ groups.
 
 The integrator is multiplicative: each step right-multiplies by the
 exponential of a Gaussian element of the Lie algebra, so every sample
-stays exactly in the group.  Quaternionic matrices are kept in the
-native (N, N, 4) layout; they pass through the complex 2N-dimensional
-representation only inside the exponential kernel.
+stays exactly in the group.  Quaternion matrices are complex matrices of
+side 2N throughout, their embedding by `quat_embed`, from the Gaussian
+draw to the trace.
 
 The step kernel, `expm` and the product u e^A, takes its Taylor degree
 from ||A^4||_1^(1/4) and a bound on ||A^5||_1^(1/5), near the spectral
@@ -20,17 +20,7 @@ import math
 
 import numpy as np
 
-from .evaltrace import (
-    complex_to_quat,
-    m_stat,
-    q_re_trace,
-    qadjoint,
-    qconj,
-    qmatmul,
-    quat_eye,
-    quat_to_complex,
-    total_dim,
-)
+from .evaltrace import m_stat, quat_embed, total_dim
 
 BETA = {"R": 1, "C": 2, "H": 4}
 
@@ -45,13 +35,18 @@ def _check_field(field):
         raise ValueError("unknown field tag %r" % (field,))
 
 
+def _side(field, N):
+    """Side of the matrices of U(N, K): 2N for H, in its complex
+    embedding, N otherwise."""
+    return 2 * N if field == "H" else N
+
+
 def inner_product(field, N, x, y):
-    """<X, Y>_N = (beta N / 2) Re Tr(X* Y)."""
+    """<X, Y>_N = (beta N / 2) Re Tr(X* Y), the quaternion trace being
+    half the complex trace of the embedding."""
     beta = BETA[field]
-    if field == "H":
-        prod = qmatmul(qadjoint(x), y)
-        return beta * N / 2.0 * q_re_trace(prod)
-    return beta * N / 2.0 * float(np.trace(x.conj().T @ y).real)
+    tr = float(np.trace(x.conj().T @ y).real)
+    return beta * N / 2.0 * (tr / 2.0 if field == "H" else tr)
 
 
 class LieBasis:
@@ -128,6 +123,7 @@ def lie_basis(N, field) -> LieBasis:
                 m = np.zeros((N, N, 4))
                 m[j, j, unit] = 1.0 / math.sqrt(2 * N)
                 out.append(m)
+        out = [quat_embed(m) for m in out]
     basis = LieBasis(N, field, out)
     assert len(basis) == basis.expected_count()
     return basis
@@ -142,14 +138,8 @@ def casimir_constant(field, N):
 def casimir_scalar_check(basis: LieBasis):
     """Max-norm deviation of sum_k H_k^2 from its scalar value."""
     N, field = basis.N, basis.field
-    if field == "H":
-        total = np.zeros((N, N, 4))
-        for h in basis:
-            total += qmatmul(h, h)
-        want = casimir_constant(field, N) * quat_eye(N)
-    else:
-        total = sum(h @ h for h in basis)
-        want = casimir_constant(field, N) * np.eye(N)
+    total = sum(h @ h for h in basis)
+    want = casimir_constant(field, N) * np.eye(_side(field, N))
     return float(np.abs(total - want).max())
 
 
@@ -297,7 +287,8 @@ def _gaussian_lie(rng, N, field, samples):
     """Standard Gaussian elements of the Lie algebra, sampled entrywise.
 
     The law equals sum_k g_k H_k over the orthonormal basis, but costs
-    O(N^2) per sample instead of the O(N^4) basis contraction.
+    O(N^2) per sample instead of the O(N^4) basis contraction.  H
+    elements come as their complex embedding, of side 2N.
     """
     if field == "R":
         g = rng.standard_normal((samples, N, N))
@@ -322,16 +313,16 @@ def _gaussian_lie(rng, N, field, samples):
     idx = np.arange(N)
     x[:, idx, idx, 0] = 0.0
     x[:, idx, idx, 1:] = q[:, idx, idx, 1:] / math.sqrt(2.0 * N)
-    return x
+    return quat_embed(x)
 
 
 def sample_terminals(N, field, t, samples, steps=None, seed=0):
     """Terminal matrices of `samples` independent Brownian paths.
 
-    Returns an array of shape (samples, N, N) for R and C, and
-    (samples, N, N, 4) for H.  Without `steps`, takes
-    DEFAULT_STEPS_PER_UNIT_TIME * t steps, rounded, at least one.  Raises
-    ValueError past MAX_STEPS steps.
+    Returns an array of shape (samples, N, N) for R and C, and the
+    complex embedding, of shape (samples, 2N, 2N), for H.  Without
+    `steps`, takes DEFAULT_STEPS_PER_UNIT_TIME * t steps, rounded, at
+    least one.  Raises ValueError past MAX_STEPS steps.
     """
     _check_field(field)
     if t < 0:
@@ -348,18 +339,13 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
                          % (t, steps, MAX_STEPS))
     steps = int(round(steps))
     rng = np.random.default_rng(seed)
-    if field == "H":
-        u = np.broadcast_to(np.eye(2 * N, dtype=complex),
-                            (samples, 2 * N, 2 * N)).copy()
-    else:
-        dt = complex if field == "C" else float
-        u = np.broadcast_to(np.eye(N, dtype=dt), (samples, N, N)).copy()
+    n = _side(field, N)
+    dt = float if field == "R" else complex
+    u = np.broadcast_to(np.eye(n, dtype=dt), (samples, n, n)).copy()
     if t > 0:
         scale = math.sqrt(t / steps)
         for _ in range(steps):
             incr = _gaussian_lie(rng, N, field, samples)
-            if field == "H":
-                incr = quat_to_complex(incr)
             incr *= scale
             try:
                 e = expm(incr)
@@ -367,18 +353,13 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
                 raise ValueError("step size t/steps = %g is too large: %s"
                                  % (t / steps, exc)) from None
             u = _mul(u, _right_factor(e))
-    if field == "H":
-        return complex_to_quat(u)
     return u
 
 
 def unitarity_defect(u, field):
-    """Largest entry of U U* - 1 over a batch of shape (..., N, N), or
-    (..., N, N, 4) for H."""
-    if field == "H":
-        prod = qmatmul(u, qadjoint(u)) - quat_eye(u.shape[-2])
-    else:
-        prod = u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1])
+    """Largest entry of U U* - 1 over a batch of shape (..., n, n), the
+    same for every field: H matrices come as their complex embedding."""
+    prod = u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1])
     return float(np.abs(prod).max())
 
 
@@ -390,8 +371,11 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
     """Monte-Carlo mean and standard error of the block trace statistic.
 
     Each distinct word letter gets an independent family of sample
-    paths; t may be a scalar or a map letter -> time.  Barred letters
-    evaluate on the entry-wise conjugate of the sampled matrix.
+    paths; t may be a scalar or a map letter -> time.  A barred letter
+    reads the adjoint of its sampled matrix: the diagram's twist at the
+    slot transposes it, and for C the slot gets the entry-wise conjugate;
+    for H the evaluator conjugates the transposed block itself, and R
+    needs no conjugate.
     """
     _check_field(field)
     if samples < 2:
@@ -406,8 +390,11 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
     for letter, child in zip(letters, children):
         pools[letter] = sample_terminals(
             n, field, times[letter], samples, steps, child)
-    conj = qconj if field == "H" else np.conj
-    barred = {c: conj(pools[c]) for c in {l.letter for l in word if l.bar}}
+    if field == "C":
+        barred = {c: np.conj(pools[c])
+                  for c in {l.letter for l in word if l.bar}}
+    else:
+        barred = pools
     mats = [barred[l.letter] if l.bar else pools[l.letter] for l in word]
     # samplewise statistics are complex; their expectation is real
     values = np.real(m_stat(b, mats, df, field))

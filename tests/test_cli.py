@@ -368,6 +368,14 @@ class TestOutputs:
         assert rc == 0 and out == ""
         assert json.loads(path.read_text())["rate"] == "-1/2"
 
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "res.json"
+        rc, out, err = run(capsys, "moment", "--limit", "--word", "u11 u11",
+                           "--t", "1", "--out", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

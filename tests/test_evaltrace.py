@@ -10,6 +10,7 @@ from mfe.brauer import (
     Pairing,
     canonical_orientation,
     encode_word,
+    fnc,
     identity_diagram,
     oriented_cycles,
     parse_diagram,
@@ -17,16 +18,9 @@ from mfe.brauer import (
 )
 from mfe.evaltrace import (
     block_slice,
-    complex_to_quat,
     m_stat,
     materialize_rho,
-    q_re_trace,
-    qadjoint,
-    qconj,
-    qmatmul,
-    quat_eye,
-    quat_from_real,
-    quat_to_complex,
+    quat_embed,
     rho_contract,
     total_dim,
 )
@@ -39,17 +33,64 @@ def block(a, df, c, cp):
     return a[block_slice(df, c), block_slice(df, cp)]
 
 
+# quaternion matrices as (n, m, 4) arrays of their 1, i, j, k components,
+# with the Hamilton product written out: the reference that the complex
+# embedding is checked against
+
+def hamilton(a, b):
+    a0, a1, a2, a3 = (a[..., i] for i in range(4))
+    b0, b1, b2, b3 = (b[..., i] for i in range(4))
+    return np.stack(
+        [
+            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
+            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
+            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
+            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
+        ],
+        axis=-1,
+    )
+
+
+def q_conj(a):
+    out = a.copy()
+    out[..., 1:] = -out[..., 1:]
+    return out
+
+
+def q_adjoint(a):
+    return np.swapaxes(q_conj(a), -3, -2)
+
+
+def q_re_trace(a):
+    return np.trace(a[..., 0], axis1=-2, axis2=-1)
+
+
+def q_eye(n):
+    return q_from_real(np.eye(n))
+
+
+def q_from_real(a):
+    q = np.zeros(a.shape + (4,))
+    q[..., 0] = a
+    return q
+
+
+def rand_quat(rng, n, m):
+    return np.stack([np.array([[rng.gauss(0, 1) for _ in range(m)]
+                               for _ in range(n)]) for _ in range(4)],
+                    axis=-1)
+
+
 def rand_mat(rng, n, m=None, field="C"):
+    """A random matrix over the field; H in its complex embedding."""
     m = n if m is None else m
+    if field == "H":
+        return quat_embed(rand_quat(rng, n, m))
     r = np.array([[rng.gauss(0, 1) for _ in range(m)] for _ in range(n)])
     if field == "R":
         return r
-    if field == "C":
-        i = np.array([[rng.gauss(0, 1) for _ in range(m)] for _ in range(n)])
-        return r + 1j * i
-    comps = [np.array([[rng.gauss(0, 1) for _ in range(m)]
-                       for _ in range(n)]) for _ in range(4)]
-    return np.stack(comps, axis=-1)
+    i = np.array([[rng.gauss(0, 1) for _ in range(m)] for _ in range(n)])
+    return r + 1j * i
 
 
 def random_valid_diagram(rng, k, df):
@@ -68,40 +109,58 @@ def random_valid_diagram(rng, k, df):
 
 class TestQuaternions:
     def test_eye_embeds_to_eye(self):
-        assert np.allclose(quat_to_complex(quat_eye(3)), np.eye(6))
+        assert np.array_equal(quat_embed(q_eye(3)), np.eye(6))
 
     def test_embedding_multiplicative(self):
         rng = random.Random(1)
-        a, b = rand_mat(rng, 3, 3, "H"), rand_mat(rng, 3, 3, "H")
-        left = quat_to_complex(qmatmul(a, b))
-        right = quat_to_complex(a) @ quat_to_complex(b)
-        assert np.allclose(left, right)
+        a, b = rand_quat(rng, 3, 2), rand_quat(rng, 2, 4)
+        got = quat_embed(a) @ quat_embed(b)
+        assert got.shape == (6, 8)
+        assert np.allclose(quat_embed(hamilton(a, b)), got,
+                           rtol=0, atol=1e-14)
 
     def test_embedding_roundtrip(self):
+        # the 2x2 block of each entry is [[a+bi, c+di], [-c+di, a-bi]]:
+        # its first row gives the components back, its second follows
         rng = random.Random(2)
-        a = rand_mat(rng, 2, 4, "H")
-        assert np.allclose(complex_to_quat(quat_to_complex(a)), a)
+        a = rand_quat(rng, 2, 4)
+        e = quat_embed(a)
+        x, y = e[::2, ::2], e[::2, 1::2]
+        assert np.array_equal(np.stack([x.real, x.imag, y.real, y.imag],
+                                       axis=-1), a)
+        assert np.array_equal(e[1::2, ::2], -y.conj())
+        assert np.array_equal(e[1::2, 1::2], x.conj())
+
+    def test_batched(self):
+        rng = random.Random(5)
+        a = np.stack([rand_quat(rng, 2, 3) for _ in range(4)])
+        assert np.array_equal(quat_embed(a),
+                              np.stack([quat_embed(x) for x in a]))
 
     def test_adjoint_embeds_to_adjoint(self):
         rng = random.Random(3)
-        a = rand_mat(rng, 3, 2, "H")
-        assert np.allclose(quat_to_complex(qadjoint(a)),
-                           quat_to_complex(a).conj().T)
+        a = rand_quat(rng, 3, 2)
+        assert np.array_equal(quat_embed(q_adjoint(a)),
+                              quat_embed(a).conj().T)
 
     def test_conj_fixes_reals(self):
-        a = quat_from_real(np.arange(6.0).reshape(2, 3))
-        assert np.allclose(qconj(a), a)
+        # the entrywise quaternion conjugate is the adjoint of each 2x2
+        # block; a real matrix is fixed by it and embeds as a (x) I_2
+        a = q_from_real(np.arange(6.0).reshape(2, 3))
+        e = quat_embed(a)
+        assert np.array_equal(quat_embed(q_conj(a)), e)
+        assert np.array_equal(e, np.kron(a[..., 0], np.eye(2)))
 
     def test_re_trace_halves_complex_trace(self):
         rng = random.Random(4)
-        a = rand_mat(rng, 3, 3, "H")
-        assert np.isclose(
-            q_re_trace(a), np.trace(quat_to_complex(a)).real / 2)
+        a = rand_quat(rng, 3, 3)
+        assert np.isclose(q_re_trace(a), np.trace(quat_embed(a)).real / 2,
+                          rtol=1e-15, atol=0)
 
     def test_nonreal_trace_parts_drop(self):
-        q = quat_eye(1)
+        q = q_eye(1)
         q[0, 0] = [2.0, 5.0, -1.0, 7.0]
-        assert q_re_trace(q) == 2.0
+        assert np.trace(quat_embed(q)) == 4.0
 
 
 class TestBlocks:
@@ -155,7 +214,6 @@ class TestAgainstTensorOperator:
                 s = canonical_orientation(b.pairing)
                 norm = 1.0
                 for cls in df.classes():
-                    from mfe.brauer import fnc
                     norm *= float(df.value(cls)) ** fnc((b, s), df, cls)
                 assert np.isclose(got, rho_contract(b, mats, df) / norm)
                 pool = [mats] + [[rand_mat(extra, n, n, field)
@@ -230,11 +288,11 @@ class TestWordStatistics:
         rng = random.Random(11)
         df = DimensionFunction([2, 3])
         n = total_dim(df)
-        u = rand_mat(rng, n, n, "H")
+        q = rand_quat(rng, n, n)
         b, _ = encode_word([(1, 1, True), (1, 1, False)])
-        got = m_stat(b, [u, u], df, "H")
-        blk = block(u, df, 1, 1)
-        prod = qmatmul(qadjoint(blk), blk)
+        got = m_stat(b, [quat_embed(q), quat_embed(q)], df, "H")
+        blk = block(q, df, 1, 1)
+        prod = hamilton(q_adjoint(blk), blk)
         # single loop: value -2 Re Tr over H, normalized by -2 d_1
         assert np.isclose(got, -2.0 * q_re_trace(prod) / (-2.0 * 2.0))
 
@@ -263,8 +321,8 @@ class TestOrientationIndependence:
 
 class TestBatchedQuaternion:
     def test_batch_matches_samplewise(self):
-        # unequal blocks, and conjugated slots as the Monte-Carlo estimator
-        # passes them for barred letters
+        # unequal blocks, and starred slots, whose twist makes the
+        # evaluator take the adjoint of the block
         rng = random.Random(15)
         df = DimensionFunction([2, 3])
         n = total_dim(df)
@@ -274,10 +332,8 @@ class TestBatchedQuaternion:
         for _ in range(6):
             k = rng.randrange(1, 4)
             cases.append((random_valid_diagram(rng, k, df), None))
-        for b, w in cases:
-            bars = [l.bar for l in w] if w is not None else [
-                rng.random() < 0.5 for _ in range(b.k)]
-            mats = [qconj(pool) if bar else pool for bar in bars]
+        for b, _ in cases:
+            mats = [pool] * b.k
             batched = m_stat(b, mats, df, "H")
             assert batched.shape == (4,)
             for s, value in enumerate(batched):
@@ -285,13 +341,45 @@ class TestBatchedQuaternion:
                 assert np.isclose(value, want, rtol=1e-12, atol=1e-12)
 
 
+def component_stat(b, qs, df):
+    """The H statistic in the component layout, loop by loop with the
+    Hamilton product, as m_stat defines it."""
+    s = canonical_orientation(b.pairing)
+    total = 1.0
+    for cycle, sg in oriented_cycles(b.pairing, s):
+        if sg[cycle[0]] == 1:
+            cycle = cycle[1:] + cycle[:1]
+        prod = None
+        for l in cycle:
+            f = block(qs[l - 1], df, b.colour(l), b.colour(b.k + l))
+            if sg[l] == 1:
+                f = q_adjoint(f)
+            prod = f if prod is None else hamilton(prod, f)
+        total *= -2.0 * q_re_trace(prod)
+    for cls in df.classes():
+        total *= (-2.0 * float(df.value(cls))) ** (-fnc((b, s), df, cls))
+    return total
+
+
 class TestQuaternionNormalization:
+    def test_matches_component_reference(self):
+        rng = random.Random(16)
+        for df in (square_df(2, 2), DimensionFunction([1, 2])):
+            n = total_dim(df)
+            for _ in range(12):
+                k = rng.randrange(1, 4)
+                b = random_valid_diagram(rng, k, df)
+                qs = [rand_quat(rng, n, n) for _ in range(k)]
+                got = m_stat(b, [quat_embed(q) for q in qs], df, "H")
+                assert np.isclose(got, component_stat(b, qs, df),
+                                  rtol=1e-12, atol=1e-12)
+
     def test_unit_at_identity(self):
         # evaluating the identity diagram at the identity matrix gives 1
         for d in (1, 2, 3):
             df = DimensionFunction([d])
             b = identity_diagram(1, [1])
-            assert np.isclose(m_stat(b, [quat_eye(d)], df, "H"), 1.0)
+            assert np.isclose(m_stat(b, [np.eye(2 * d)], df, "H"), 1.0)
 
     def test_real_embedded_in_quaternions(self):
         rng = random.Random(13)
@@ -300,7 +388,8 @@ class TestQuaternionNormalization:
         a = rand_mat(rng, n, n, "R")
         b = identity_diagram(2, [1, 1])
         got_r = m_stat(b, [a, a], df, "R")
-        got_h = m_stat(b, [quat_from_real(a), quat_from_real(a)], df, "H")
+        h = quat_embed(q_from_real(a))
+        got_h = m_stat(b, [h, h], df, "H")
         # a real matrix seen in H: each loop gains the -2, the normalizer
         # removes it, so values agree
         assert np.isclose(got_h, got_r)

@@ -12,7 +12,7 @@ from mfe.brauer import (
     square_df,
 )
 from mfe.cumulants import Colourization, kappa_closed_form
-from mfe.evaltrace import qmatmul, quat_eye
+from mfe.evaltrace import quat_embed
 from mfe.moments import MomentFunction
 from mfe.ncpart import (
     SetPartition,
@@ -41,7 +41,10 @@ def random_complex(rng, n=5):
 
 
 def random_quat(rng, n=5):
-    return rng.standard_normal((n, n, 4))
+    """Components (n, n, 4) of a random quaternion matrix and its
+    complex embedding."""
+    q = rng.standard_normal((n, n, 4))
+    return q, quat_embed(q)
 
 
 class TestDiagonalElement:
@@ -64,8 +67,8 @@ class TestDiagonalElement:
         assert np.allclose(m[:2, 2:], 0.0)
 
     def test_to_matrix_quaternion(self):
-        m = DiagonalElement([1.0, 1.0]).to_matrix(DF, "H")
-        assert np.allclose(m, quat_eye(5))
+        m = DiagonalElement([2.0, -1.0]).to_matrix(DF, "H")
+        assert np.array_equal(m, np.diag([2.0] * 4 + [-1.0] * 6))
 
 
 class TestCondExpectation:
@@ -100,9 +103,10 @@ class TestCondExpectation:
 
     def test_quaternion_real_part(self):
         rng = np.random.default_rng(1)
-        a = random_quat(rng)
+        q, a = random_quat(rng)
         got = cond_expectation(a, DF)
-        assert got.values[0] == pytest.approx(np.trace(a[:2, :2, 0]) / 2)
+        assert got.values[0] == pytest.approx(np.trace(q[:2, :2, 0]) / 2)
+        assert got.values[1] == pytest.approx(np.trace(q[2:, 2:, 0]) / 3)
 
 
 class TestEPi:
@@ -146,10 +150,10 @@ class TestEPi:
 
     def test_quaternion_nesting(self):
         rng = np.random.default_rng(8)
-        a, b, c = (random_quat(rng) for _ in range(3))
+        a, b, c = (random_quat(rng)[1] for _ in range(3))
         got = e_pi([(1, 3), (2,)], [a, b, c], DF)
         inner = cond_expectation(b, DF).to_matrix(DF, "H")
-        want = cond_expectation(qmatmul(qmatmul(a, inner), c), DF)
+        want = cond_expectation(a @ inner @ c, DF)
         assert got.isclose(want)
 
 
@@ -188,7 +192,7 @@ class TestAmalgamatedCumulant:
 
     def test_moebius_roundtrip_quaternion(self):
         rng = np.random.default_rng(16)
-        mats = [random_quat(rng) for _ in range(3)]
+        mats = [random_quat(rng)[1] for _ in range(3)]
         for pi in enumerate_nc(3):
             tot = DiagonalElement.zero(2)
             for gamma in enumerate_nc(3):

@@ -24,7 +24,6 @@ REFERENCES = {
     "transpose_diagram": "the paper's transpose of a diagram",
     "taylor_coeff_geodesic": "geodesic route to the Taylor coefficients",
     "moments_from_cumulants": "inverse of the Moebius inversion",
-    "quat_from_real": "builds the H inputs of the R-vs-H evaluator check",
     "rho_contract": "tensor contraction oracle for the trace evaluator",
     "generator_free_process": "limit generator side of the Schurmann check",
     "schurmann_L": "Schurmann triple side of the same check",

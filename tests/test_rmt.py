@@ -17,8 +17,7 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.evaltrace import block_slice, m_stat, qconj, qmatmul, quat_eye, \
-    quat_to_complex, total_dim
+from mfe.evaltrace import block_slice, m_stat, total_dim
 from mfe.moments import evolve_finite
 from mfe.rmt import (
     BETA,
@@ -35,6 +34,13 @@ from mfe.rmt import (
 )
 from mfe.rmt import _CHUNK, _TAYLOR, _degree, _gaussian_lie, _mul, \
     _norm1, _right_factor
+
+
+def quaternionic_defect(u):
+    """Largest entry of J conj(u) J^T - u, J = I_N (x) [[0, 1], [-1, 0]]:
+    zero exactly on the complex embeddings of quaternion matrices."""
+    j = np.kron(np.eye(u.shape[-1] // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.abs(j @ u.conj() @ j.T - u).max())
 
 
 class TestLieBasis:
@@ -65,7 +71,9 @@ class TestLieBasis:
         for h in lie_basis(3, "R"):
             assert np.allclose(h + h.T, 0.0)
         for h in lie_basis(2, "H"):
-            assert np.allclose(h + qconj(np.swapaxes(h, 0, 1)), 0.0)
+            assert h.shape == (4, 4)
+            assert np.allclose(h + h.conj().T, 0.0)
+            assert quaternionic_defect(h) == 0.0
 
 
 class TestCasimir:
@@ -86,8 +94,6 @@ class TestCasimir:
 
 def lie_batch(field, N, samples, scale, seed=0):
     a = _gaussian_lie(np.random.default_rng(seed), N, field, samples)
-    if field == "H":
-        a = quat_to_complex(a)
     return a * scale
 
 
@@ -253,7 +259,8 @@ class TestSampling:
         p = sample_terminals(4, "C", 0.0, 1, seed=0)
         assert np.allclose(p[0], np.eye(4))
         q = sample_terminals(3, "H", 0.0, 1, seed=0)
-        assert np.allclose(q[0], quat_eye(3))
+        assert np.allclose(q[0], np.eye(6))
+        assert quaternionic_defect(q) == 0.0
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -310,8 +317,9 @@ class TestSampling:
 
     def test_batch_shapes(self):
         assert sample_terminals(3, "R", 0.1, 5, steps=2).shape == (5, 3, 3)
-        assert sample_terminals(3, "H", 0.1, 5, steps=2).shape == \
-            (5, 3, 3, 4)
+        h = sample_terminals(3, "H", 0.1, 5, steps=2)
+        assert h.shape == (5, 6, 6) and h.dtype == complex
+        assert quaternionic_defect(h) <= 1e-14
 
     @pytest.mark.parametrize("field,rate", [
         ("C", -0.5),
@@ -321,10 +329,8 @@ class TestSampling:
     def test_mean_trace_matches_exact(self, field, rate):
         # first moment of the normalized trace at N=4
         u = sample_terminals(4, field, 1.0, 4000, steps=100, seed=11)
-        if field == "H":
-            vals = u[..., 0].trace(axis1=1, axis2=2) / 4.0
-        else:
-            vals = np.real(u.trace(axis1=1, axis2=2)) / 4.0
+        # Re Tr over H is half the complex trace of the embedding
+        vals = np.real(u.trace(axis1=1, axis2=2)) / u.shape[-1]
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - math.exp(rate)) <= 4 * se
 
@@ -372,11 +378,13 @@ class TestEstimateStat:
         pools = {c: sample_terminals(total_dim(df), field, t, samples,
                                      steps, child)
                  for c, child in zip(letters, children)}
-        conj = qconj if field == "H" else np.conj
+        # a barred slot evaluates U*: the diagram's twist transposes it,
+        # the conjugate comes from the pool for C and from the evaluator
+        # for H
         values = []
         for s in range(samples):
-            mats = [conj(pools[l.letter][s]) if l.bar else pools[l.letter][s]
-                    for l in w]
+            mats = [np.conj(pools[l.letter][s]) if l.bar and field == "C"
+                    else pools[l.letter][s] for l in w]
             values.append(np.real(m_stat(b, mats, df, field)))
         assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
         assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
@@ -396,9 +404,10 @@ class TestEstimateStat:
                                  seed=6, steps=50)
         assert abs(mean) <= 4 * se + 1e-12
 
-    def test_starred_pair_is_exactly_unitary(self):
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_starred_pair_is_exactly_unitary(self, field):
         b, w = encode_word([(1, 1, True), (1, 1, False)])
-        mean, se = estimate_stat(b, w, "C", square_df(1, 4), 1.0, 50,
+        mean, se = estimate_stat(b, w, field, square_df(1, 4), 1.0, 50,
                                  seed=7, steps=20)
         assert np.isclose(mean, 1.0, atol=1e-10)
         assert se <= 1e-10
@@ -415,7 +424,8 @@ class TestEstimateStat:
             pairs = [(pts[2 * i], pts[2 * i + 1]) for i in range(k)]
             cols = [rng.randrange(1, 3) for _ in range(2 * k)]
             b = ColouredBrauerDiagram(Pairing(k, pairs), cols)
-            w = Word(WordLetter(1) for _ in range(k))
+            w = Word(WordLetter(1, bar=rng.random() < 0.5)
+                     for _ in range(k))
             t = 0.5
             exact = evolve_finite(b, w, t, df, field)
             mean, se = estimate_stat(b, w, field, df, t, 1500,
