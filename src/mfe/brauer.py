@@ -11,6 +11,11 @@ Every walk of a diagram graph reads the point-to-partner matchings of
 the pairings directly: compose follows each strand across the fused
 slots, join_count and nc follow the cycles that alternate between two
 matchings, and the oriented cycles give the route of each loop.
+
+The closure pass of mfe.generators does not call compose: it applies
+each elementary move as a local rewiring of a state's partners.  compose
+of matching_tau/matching_es onto the state is the reference that
+rewiring is checked against.
 """
 
 from __future__ import annotations

@@ -19,12 +19,12 @@ from .brauer import (
     DimensionFunction,
     canonical_orientation,
     creates_cycle,
-    compose,
     encode_word,
     fnc,
     matching_es,
     matching_tau,
     oriented_cycles,
+    Pairing,
     Word,
     WordLetter,
 )
@@ -138,15 +138,6 @@ def _ratio_factor(b, out, df, sign_scale):
     return val
 
 
-def _loop_weight(b, df, bases):
-    """prod_cls base_cls^fnc(b, cls); a move b -> b' removing loops has
-    loop factor w(b') / w(b) * prod_cls base_cls^loops."""
-    val = Fraction(1)
-    for cls, base in bases:
-        val *= base ** fnc(b, df, cls)
-    return val
-
-
 def _finite_rates(df, field):
     """Drift c_N^K, class bases and the 1/base_N scale of the finite
     generator, base = dims (R, C) or -2 dims (H)."""
@@ -161,60 +152,154 @@ def _limit_rates(ratios):
     return Fraction(-1, 2), _class_bases(ratios, False), Fraction(1)
 
 
+def _cycle_walk(st, k, class_pos, nclasses):
+    """One walk of the cycles of b v 1, read off the flat state st (the
+    partners of the 2k points, top point i' at k + i - 1, then their
+    colours).  Returns a code per slot, 2m + 1 where its canonical sign is
+    +1 and 2m where it is -1, m the least slot of its cycle (0-based), and
+    the fnc exponent of each class: a cycle counts for the class of the
+    colour at its least slot, whose sign is +1."""
+    code = [-1] * k
+    exps = [0] * nclasses
+    for s in range(k):
+        if code[s] < 0:
+            exps[class_pos[st[2 * k + s]]] += 1
+            x = s
+            while True:
+                if x < k:
+                    code[x] = 2 * s + 1
+                y = st[x]
+                if y < k:
+                    code[y] = 2 * s
+                    x = y + k
+                else:
+                    x = y - k
+                if x == s:
+                    break
+    return code, tuple(exps)
+
+
 def _sweep(states, word, df, fclass, rates, creating_only=False,
            weights=None, join=None):
     """The closure-and-generator pass behind every exact route.
 
-    Walks `states` in order and composes each admissible move onto each
+    Walks `states` in order and applies each admissible move to each
     state once; a new product is appended, so the walk is the
     breadth-first closure of the given states in discovery order, and
     passing BASIS_BOUND states is an error.  Each given state is checked
     valid under df once; products of valid states glued on equal colours
-    stay valid, so the states found are not re-checked.  From rates =
-    (drift, bases, scale) the pass fills the generator rows: drift times
-    the total letter weight on the diagonal, and sign * weight * scale *
-    loop factor per move, from one loop weight per state.  With join, a
+    stay valid, so the states found are not re-checked.
+
+    A state is held as its flat tuple: the partners of the 2k points,
+    top point i' at k + i - 1, then their colours.  A move is a local
+    rewiring of it, equal to composing the elementary diagram of
+    matching_tau/matching_es onto the state.  With p and q the partners
+    of i' and j', tau_ij pairs j' with p and i' with q unless p = j',
+    and swaps the colours of i' and j'.  e_ij needs equal colours on i'
+    and j' and is made once per top colour t: it removes one loop of
+    their class when p = j', else it pairs p with q; then it pairs i'
+    with j', both coloured t.  A diagram is built once per new state.
+    The creating moves come from one walk of the state's cycles: i and j
+    lie on one cycle, with equal canonical signs for tau and opposite
+    ones for e (the rule of creates_cycle_sign).
+
+    From rates = (drift, bases, scale) the pass fills the generator
+    rows: drift times the total letter weight on the diagonal, and per
+    move sign * weight * scale * prod_cls base^(loops + fnc(b') - fnc(b)),
+    looked up by the integer fnc exponents of both states.  With join, a
     state is a (diagram, label) pair and the move at slots (i, j) leads
-    to (product, join(label, i, j)); moves and weights are read off the
-    diagram.  Returns (states, rows).
+    to (product, join(label, i, j)).  Returns (states, rows).
     """
     diagrams = states if join is None else [b for b, _ in states]
-    if len(word) != diagrams[0].k:
+    k = diagrams[0].k
+    if len(word) != k:
         raise ValueError("word length does not match diagram size")
     if not all(b.is_valid(df) for b in diagrams):
         raise ValueError("diagram invalid under the dimension function")
-    index = {s: i for i, s in enumerate(states)}
     drift, bases, scale = rates
-    base = dict(bases)
+    classes = [cls for cls, _ in bases]
+    class_pos = {c: classes.index(df.class_of(c)) for c in df.dims}
     diag = drift * sum(_weight(weights, l.letter) for l in word.letters)
     slot = [scale * _weight(weights, l.letter) for l in word.letters]
-    loop_w = [_loop_weight(b, df, bases) for b in diagrams]
+    moves = [(si, sj, slot_allows(word, si + 1, sj + 1, "tau", fclass),
+              slot_allows(word, si + 1, sj + 1, "e", fclass))
+             for si in range(k) for sj in range(si + 1, k)]
+    k2 = 2 * k
+    flats = [tuple(b.pairing.match(x) - 1 for x in range(1, k2 + 1))
+             + b.colours for b in diagrams]
+    labels = None if join is None else [lab for _, lab in states]
+    index = {key: n for n, key in enumerate(
+        flats if join is None else zip(flats, labels))}
+    fncs = [_cycle_walk(st, k, class_pos, len(bases))[1] for st in flats]
+    values = {}
     rows = []
     i = 0
     while i < len(states):
-        b = diagrams[i]
+        st = flats[i]
         row = {i: diag}
         rows.append(row)
-        inv_w = 1 / loop_w[i]
-        for (si, sj), r, kind in admissible_moves(b, word, df, fclass,
-                                                  creating_only):
-            out = compose(r, b, df)
-            nxt = out.diagram if join is None else \
-                (out.diagram, join(states[i][1], si, sj))
-            j = index.get(nxt)
+        if creating_only:
+            code = _cycle_walk(st, k, class_pos, len(bases))[0]
+        out = []
+        for si, sj, tau_ok, e_ok in moves:
+            if creating_only:
+                tau_ok = tau_ok and code[si] == code[sj]
+                e_ok = e_ok and code[si] ^ 1 == code[sj]
+            ti, tj = k + si, k + sj
+            p, q = st[ti], st[tj]
+            if tau_ok:
+                n = list(st)
+                if p != tj:
+                    n[p], n[tj], n[q], n[ti] = tj, p, ti, q
+                n[k2 + ti], n[k2 + tj] = st[k2 + tj], st[k2 + ti]
+                out.append((tuple(n), si, sj, -1, True))
+            if e_ok and st[k2 + ti] == st[k2 + tj]:
+                n = list(st)
+                loop = -1
+                if p == tj:
+                    loop = class_pos[st[k2 + ti]]
+                else:
+                    n[p], n[q], n[ti], n[tj] = q, p, tj, ti
+                for t in range(1, df.n + 1):
+                    n[k2 + ti] = n[k2 + tj] = t
+                    out.append((tuple(n), si, sj, loop, False))
+        fi = fncs[i]
+        for nxt, si, sj, loop, tau in out:
+            if join is None:
+                key = nxt
+            else:
+                lab = join(labels[i], si + 1, sj + 1)
+                key = (nxt, lab)
+            j = index.get(key)
             if j is None:
                 if len(states) >= BASIS_BOUND:
                     raise ValueError(
                         "reachable basis exceeds %d" % BASIS_BOUND)
-                j = index[nxt] = len(states)
-                states.append(nxt)
-                if join is not None:
-                    diagrams.append(out.diagram)
-                loop_w.append(_loop_weight(out.diagram, df, bases))
-            val = loop_w[j] * inv_w * slot[si - 1]
-            for cls, m in out.loops.items():
-                val *= base[cls] ** m
-            row[j] = row.get(j, 0) + (-val if kind == "tau" else val)
+                j = index[key] = len(states)
+                flats.append(nxt)
+                fncs.append(_cycle_walk(nxt, k, class_pos, len(bases))[1])
+                d = ColouredBrauerDiagram(
+                    Pairing(k, [(x + 1, y + 1)
+                                for x, y in enumerate(nxt[:k2]) if x < y]),
+                    nxt[k2:])
+                if join is None:
+                    states.append(d)
+                else:
+                    labels.append(lab)
+                    states.append((d, lab))
+            vkey = (fncs[j], fi, loop, si, tau)
+            val = values.get(vkey)
+            if val is None:
+                val = slot[si]
+                for c, (x, y) in enumerate(zip(fncs[j], fi)):
+                    m = x - y + (c == loop)
+                    if m:
+                        val *= bases[c][1] ** m
+                val = values[vkey] = -val if tau else val
+            if j in row:
+                row[j] += val
+            else:
+                row[j] = val
         i += 1
     return states, rows
 

@@ -282,6 +282,13 @@ class TestEdgeInputs:
         assert_one_line_error(rc, out, err)
         assert msg in err
 
+    def test_limit_basis_bound_exits_2(self, capsys):
+        # the creating closure of u11^11 passes BASIS_BOUND states
+        rc, out, err = run(capsys, "moment", "--limit", "--t", "1",
+                           "--word", " ".join(["u11"] * 11))
+        assert (rc, out, err) == \
+            (2, "", "error: reachable basis exceeds 20000\n")
+
     def test_limit_moment_at_huge_t(self, capsys):
         argv = ["moment", "--limit", "--word", "u11 u11 u11", "--t", "1e300"]
         rc, out, err = run(capsys, *argv, "--format", "csv")

@@ -36,6 +36,8 @@ from mfe.generators import (
     slot_allows,
     square_ratios,
 )
+from mfe.ncpart import partition_join
+from mfe.opvalued import _coefficient_walk, _discrete, _pair_partition
 
 
 def plain_word(k, letter=1):
@@ -624,3 +626,132 @@ class TestCompatiblePairs:
                 assert limit_row(b, w, ratios, "complex") == real_row
                 for target in real_row:
                     assert is_compatible(target, w)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's local moves against the composed closure
+# ---------------------------------------------------------------------------
+
+def composed_closure(seeds, word, df, fclass, drift, scale, quat,
+                     creating_only=False, weights=None, join=None,
+                     kinds=None):
+    """Reference closure and rows: breadth-first over admissible_moves,
+    each move composed with its elementary diagram and weighted by
+    _ratio_factor, in the sweep's discovery order.  kinds collects the
+    sorts of move met on the way."""
+    def weight(letter):
+        return Fraction(1) if weights is None else \
+            Fraction(weights[letter.letter])
+
+    states = list(seeds)
+    index = {s: n for n, s in enumerate(states)}
+    diag = drift * sum(weight(l) for l in word.letters)
+    rows = []
+    while len(rows) < len(states):
+        b = states[len(rows)] if join is None else states[len(rows)][0]
+        row = {len(rows): diag}
+        for (i, j), r, kind in admissible_moves(b, word, df, fclass,
+                                                creating_only):
+            out = compose(r, b, df)
+            if kinds is not None:
+                ci, cj = b.colour(b.k + i), b.colour(b.k + j)
+                if kind == "e":
+                    kinds.add("e loop" if out.loops else "e merge")
+                elif b.pairing.match(b.k + i) == b.k + j:
+                    kinds.add("tau on a paired i', j'")
+                else:
+                    kinds.add("tau rewire")
+                if kind == "tau" and ci != cj and \
+                        df.class_of(ci) == df.class_of(cj):
+                    kinds.add("tau swap within a class")
+            nxt = out.diagram if join is None else \
+                (out.diagram, join(states[len(rows)][1], i, j))
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            val = scale * weight(word[i - 1]) * _ratio_factor(b, out, df,
+                                                              quat)
+            col = index[nxt]
+            row[col] = row.get(col, 0) + (-val if kind == "tau" else val)
+        rows.append(row)
+    return states, rows
+
+
+def random_word(rng, k):
+    return Word(WordLetter(1 if rng.random() < 0.8 else 2,
+                           rng.random() < 0.3) for _ in range(k))
+
+
+def assert_same_closure(got, want):
+    """Equal states in the same order, and equal rows in the same order."""
+    assert got[0] == want[0]
+    assert [list(r.items()) for r in got[1]] == \
+        [list(r.items()) for r in want[1]]
+
+
+SHARED_CLASS_DF = DimensionFunction({1: 2, 2: 2, 3: 1})
+
+
+class TestLocalMoves:
+    @pytest.mark.parametrize("df", [square_df(1, 3), square_df(2, 2),
+                                    DimensionFunction([2, 6]),
+                                    SHARED_CLASS_DF],
+                             ids=["1x3", "2x2", "2-6", "shared-class"])
+    def test_finite_equals_composed_closure(self, df):
+        rng = random.Random(31)
+        total = sum(int(v) for v in df.dims.values())
+        kinds = set()
+        for case in range(40):
+            k = rng.randint(2, 6 - df.n)
+            seed = random_valid_diagram(rng, k, df)
+            word = random_word(rng, k)
+            field = "RCH"[case % 3]
+            weights = {1: Fraction(3, 2), 2: Fraction(1, 3)} \
+                if case % 4 == 0 else None
+            quat = field == "H"
+            gen = build_generator_finite([seed], word, df, field, weights)
+            assert_same_closure((gen.basis, gen.rows), composed_closure(
+                [seed], word, df, "complex" if field == "C" else "real",
+                casimir_drift(field, total),
+                Fraction(1, -2 * total if quat else total), quat,
+                weights=weights, kinds=kinds))
+        assert kinds >= {"tau on a paired i', j'", "tau rewire", "e loop",
+                         "e merge"}
+        if df is SHARED_CLASS_DF:
+            assert "tau swap within a class" in kinds
+
+    @pytest.mark.parametrize("fclass", ["real", "complex"])
+    def test_limit_equals_composed_closure(self, fclass):
+        rng = random.Random(32)
+        ratios = DimensionFunction({1: Fraction(1, 4), 2: Fraction(3, 4)})
+        kinds = set()
+        for case in range(40):
+            k = rng.randint(2, 5)
+            seed = random_valid_diagram(rng, k, ratios)
+            word = random_word(rng, k)
+            weights = {1: Fraction(2), 2: Fraction(1, 5)} \
+                if case % 2 else None
+            gen = build_generator_limit([seed], word, ratios, fclass, weights)
+            assert_same_closure((gen.basis, gen.rows), composed_closure(
+                [seed], word, ratios, fclass, Fraction(-1, 2), Fraction(1),
+                False, creating_only=True, weights=weights, kinds=kinds))
+        # tau on a paired i', j' leaves the pairing as it is: never creating
+        assert kinds >= {"tau rewire", "e loop", "e merge"}
+
+    def test_coefficient_walk_equals_composed_closure(self):
+        rng = random.Random(33)
+        ratios = DimensionFunction({1: Fraction(1, 4), 2: Fraction(3, 4)})
+        for case in range(30):
+            k = rng.randint(2, 5)
+            seed = random_valid_diagram(rng, k, ratios)
+            word = random_word(rng, k)
+            weights = {1: Fraction(3), 2: Fraction(1, 2)} \
+                if case % 2 else None
+            assert_same_closure(
+                _coefficient_walk(seed, word, ratios, weights),
+                composed_closure(
+                    [(seed, _discrete(k))], word, ratios, "real",
+                    Fraction(-1, 2), Fraction(1), False, creating_only=True,
+                    weights=weights,
+                    join=lambda part, i, j: partition_join(
+                        part, _pair_partition(k, i, j))))
