@@ -2,7 +2,8 @@
 Monte-Carlo values of block trace statistics.
 
 Outputs are machine readable (JSON with a schema tag, or CSV) and byte
-identical for identical arguments and seed.
+identical for identical arguments and seed.  Only the Monte-Carlo
+subcommands, simulate and compare, import rmt and with it numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .cumulants import Colourization, cumulants_from_moments, \
 from .moments import MomentFunction, finite_evaluator, moment_of_word
 from .ncpart import NonCrossingPartition, enumerate_nc
 from .opvalued import limit_cumulant_coefficient, limit_statistic
-from .rmt import estimate_stat
 
 SCHEMA = 1
 
@@ -180,6 +180,7 @@ def cmd_cumulant(args):
 
 
 def cmd_simulate(args):
+    from .rmt import estimate_stat
     tokens = parse_word(args.word)
     n = _infer_n(tokens, args.n)
     if args.N % n:
@@ -200,6 +201,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    from .rmt import estimate_stat
     if args.bound is not None and not 0 <= args.bound < math.inf:
         raise ValueError("--bound must be a finite non-negative number, "
                          "got %r" % args.bound)

@@ -10,6 +10,11 @@ A quaternion n x m matrix is stored as its complex embedding of shape
 (2n, 2m), made by quat_embed, so that one layout serves the three fields.
 Evaluation is batched: slot matrices may carry any leading sample axes,
 and the statistic then has those axes.
+
+The conditional expectation onto the block projectors keeps one
+normalized trace per diagonal block; nesting it along a non-crossing
+partition and applying a Moebius transformation gives the amalgamated
+cumulants of a tuple of matrices.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .brauer import canonical_orientation, fnc, oriented_cycles
+from .ncpart import NonCrossingPartition, as_set_partition, enumerate_nc, \
+    mobius_nc
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +188,152 @@ def rho_contract(b, mats, df):
         tensor = np.kron(tensor, a)
     # Tr(rho . M) with M[col, row] products: rho rows are top indices
     return np.trace(rho @ tensor)
+
+
+# ---------------------------------------------------------------------------
+# conditional expectation onto the block projectors
+# ---------------------------------------------------------------------------
+
+class DiagonalElement:
+    """Element of the commutative algebra spanned by the block
+    projectors: one scalar per block, componentwise operations."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    @classmethod
+    def one(cls, n):
+        return cls([1.0] * n)
+
+    @classmethod
+    def zero(cls, n):
+        return cls([0.0] * n)
+
+    @property
+    def n(self):
+        return len(self.values)
+
+    def __add__(self, other):
+        return DiagonalElement(a + b
+                               for a, b in zip(self.values, other.values))
+
+    def __sub__(self, other):
+        return DiagonalElement(a - b
+                               for a, b in zip(self.values, other.values))
+
+    def __mul__(self, other):
+        if isinstance(other, DiagonalElement):
+            return DiagonalElement(
+                a * b for a, b in zip(self.values, other.values))
+        return DiagonalElement(other * a for a in self.values)
+
+    __rmul__ = __mul__
+
+    def star(self):
+        return DiagonalElement(v.conjugate() for v in self.values)
+
+    def isclose(self, other, tol=1e-10):
+        return all(abs(a - b) <= tol
+                   for a, b in zip(self.values, other.values))
+
+    def to_matrix(self, df, field="C"):
+        """The block-diagonal matrix sum_i v_i p_i, of side 2n in the
+        complex embedding for H."""
+        scale = 2 if field == "H" else 1
+        n = scale * total_dim(df)
+        out = np.zeros((n, n), dtype=complex)
+        for i, c in enumerate(sorted(df.dims)):
+            s = block_slice(df, c, scale)
+            out[s, s] = np.eye(s.stop - s.start) * self.values[i]
+        return out
+
+    def __repr__(self):
+        return "DiagonalElement(%s)" % (list(self.values),)
+
+
+def cond_expectation(a, df) -> DiagonalElement:
+    """E[A] = sum_i (1/d_i) Tr(p_i A p_i) p_i, with Re Tr over H.
+
+    A matrix of side 2n, twice that of the dimension function, is a
+    quaternion matrix in its complex embedding, whose block traces are
+    twice the quaternion ones in their real part.
+    """
+    n = total_dim(df)
+    if a.shape not in ((n, n), (2 * n, 2 * n)):
+        raise ValueError("matrix does not match the dimension function")
+    scale = a.shape[0] // n
+    vals = []
+    for c in sorted(df.dims):
+        s = block_slice(df, c, scale)
+        v = np.trace(a[s, s]) / (s.stop - s.start)
+        vals.append(float(v.real) if scale == 2 else v)
+    return DiagonalElement(vals)
+
+
+def _mat_product(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = out @ m
+    return out
+
+
+def e_pi(pi, mats, df) -> DiagonalElement:
+    """Nested conditional expectation along a non-crossing partition.
+
+    Innermost interval blocks are evaluated first and their diagonal
+    results multiplied back in place of the subproduct they replace.
+    Matrices of side twice total_dim(df) are H matrices in their complex
+    embedding, as for cond_expectation.
+    """
+    mats = list(mats)
+    k = len(mats)
+    field = "H" if len(mats[0]) == 2 * total_dim(df) else "C"
+    part = as_set_partition(pi, k)
+    if len(part.blocks) == 0 or \
+            sorted(x for b in part.blocks for x in b) != list(range(1, k + 1)):
+        raise ValueError("partition does not cover the factors")
+    positions = list(range(1, k + 1))
+    work = {p: mats[p - 1] for p in positions}
+    blocks = [sorted(b) for b in part.blocks]
+    while len(blocks) > 1:
+        # find an interval block in the current position order
+        for bi, blk in enumerate(blocks):
+            idx = [positions.index(p) for p in blk]
+            if idx != list(range(min(idx), min(idx) + len(blk))):
+                continue
+            d = cond_expectation(
+                _mat_product([work[p] for p in blk]), df)
+            dm = d.to_matrix(df, field)
+            lo = min(idx)
+            if lo > 0:
+                left = positions[lo - 1]
+                work[left] = work[left] @ dm
+            else:
+                right = positions[lo + len(blk)]
+                work[right] = dm @ work[right]
+            for p in blk:
+                positions.remove(p)
+            blocks.pop(bi)
+            break
+        else:
+            raise ValueError("no interval block: partition is crossing")
+    last = blocks[0]
+    return cond_expectation(
+        _mat_product([work[p] for p in sorted(last)]), df)
+
+
+def amalgamated_cumulant(pi, mats, df) -> DiagonalElement:
+    """c_pi = sum_{gamma <= pi} mu(gamma, pi) E_gamma."""
+    k = len(mats)
+    part = as_set_partition(pi, k)
+    top = NonCrossingPartition(part.blocks)
+    n = len(df.dims)
+    out = DiagonalElement.zero(n)
+    for gamma in enumerate_nc(k):
+        if not gamma.leq(top):
+            continue
+        w = float(mobius_nc(gamma, top))
+        out = out + w * e_pi(gamma, mats, df)
+    return out

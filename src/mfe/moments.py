@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-import numpy as np
-
 from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
     cycle_partition
 from .generators import (
@@ -179,9 +177,10 @@ def _krylov_annihilator(gen, seed_index):
     """Minimal polynomial of the generator on the seed's Krylov row space.
 
     Returns (monic coefficient list a_0..a_{m-1} with x^m = sum a_i x^i,
-    list of Krylov row vectors v_0..v_m).  The orbit runs on the integer
-    matrix den * L, den the lcm of the entry denominators, and the
-    dependency is found by fraction-free elimination on Python ints.
+    list of Krylov rows v_0..v_m as pairs (integer vector, den^i) with
+    v_i = vector / den^i).  The orbit runs on the integer matrix den * L,
+    den the lcm of the entry denominators, and the dependency is found
+    by fraction-free elimination on Python ints.
     """
     n = gen.size
     den = math.lcm(*(v.denominator for row in gen.rows
@@ -222,8 +221,7 @@ def _krylov_annihilator(gen, seed_index):
             # lower powers, rescaled from den * L to L
             coeffs = [Fraction(-expr[i], expr[k] * den ** (k - i))
                       for i in range(k)]
-            return coeffs, [[Fraction(x, den ** i) for x in v]
-                            for i, v in enumerate(orbit)]
+            return coeffs, [(v, den ** i) for i, v in enumerate(orbit)]
         ech.append((piv, red, expr))
         cur = step(cur)
         orbit.append(cur)
@@ -251,23 +249,68 @@ def _convergents(x, max_den):
         yield Fraction(h, k)
 
 
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b, highest power first; the
+    remainder has its leading zeros stripped."""
+    quot = []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        quot.append(f)
+        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and not a[0]:
+        a = a[1:]
+    return quot, a
+
+
+def _square_free(poly):
+    """poly / gcd(poly, poly'), monic: each root of poly once."""
+    m = len(poly) - 1
+    a, b = poly, [c * (m - i) for i, c in enumerate(poly[:-1])]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    core = _poly_divmod(poly, a)[0]
+    return [c / core[0] for c in core]
+
+
+def _top_root(poly):
+    """Float Newton on a monic polynomial from the Cauchy bound
+    1 + max |c_i|: above every root, so on a real-rooted square-free
+    polynomial the iterates fall monotonically onto the largest root."""
+    cs = [float(c) for c in poly]
+    x = 1.0 + max(map(abs, cs[1:]))
+    # far above the roots a step shrinks the gap by about 1 - 1/degree,
+    # so this cap allows a ratio of e^100 between bound and root spacing
+    for _ in range(100 * len(cs)):
+        p, dp = cs[0], 0.0
+        for c in cs[1:]:
+            dp = dp * x + p
+            p = p * x + c
+        nxt = x - p / dp if dp else x
+        if not -math.inf < nxt < x:
+            break
+        x = nxt
+    return x
+
+
 def _rational_roots(rec_coeffs):
     """Roots (with multiplicity) of x^m - sum a_i x^i over the rationals.
 
-    Candidates are the continued-fraction convergents of the float roots
-    whose denominators divide the lcm of the coefficient denominators
-    (rational root theorem); exact division confirms and removes them.
+    Newton on the square-free part finds its largest root in floats; the
+    candidates are that root's continued-fraction convergents whose
+    denominators divide the lcm of the coefficient denominators (rational
+    root theorem), and exact division confirms and removes them.
     """
     poly = [Fraction(1)] + [-c for c in reversed(rec_coeffs)]
+    core = _square_free(poly)
     out = {}
-    while len(poly) > 1:
-        den = math.lcm(*(c.denominator for c in poly))
-        root = next((r for z in np.roots([float(c) for c in poly])
-                     for r in _convergents(z.real, den)
+    while len(core) > 1:
+        den = math.lcm(*(c.denominator for c in core))
+        root = next((r for r in _convergents(_top_root(core), den)
                      if den % r.denominator == 0
-                     and not _divide_linear(poly, r)[1]), None)
+                     and not _divide_linear(core, r)[1]), None)
         if root is None:
             raise ValueError("annihilator does not factor over the rationals")
+        core = _divide_linear(core, root)[0]
         quot, rem = _divide_linear(poly, root)
         while not rem:
             poly = quot
@@ -326,10 +369,8 @@ def solve_semigroup_row(gen, seed_index, dvec):
     if m == 0:
         return MomentFunction.zero()
     roots = _rational_roots(rec)
-    taylor = []
-    for i in range(m):
-        taylor.append(sum(x * d for x, d in zip(krylov[i], dvec)
-                          if x and d))
+    taylor = [Fraction(sum(x * d for x, d in zip(v, dvec) if x and d), scale)
+              for v, scale in krylov[:m]]
     return _match_exponentials(roots, taylor)
 
 
@@ -340,7 +381,7 @@ def solve_semigroup_row(gen, seed_index, dvec):
 def _seed_moment(gen):
     """Exact moment function of state 0, the seed the generator was
     built from."""
-    dvec = [Fraction(delta_diag(b)) for b in gen.basis]
+    dvec = [delta_diag(b) for b in gen.basis]
     return solve_semigroup_row(gen, 0, dvec)
 
 

@@ -141,6 +141,16 @@ class NonCrossingPartition:
         return self.p.leq(other.p)
 
 
+def as_set_partition(pi, k):
+    """pi, a partition of either kind or a list of blocks, as a
+    SetPartition of {1..k}."""
+    if isinstance(pi, NonCrossingPartition):
+        return SetPartition(pi.blocks, ground=range(1, k + 1))
+    if isinstance(pi, SetPartition):
+        return pi
+    return SetPartition(pi, ground=range(1, k + 1))
+
+
 def zero_nc(k):
     return NonCrossingPartition([[i] for i in range(1, k + 1)])
 

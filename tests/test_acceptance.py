@@ -37,7 +37,12 @@ from mfe.cumulants import (
     cumulants_from_moments,
     kappa_closed_form,
 )
-from mfe.evaltrace import m_stat
+from mfe.evaltrace import (
+    DiagonalElement,
+    amalgamated_cumulant,
+    e_pi,
+    m_stat,
+)
 from mfe.generators import (
     _ratio_factor,
     admissible_moves,
@@ -51,9 +56,6 @@ from mfe.generators import (
 from mfe.moments import MomentFunction, evolve_finite, moment_of_word
 from mfe.ncpart import enumerate_nc, one_nc
 from mfe.opvalued import (
-    DiagonalElement,
-    amalgamated_cumulant,
-    e_pi,
     limit_cumulant_coefficient,
     limit_statistic,
 )

@@ -366,6 +366,32 @@ class TestEdgeInputs:
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize("argv, loads", [
+        ([], False),
+        (["moment", "--limit", "--word", "u11 u11", "--t", "1"], False),
+        (["moment", "--field", "C", "--d", "2", "--word", "u11 u11",
+          "--t", "1"], False),
+        (["cumulant", "--p", "3"], False),
+        (["amalgamated", "--word", "u11 u11", "--alpha", "1,1,1",
+          "--ratios", "1/4,3/4", "--t", "1"], False),
+        (["simulate", "--field", "C", "--N", "2", "--word", "u11",
+          "--t", "1", "--samples", "2"], True),
+        (["compare", "--field", "C", "--d", "1", "--word", "u11",
+          "--t", "1", "--samples", "2"], True),
+    ], ids=["import", "moment-limit", "moment-finite", "cumulant",
+            "amalgamated", "simulate", "compare"])
+    def test_numpy_loads_only_for_monte_carlo(self, argv, loads):
+        code = "import sys, mfe.cli\n"
+        if argv:
+            code += "assert mfe.cli.main(%r) == 0\n" % argv
+        code += "print('numpy' in sys.modules)\n"
+        src = os.path.dirname(os.path.dirname(mfe.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src,
+                                      OPENBLAS_NUM_THREADS="1"),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == str(loads)
+
 
 class TestOutputs:
     def test_out_file(self, capsys, tmp_path):

@@ -17,6 +17,7 @@ from mfe.brauer import (
     square_df,
 )
 from mfe.evaltrace import (
+    DiagonalElement,
     block_slice,
     m_stat,
     materialize_rho,
@@ -25,7 +26,6 @@ from mfe.evaltrace import (
     total_dim,
 )
 from mfe.ncpart import Permutation
-from mfe.opvalued import DiagonalElement
 
 
 def block(a, df, c, cp):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import expm
 
 from mfe.brauer import (
@@ -262,14 +263,29 @@ class TestRationalRoots:
         assert _rational_roots(recurrence_of(poly_with_roots(flat))) \
             == roots
 
+    @seed(13)
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.builds(Fraction, st.integers(-200, 200), st.integers(1, 64)),
+        st.integers(1, 6), min_size=1, max_size=5)
+        .filter(lambda roots: sum(roots.values()) <= 14))
+    def test_random_rational_multisets(self, roots):
+        flat = [r for r, mult in roots.items() for _ in range(mult)]
+        assert _rational_roots(recurrence_of(poly_with_roots(flat))) \
+            == roots
+
     @pytest.mark.parametrize("poly", [
         [-2, 0, 1],
         [1, 0, 1],
         [Fraction(4, 3), 0, 0, 1],
         [-2, -2, 1, 1],
-    ], ids=["x^2-2", "x^2+1", "x^3+4/3", "(x+1)(x^2-2)"])
+        [2, -2, -1, 1],
+        [-26, 36, -11, 1],
+    ], ids=["x^2-2", "x^2+1", "x^3+4/3", "(x+1)(x^2-2)", "(x-1)(x^2-2)",
+            "(x-1)((x-5)^2+1)"])
     def test_no_rational_factorisation_raises(self, poly):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="does not factor over the rationals"):
             _rational_roots(recurrence_of(poly))
 
 

@@ -12,7 +12,13 @@ from mfe.brauer import (
     square_df,
 )
 from mfe.cumulants import Colourization, kappa_closed_form
-from mfe.evaltrace import quat_embed
+from mfe.evaltrace import (
+    DiagonalElement,
+    amalgamated_cumulant,
+    cond_expectation,
+    e_pi,
+    quat_embed,
+)
 from mfe.moments import MomentFunction
 from mfe.ncpart import (
     SetPartition,
@@ -21,10 +27,6 @@ from mfe.ncpart import (
     one_nc,
 )
 from mfe.opvalued import (
-    DiagonalElement,
-    amalgamated_cumulant,
-    cond_expectation,
-    e_pi,
     limit_cumulant_coefficient,
     limit_statistic,
     seed_diagram,
