@@ -201,7 +201,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
-    from .rmt import estimate_stat
+    from .rmt import estimate_stats
     if args.bound is not None and not 0 <= args.bound < math.inf:
         raise ValueError("--bound must be a finite non-negative number, "
                          "got %r" % args.bound)
@@ -211,12 +211,12 @@ def cmd_compare(args):
     b, w = encode_word(tokens)
     limit_mf = moment_of_word(tokens, n)
     exact_at = finite_evaluator(b, w, df, args.field)
+    exacts = [exact_at(t) for t in args.t]
+    limits = [float(limit_mf.value(t)) for t in args.t]
+    mc = estimate_stats(b, w, args.field, df, args.t, args.samples,
+                        seed=args.seed, steps=args.steps)
     rows, entries, failed = [], [], False
-    for t in args.t:
-        exact = exact_at(t)
-        lim = float(limit_mf.value(t))
-        mean, se = estimate_stat(b, w, args.field, df, t, args.samples,
-                                 seed=args.seed, steps=args.steps)
+    for t, exact, lim, (mean, se) in zip(args.t, exacts, limits, mc):
         mc_ok = abs(mean - exact) <= 4 * se + 1e-12
         delta_ok = args.bound is None or abs(exact - lim) <= args.bound
         if args.check and not (mc_ok and delta_ok):

@@ -7,10 +7,15 @@ stays exactly in the group.  Quaternion matrices are complex matrices of
 side 2N throughout, their embedding by `quat_embed`, from the Gaussian
 draw to the trace.
 
-The step kernel, `expm` and the product u e^A, takes its Taylor degree
-from ||A^4||_1^(1/4) and a bound on ||A^5||_1^(1/5), near the spectral
-radius of these normal increments, and multiplies complex matrices of
-side 2 to 5 as one float64 product.
+The step kernel draws each increment from one normal per real degree of
+freedom, N(N-1)/2 for R, N^2 for C and N(2N+1) for H, and runs one chunk
+of samples at a time: draw, `expm`, and the product u e^A into u's rows.
+`expm` takes its Taylor degree from ||A^4||_1^(1/4) and a bound on
+||A^5||_1^(1/5), near the spectral radius of these normal increments,
+sums each Paterson-Stockmeyer block in one coefficient product, and
+multiplies complex matrices of side 2 to 16 as one float64 product.
+Times measured on a 2-core Xeon VM with one BLAS thread are beside
+_CHUNK and _REAL_SIDES.
 """
 
 from __future__ import annotations
@@ -157,14 +162,19 @@ _TAYLOR = ((8, 0.0699), (12, 0.3352), (16, 0.8245), (20, 1.504))
 # sum by more than 2^52, which leaves no correct digit
 _NORM_MAX = 2.0 ** 52 * _TAYLOR[-1][1]
 
-# entries per chunk of a batch, so that the dozen arrays of a chunk's
-# products and sums stay in a core's cache: on a Xeon with 2 MiB of L2,
-# chunks of 2^14 to 2^16 entries made a step up to a fifth slower
+# entries per chunk of a batch, so that a chunk's arrays stay in a
+# core's cache: on a Xeon with 2 MiB of L2 per core, chunks of 2^12
+# entries made whole steps 4-30% slower at sides 2 to 8, and 2^14 moved
+# them by -18% to +8%, within the run-to-run spread on most sides
 _CHUNK = 2 ** 13
 
-# complex sides whose products run faster as one float64 product: the
-# batched complex product costs about 0.4 us per matrix above side 1
-_REAL_SIDES = range(2, 6)
+# complex sides whose products run faster as one float64 product.  On
+# the same Xeon, per matrix at side 8, the batched complex product costs
+# 0.42 us, the float64 product 0.11 us and building the real form
+# 0.19 us; a chunk builds three real forms for six products.  Whole steps
+# at 10^4 samples took 0.84-0.88 of the complex time at sides 12 and 16,
+# and 0.95-0.97 at sides 20 to 32, which is within the spread
+_REAL_SIDES = range(2, 17)
 
 
 def expm(a):
@@ -177,18 +187,25 @@ def expm(a):
     root bounded by (||a^4||_1 ||a||_1)^(1/5), the largest over the
     chunk.  alpha is at most the 1-norm and near the spectral radius for
     the normal matrices of a Lie algebra, so the degree is never higher
-    than the 1-norm would give.  Complex matrices of side 2 to 5 are
-    multiplied as one float64 product (see `_mul`).
+    than the 1-norm would give.  Complex matrices of the sides in
+    _REAL_SIDES are multiplied as one float64 product (see `_mul`).
 
     Raises ValueError for a 1-norm above 2^52 * 1.504, or one that is not
     finite, where the squarings would leave no correct digit.
     """
     a = np.ascontiguousarray(a)
+    step = _chunk_len(a.shape[-1])
+    if len(a) <= step:
+        return _expm_chunk(a)
     out = np.empty_like(a)
-    step = max(1, _CHUNK // a.shape[-1] ** 2)
     for i in range(0, len(a), step):
         out[i:i + step] = _expm_chunk(a[i:i + step])
     return out
+
+
+def _chunk_len(n):
+    """Matrices of side n per chunk."""
+    return max(1, _CHUNK // n ** 2)
 
 
 def _norm1(a):
@@ -237,8 +254,9 @@ def _right_factor(y):
     return yr.reshape(y.shape[:-2] + (2 * n, 2 * n))
 
 
-def _mul(x, yr):
-    """x @ y over a batch, for yr = _right_factor(y).
+def _mul(x, yr, out=None):
+    """x @ y over a batch, for yr = _right_factor(y), into `out` if given
+    (which may be x).
 
     A real form yr takes the interleaved float64 view of x, whose row k
     times yr is row k of x @ y as (re, im) pairs: the same sums of
@@ -246,74 +264,130 @@ def _mul(x, yr):
     call costs more on small sides.
     """
     if yr.dtype == x.dtype:
-        return x @ yr
-    return np.matmul(x.view(np.float64), yr).view(np.complex128)
+        return np.matmul(x, yr, out=out)
+    if out is None:
+        out = np.empty_like(x)
+    np.matmul(x.view(np.float64), yr, out=out.view(np.float64))
+    return out
 
 
 def _expm_chunk(a):
-    """Paterson-Stockmeyer in powers of a^4, summed in place: at most
-    seven batched products before the squarings, and no solve.  The
-    scaling by 2^-s is folded into the coefficients and a^4, exact in
-    binary.
+    """Paterson-Stockmeyer in powers of a^4: three batched products for
+    a^2, a^3 and a^4, one coefficient product for all the blocks,
+    m/4 - 1 Horner products, and no solve.  The scaling by 2^-s is
+    folded into the coefficients and a^4, exact in binary.
     """
     norm = _norm1(a)
     if not norm.max() <= _NORM_MAX:
         raise ValueError("a matrix exponent of 1-norm %.3g is past %.3g, "
                          "where the squarings leave no correct digit"
                          % (norm.max(), _NORM_MAX))
+    # p holds a, a^2, a^3 and a^4, each product reusing the real form of a
+    p = np.empty((4,) + a.shape, a.dtype)
+    p[0] = a
     ar = _right_factor(a)
-    a2 = _mul(a, ar)
-    a3 = _mul(a2, ar)
-    a4 = _mul(a2, _right_factor(a2))
-    m, s = _degree(norm, a3, a4)
+    for i in (1, 2, 3):
+        _mul(p[i - 1], ar, out=p[i])
+    m, s = _degree(norm, p[2], p[3])
     if s:
-        a4 *= 2.0 ** (-4 * s)
-    a4r = _right_factor(a4)
-    r = a4 * (1.0 / math.factorial(m))
-    for j in range(m // 4 - 1, -1, -1):
-        if j < m // 4 - 1:
-            r = _mul(r, a4r)
-        for i, x in enumerate((a, a2, a3), start=1):
-            r += x * (2.0 ** (-s * i) / math.factorial(4 * j + i))
-        # r is C-contiguous, so the reshape is a view of its diagonals
-        r.reshape(len(r), -1)[:, ::a.shape[-1] + 1] += \
-            1.0 / math.factorial(4 * j)
+        p[3] *= 2.0 ** (-4 * s)
+    coef = _taylor_blocks(m, s)
+    k = len(coef)
+    blocks = (coef @ p.view(np.float64).reshape(4, -1)).view(
+        a.dtype).reshape((k,) + a.shape)
+    r = blocks[k - 1]
+    a4r = _right_factor(p[3])
+    for j in range(k - 2, -1, -1):
+        r = _mul(r, a4r)
+        r += blocks[j]
+    # r is C-contiguous, so the reshape is a view of its diagonals
+    r.reshape(len(r), -1)[:, ::a.shape[-1] + 1] += 1.0
     for _ in range(s):
         r = _mul(r, _right_factor(r))
     return r
 
 
-def _gaussian_lie(rng, N, field, samples):
-    """Standard Gaussian elements of the Lie algebra, sampled entrywise.
+@functools.lru_cache(maxsize=None)
+def _taylor_blocks(m, s):
+    """Coefficients that take a, a^2, a^3 and b^4 to the m/4
+    Paterson-Stockmeyer blocks of degree m for b = 2^-s a.
 
-    The law equals sum_k g_k H_k over the orthonormal basis, but costs
-    O(N^2) per sample instead of the O(N^4) basis contraction.  H
-    elements come as their complex embedding, of side 2N.
+    Block j is sum_i b^i / (4j+i)! for i = 1..4.  Its b^4 term is the
+    identity term of block j+1 times b^4, or b^m / m! in the top block,
+    so Horner's rule on the blocks lacks only the identity of block 0.
     """
-    if field == "R":
-        g = rng.standard_normal((samples, N, N))
-        return (g - np.swapaxes(g, -1, -2)) / math.sqrt(2 * N)
-    if field == "C":
-        # (z - z^*) / (2 sqrt N) for z = x + iy, bit for bit, built part
-        # by part without complex temporaries
-        x = rng.standard_normal((samples, N, N))
-        y = rng.standard_normal((samples, N, N))
-        z = np.empty((samples, N, N), dtype=complex)
-        np.subtract(x, np.swapaxes(x, -1, -2), out=z.real)
-        np.add(y, np.swapaxes(y, -1, -2), out=z.imag)
-        z *= 1.0 / (2.0 * math.sqrt(N))
-        return z
-    q = rng.standard_normal((samples, N, N, 4))
-    qt = np.swapaxes(q, 1, 2)
-    a = 1.0 / (2.0 * math.sqrt(2.0 * N))
-    x = np.empty_like(q)
-    # real unit antisymmetric, imaginary units symmetric
-    x[..., 0] = (q[..., 0] - qt[..., 0]) * a
-    x[..., 1:] = (q[..., 1:] + qt[..., 1:]) * a
-    idx = np.arange(N)
-    x[:, idx, idx, 0] = 0.0
-    x[:, idx, idx, 1:] = q[:, idx, idx, 1:] / math.sqrt(2.0 * N)
-    return quat_embed(x)
+    coef = np.array([[2.0 ** (-s * i) / math.factorial(4 * j + i)
+                      for i in (1, 2, 3)] + [1.0 / math.factorial(4 * j + 4)]
+                     for j in range(m // 4)])
+    coef.setflags(write=False)
+    return coef
+
+
+@functools.lru_cache(maxsize=None)
+def _lie_layout(N, field):
+    """Where the coordinates of a Gaussian Lie element go.
+
+    Returns (dim, idx, w): the float64 view of sum_k g_k H_k over the
+    orthonormal basis of `lie_basis`, flattened, is g[idx] * w, one
+    coordinate g_k or 0 per float.  Off-diagonal entries have weight
+    1/sqrt(beta N) per real coordinate, with X_ji = -conj(X_ij); the
+    diagonal is imaginary, of weight sqrt(2/(beta N)).
+    """
+    beta = BETA[field]
+    iu, ju = np.triu_indices(N, 1)
+    pairs = len(iu) * beta
+    idx = np.zeros((N, N, beta), dtype=np.intp)
+    w = np.zeros((N, N, beta))
+    idx[iu, ju] = idx[ju, iu] = np.arange(pairs).reshape(-1, beta)
+    w[iu, ju] = w[ju, iu] = 1.0 / math.sqrt(beta * N)
+    w[ju, iu, 0] *= -1.0
+    d = np.arange(N)
+    idx[d, d, 1:] = pairs + np.arange(N * (beta - 1)).reshape(N, -1)
+    w[d, d, 1:] = math.sqrt(2.0 / (beta * N))
+    if field == "H":
+        # carry each float's component, with its sign, through the
+        # embedding: code c + 1 marks component c of the (N, N, 4) array
+        code = quat_embed(np.arange(1.0, 4 * N * N + 1).reshape(N, N, 4))
+        code = code.view(np.float64).ravel()
+        comp = np.abs(code).astype(np.intp) - 1
+        idx, w = idx.ravel()[comp], np.sign(code) * w.ravel()[comp]
+    idx, w = idx.ravel(), w.ravel()
+    for x in (idx, w):
+        x.setflags(write=False)
+    return pairs + N * (beta - 1), idx, w
+
+
+def _gaussian_lie(rng, N, field, samples, scale=1.0):
+    """Gaussian elements of the Lie algebra, sum_k g_k H_k over the
+    orthonormal basis times `scale`, from one normal g_k per real degree
+    of freedom.  H elements come as their complex embedding, of side 2N.
+    """
+    dim, idx, w = _lie_layout(N, field)
+    n = _side(field, N)
+    dtype = float if field == "R" else complex
+    if not dim:
+        return np.zeros((samples, n, n), dtype=dtype)
+    out = np.empty((samples, n, n), dtype=dtype)
+    flat = out.view(np.float64).reshape(samples, -1)
+    np.take(rng.standard_normal((samples, dim)), idx, axis=1, out=flat)
+    flat *= w * scale
+    return out
+
+
+def _step_count(t, steps):
+    """The steps of a sampling run to time t, `steps` or by default
+    DEFAULT_STEPS_PER_UNIT_TIME * t rounded, at least one."""
+    if not t >= 0:
+        raise ValueError("negative time" if t < 0 else "time is not a number")
+    if steps is None:
+        # rounded only below the bound, as 200 t may overflow to inf
+        steps = max(1.0, DEFAULT_STEPS_PER_UNIT_TIME * t)
+    if steps < 1:
+        raise ValueError("need at least one step")
+    if steps > MAX_STEPS:
+        raise ValueError("t = %g takes %.7g steps, more than the %d allowed"
+                         % (t, steps, MAX_STEPS))
+    return int(round(steps))
 
 
 def sample_terminals(N, field, t, samples, steps=None, seed=0):
@@ -324,36 +398,56 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
     `steps`, takes DEFAULT_STEPS_PER_UNIT_TIME * t steps, rounded, at
     least one.  Raises ValueError past MAX_STEPS steps.
     """
+    return _terminals(N, field, [t], samples, steps, seed)[0]
+
+
+def _terminals(N, field, times, samples, steps, seed):
+    """`sample_terminals` at each of `times`, as a list.
+
+    Times whose runs have the same float step t/steps share one family
+    of paths, read off at each one's step count: the draws depend only
+    on the seed and the step, so each terminal is bit for bit what its
+    own run gives.
+    """
     _check_field(field)
-    if t < 0:
-        raise ValueError("negative time")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if steps is None:
-        # rounded only below the bound, as 200 t may overflow to inf
-        steps = max(1.0, DEFAULT_STEPS_PER_UNIT_TIME * t)
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if steps > MAX_STEPS:
-        raise ValueError("t = %g takes %.7g steps, more than the %d allowed"
-                         % (t, steps, MAX_STEPS))
-    steps = int(round(steps))
+    runs = [(t / k, k) for t, k in zip(
+        times, [_step_count(t, steps) for t in times])]
+    paths = {dt: _walk(N, field, dt, {k for d, k in runs if d == dt},
+                       samples, seed) for dt in {d for d, _ in runs}}
+    return [paths[dt][k] for dt, k in runs]
+
+
+def _walk(N, field, dt, stops, samples, seed):
+    """Paths of step dt from the identity, as a map from each step count
+    in `stops` to the paths after that many steps.
+
+    A step draws and exponentiates one chunk of increments at a time and
+    multiplies it into its rows of u in place, so that no batch-sized
+    temporary lives beside u.
+    """
     rng = np.random.default_rng(seed)
     n = _side(field, N)
-    dt = float if field == "R" else complex
-    u = np.broadcast_to(np.eye(n, dtype=dt), (samples, n, n)).copy()
-    if t > 0:
-        scale = math.sqrt(t / steps)
-        for _ in range(steps):
-            incr = _gaussian_lie(rng, N, field, samples)
-            incr *= scale
-            try:
-                e = expm(incr)
-            except ValueError as exc:
-                raise ValueError("step size t/steps = %g is too large: %s"
-                                 % (t / steps, exc)) from None
-            u = _mul(u, _right_factor(e))
-    return u
+    u = np.broadcast_to(np.eye(n, dtype=float if field == "R" else complex),
+                        (samples, n, n)).copy()
+    chunk = _chunk_len(n)
+    scale = math.sqrt(dt)
+    last = max(stops)
+    out = {}
+    for k in range(1, last + 1):
+        if dt > 0:
+            for i in range(0, samples, chunk):
+                uc = u[i:i + chunk]
+                try:
+                    e = expm(_gaussian_lie(rng, N, field, len(uc), scale))
+                except ValueError as exc:
+                    raise ValueError("step size t/steps = %g is too large: %s"
+                                     % (dt, exc)) from None
+                _mul(uc, _right_factor(e), out=uc)
+        if k in stops:
+            out[k] = u if k == last else u.copy()
+    return out
 
 
 def unitarity_defect(u, field):
@@ -377,27 +471,46 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
     for H the evaluator conjugates the transposed block itself, and R
     needs no conjugate.
     """
+    return estimate_stats(b, word, field, df, [t], samples, seed, steps)[0]
+
+
+def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
+    """`estimate_stat` at each t of `times`, as a list of (mean, stderr).
+
+    A letter's paths are sampled once for all the times whose runs have
+    the same float step t/steps, as the default steps give t = 0.5 and
+    t = 1, and read off at each one's step count: each pair is bit for
+    bit what its own `estimate_stat` call gives.
+    """
     _check_field(field)
     if samples < 2:
         raise ValueError("a standard error needs samples >= 2")
     n = total_dim(df)
     letters = sorted({l.letter for l in word})
-    times = {l: (t[l] if isinstance(t, dict) else float(t))
-             for l in letters}
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(letters))
-    pools = {}
+    children = np.random.SeedSequence(seed).spawn(len(letters))
+    pools = [{} for _ in times]
     for letter, child in zip(letters, children):
-        pools[letter] = sample_terminals(
-            n, field, times[letter], samples, steps, child)
+        at = [t[letter] if isinstance(t, dict) else float(t) for t in times]
+        # one time is one sample_terminals call, which profiles and
+        # traces of the sampler then show by name
+        us = _terminals(n, field, at, samples, steps, child) if len(at) > 1 \
+            else [sample_terminals(n, field, at[0], samples, steps, child)]
+        for pool, u in zip(pools, us):
+            pool[letter] = u
+    return [_mean_stderr(b, word, field, df, pool) for pool in pools]
+
+
+def _mean_stderr(b, word, field, df, pool):
+    """Mean and standard error of the statistic on the terminals of each
+    letter in `pool`."""
     if field == "C":
-        barred = {c: np.conj(pools[c])
+        barred = {c: np.conj(pool[c])
                   for c in {l.letter for l in word if l.bar}}
     else:
-        barred = pools
-    mats = [barred[l.letter] if l.bar else pools[l.letter] for l in word]
+        barred = pool
+    mats = [barred[l.letter] if l.bar else pool[l.letter] for l in word]
     # samplewise statistics are complex; their expectation is real
     values = np.real(m_stat(b, mats, df, field))
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
+    stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
     return mean, stderr

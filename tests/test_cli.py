@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import mfe
+from mfe.brauer import encode_word, square_df
 from mfe.cli import (
     main,
     parse_partition,
@@ -177,6 +178,30 @@ class TestCompare:
                        "--word", "u11", "--t", "1", "--samples", "200",
                        "--steps", "30", "--check", "--bound", "1e-9")
         assert rc == 1
+
+    @pytest.mark.parametrize("steps,passes", [
+        ([], 200), (["--steps", "10"], 20)])
+    def test_sampling_passes(self, capsys, monkeypatch, steps, passes):
+        # by default t = 0.5 and t = 1 both step 1/200, so one 200-step
+        # pass per letter serves both; an explicit --steps gives each t
+        # its own step and its own pass.  Either way each row is what
+        # its own estimate_stat call gives, bit for bit.
+        from mfe import rmt
+        draws = []
+        gaussian_lie = rmt._gaussian_lie
+        monkeypatch.setattr(rmt, "_gaussian_lie",
+                            lambda *a: draws.append(a) or gaussian_lie(*a))
+        argv = ["--field", "C", "--d", "2", "--word", "u11 u11*",
+                "--samples", "20", "--seed", "5", *steps]
+        rc, out, _ = run(capsys, "compare", *argv, "--t", "0.5", "--t", "1")
+        b, w = encode_word(parse_word("u11 u11*"))
+        letters = len({l.letter for l in w})
+        assert rc == 0 and len(draws) == passes * letters
+        monkeypatch.setattr(rmt, "_gaussian_lie", gaussian_lie)
+        for row in json.loads(out)["rows"]:
+            assert (row["mc_mean"], row["mc_stderr"]) == rmt.estimate_stat(
+                b, w, "C", square_df(1, 2), row["t"], 20, seed=5,
+                steps=int(steps[1]) if steps else None)
 
     def test_without_check_reports_only(self, capsys):
         rc, out, _ = run(capsys, "compare", "--field", "R", "--d", "2",

@@ -32,8 +32,8 @@ from mfe.rmt import (
     sample_terminals,
     unitarity_defect,
 )
-from mfe.rmt import _CHUNK, _TAYLOR, _degree, _gaussian_lie, _mul, \
-    _norm1, _right_factor
+from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
+    _gaussian_lie, _mul, _norm1, _right_factor
 
 
 def quaternionic_defect(u):
@@ -93,8 +93,17 @@ class TestCasimir:
 
 
 def lie_batch(field, N, samples, scale, seed=0):
-    a = _gaussian_lie(np.random.default_rng(seed), N, field, samples)
-    return a * scale
+    return _gaussian_lie(np.random.default_rng(seed), N, field, samples,
+                         scale)
+
+
+def lie_coordinates(basis, x):
+    """Coordinates <H_k, X>_N = (beta N / 2) Re Tr(H_k* X) of a batch of
+    Lie elements in an orthonormal basis, shape (samples, len(basis));
+    the quaternion trace is half the complex one, as in inner_product."""
+    h = np.array(basis.elements).reshape((len(basis),) + x.shape[1:])
+    c = BETA[basis.field] * basis.N / (4.0 if basis.field == "H" else 2.0)
+    return c * np.real(np.einsum("kij,sij->sk", np.conj(h), x))
 
 
 def powers(a):
@@ -207,8 +216,14 @@ class TestExpm:
 
 class TestDegree:
     def test_simulate_default_step(self):
-        # C, N=8 at 200 steps per unit time
-        a = lie_batch("C", 8, 500, math.sqrt(1 / 200), seed=1)
+        # C, N=8 at 200 steps per unit time: the chunk, as expm cuts the
+        # batch, that holds the largest 1-norm of 20000 draws, a tail
+        # draw past theta_12 that the 1-norm test alone would take to
+        # degree 16
+        a = lie_batch("C", 8, 20000, math.sqrt(1 / 200), seed=1)
+        step = _chunk_len(8)
+        i = int(_norm1(a).argmax()) // step * step
+        a = a[i:i + step]
         assert _degree(*powers(a)) == (12, 0)
         assert norm_degree(_norm1(a)) == (16, 0)
 
@@ -233,25 +248,86 @@ class TestDegree:
             assert m <= m1 and s <= s1, (field, n, scale, (m, s), (m1, s1))
 
 
+def complex_batches(n, samples=300):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((2, samples, n, n)) + \
+        1j * rng.standard_normal((2, samples, n, n))
+
+
+def assert_product(got, a, b):
+    """got is a @ b up to the rounding of sums of products added in
+    another order."""
+    bound = 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+    assert got.dtype == np.complex128 and got.shape == a.shape
+    assert (np.abs(got - a @ b) <= bound).all()
+
+
+# every side with a real form, and one past each end of the range
+PRODUCT_SIDES = sorted({1, *_REAL_SIDES, _REAL_SIDES[-1] + 1})
+
+
 class TestSmallProduct:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", PRODUCT_SIDES)
     def test_matches_matmul(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal(
-            (300, n, n))
-        b = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal(
-            (300, n, n))
-        got = _mul(a, _right_factor(b))
-        assert got.dtype == np.complex128 and got.shape == a.shape
-        # the same sums of products, added in another order
-        bound = 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
-        assert (np.abs(got - a @ b) <= bound).all()
+        a, b = complex_batches(n)
+        assert_product(_mul(a, _right_factor(b)), a, b)
+        assert (_right_factor(b) is b) == (n not in _REAL_SIDES)
+
+    @pytest.mark.parametrize("n", PRODUCT_SIDES)
+    def test_out(self, n):
+        # into a given array, and in place into x, as the sampler
+        # multiplies its paths
+        a, b = complex_batches(n)
+        out = np.empty_like(a)
+        assert _mul(a, _right_factor(b), out=out) is out
+        assert_product(out, a, b)
+        x = a.copy()
+        assert _mul(x, _right_factor(b), out=x) is x
+        assert_product(x, a, b)
 
     def test_real_batches_use_matmul(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((2, 50, 3, 3))
         assert _right_factor(b) is b
         assert np.array_equal(_mul(a, b), a @ b)
+        want = a @ b
+        assert _mul(a, b, out=a) is a
+        assert np.array_equal(a, want)
+
+
+class TestGaussianLie:
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_one_normal_per_degree_of_freedom(self, field, N):
+        # the generator moves on by exactly dim g normals per sample,
+        # and the coordinates of the draws in lie_basis are those
+        # normals, in the basis order
+        basis = lie_basis(N, field)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        x = _gaussian_lie(rng, N, field, 7, 0.5)
+        g = twin.standard_normal((7, len(basis)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        coords = lie_coordinates(basis, x)
+        assert np.abs(coords - 0.5 * g).max(initial=0.0) <= 1e-15
+        assert np.abs(x + np.conj(np.swapaxes(x, -1, -2))).max() == 0.0
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_identity_covariance(self, field):
+        # 20000 draws: each entry of the sample mean and covariance has a
+        # standard deviation of at most sqrt(2 / 20000) = 0.01; the
+        # tolerance is six of those
+        basis = lie_basis(3, field)
+        coords = lie_coordinates(
+            basis, _gaussian_lie(np.random.default_rng(11), 3, field, 20000))
+        cov = coords.T @ coords / len(coords)
+        assert np.abs(coords.mean(axis=0)).max() <= 0.06
+        assert np.abs(cov - np.eye(len(basis))).max() <= 0.06
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_quaternion_draws_are_quaternionic(self, N):
+        x = _gaussian_lie(np.random.default_rng(N), N, "H", 50, 0.3)
+        assert x.shape == (50, 2 * N, 2 * N)
+        assert max(quaternionic_defect(m) for m in x) == 0.0
 
 
 class TestSampling:
@@ -269,6 +345,8 @@ class TestSampling:
             sample_terminals(4, "C", 1.0, 1, steps=0)
         with pytest.raises(ValueError):
             sample_terminals(4, "C", 1.0, 0)
+        with pytest.raises(ValueError, match="not a number"):
+            sample_terminals(4, "C", math.nan, 1)
 
     @pytest.mark.parametrize("t,steps", [
         (1e6, None), (1e300, None), (1.0, MAX_STEPS + 1)])
