@@ -79,7 +79,9 @@ def admissible_moves(b, word, df, fclass, creating_only=False):
 class GeneratorMatrix:
     """Generator as sparse rows of exact rationals over an ordered basis.
 
-    rows[i][j] is the coefficient of basis[j] in L(basis[i]).
+    rows[i][j] is the coefficient of basis[j] in L(basis[i]); from the
+    builders, basis[j] stands for its orbit's state, and index finds a
+    diagram only where it holds a state.
     """
 
     def __init__(self, basis, word, rows):
@@ -179,16 +181,68 @@ def _cycle_walk(st, k, class_pos, nclasses):
     return code, tuple(exps)
 
 
+def _orbit_code(st, k, kinds, m):
+    """Key of the flat state st up to the slot permutations that keep
+    each slot's kind, kinds[s] = its (letter, bar) class.
+
+    A cycle of b v 1 is read as the cyclic sequence of its slot visits,
+    each visit one int of (kind, entered at bottom or top, colour in,
+    colour out) with colours below m; its code is the least rotation of
+    the sequence or of its reversal, which flips every visit.  The key
+    is the sorted tuple of the cycle codes: equal keys are exactly the
+    states that a kind-preserving slot permutation maps onto each other.
+    """
+    k2 = 2 * k
+    seen = [False] * k
+    codes = []
+    for s in range(k):
+        if seen[s]:
+            continue
+        fwd, rev = [], []
+        x = s
+        while True:
+            if x < k:
+                slot, out, d = x, x + k, 0
+            else:
+                slot, out, d = x - k, x - k, 1
+            seen[slot] = True
+            a, b = st[k2 + x], st[k2 + out]
+            fwd.append(((2 * kinds[slot] + d) * m + a) * m + b)
+            rev.append(((2 * kinds[slot] + 1 - d) * m + b) * m + a)
+            x = st[out]
+            if x == s:
+                break
+        rev.reverse()
+        lo = min(min(fwd), min(rev))
+        codes.append(min(tuple(c[i:] + c[:i])
+                         for c in (fwd, rev)
+                         for i in range(len(c)) if c[i] == lo))
+    codes.sort()
+    return tuple(codes)
+
+
 def _sweep(states, word, df, fclass, rates, creating_only=False,
-           weights=None, join=None):
+           weights=None, join=None, lump=False):
     """The closure-and-generator pass behind every exact route.
 
     Walks `states` in order and applies each admissible move to each
     state once; a new product is appended, so the walk is the
-    breadth-first closure of the given states in discovery order, and
-    passing BASIS_BOUND states is an error.  Each given state is checked
-    valid under df once; products of valid states glued on equal colours
-    stay valid, so the states found are not re-checked.
+    breadth-first closure of the given states in discovery order.
+    Meeting more than BASIS_BOUND distinct diagrams, given or produced,
+    is an error: each lies in the reachable basis.  Each given state is
+    checked valid under df once; products of valid states glued on equal
+    colours stay valid, so the states found are not re-checked.
+
+    With lump, a state is an orbit of diagrams under the slot
+    permutations that keep each slot's letter and bar (_orbit_code).
+    These commute with the tensor power of the motion, so the diagrams
+    of an orbit share one trace, and their statistics differ only by
+    the normalisation prod_cls base^fnc.  The first diagram met in an
+    orbit represents it: its row is summed by target orbit, and each
+    entry takes the fnc of the target's representative, which makes the
+    lumped rows exact for any representative.  Every given state keeps
+    its own state, and a product equal to a given state lands on it;
+    the orbit code is computed once per other distinct product.
 
     A state is held as its flat tuple: the partners of the 2k points,
     top point i' at k + i - 1, then their colours.  A move is a local
@@ -231,6 +285,15 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     index = {key: n for n, key in enumerate(
         flats if join is None else zip(flats, labels))}
     fncs = [_cycle_walk(st, k, class_pos, len(bases))[1] for st in flats]
+    orbits = index
+    if lump:
+        kind = {}
+        kinds = [kind.setdefault((l.letter, l.bar), len(kind))
+                 for l in word.letters]
+        ncol = df.n + 1
+        orbits = {}
+        for n, st in enumerate(flats):
+            orbits.setdefault(_orbit_code(st, k, kinds, ncol), n)
     values = {}
     rows = []
     i = 0
@@ -272,21 +335,26 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                 key = (nxt, lab)
             j = index.get(key)
             if j is None:
-                if len(states) >= BASIS_BOUND:
+                if len(index) >= BASIS_BOUND:
                     raise ValueError(
                         "reachable basis exceeds %d" % BASIS_BOUND)
-                j = index[key] = len(states)
-                flats.append(nxt)
-                fncs.append(_cycle_walk(nxt, k, class_pos, len(bases))[1])
-                d = ColouredBrauerDiagram(
-                    Pairing(k, [(x + 1, y + 1)
-                                for x, y in enumerate(nxt[:k2]) if x < y]),
-                    nxt[k2:])
-                if join is None:
-                    states.append(d)
-                else:
-                    labels.append(lab)
-                    states.append((d, lab))
+                okey = _orbit_code(nxt, k, kinds, ncol) if lump else key
+                j = orbits.get(okey)
+                if j is None:
+                    j = orbits[okey] = len(states)
+                    flats.append(nxt)
+                    fncs.append(
+                        _cycle_walk(nxt, k, class_pos, len(bases))[1])
+                    d = ColouredBrauerDiagram(
+                        Pairing(k, [(x + 1, y + 1) for x, y in
+                                    enumerate(nxt[:k2]) if x < y]),
+                        nxt[k2:])
+                    if join is None:
+                        states.append(d)
+                    else:
+                        labels.append(lab)
+                        states.append((d, lab))
+                index[key] = j
             vkey = (fncs[j], fi, loop, si, tau)
             val = values.get(vkey)
             if val is None:
@@ -312,13 +380,18 @@ def reachable_basis(seed, word, df, fclass):
 def build_generator_finite(states, word, df, field, weights=None):
     """Finite-dimension generator on the closure of the given states
     under every admissible move, the given states first; exact rationals.
+    Its states are orbits under the slot permutations that keep each
+    slot's letter and bar, each held by its first diagram met, and each
+    given state is a state of its own (see _sweep).
 
     Entry for a move r at slots (i, j):
       sign(r) * t_letter * (1/base_N) * prod_cls base_cls^(loops + dfnc)
-    with base = dims (R, C) or -2 dims (H), base_N the matching total.
+    with base = dims (R, C) or -2 dims (H), base_N the matching total,
+    summed over the moves into one orbit.
     """
     states, rows = _sweep(list(states), word, df, field_class(field),
-                          _finite_rates(df, field), weights=weights)
+                          _finite_rates(df, field), weights=weights,
+                          lump=True)
     return GeneratorMatrix(states, word, rows)
 
 
@@ -332,13 +405,15 @@ def build_generator_limit(states, word, ratios, fclass="real",
     The limit generator has no other moves, so a seed's row orbit never
     leaves this closure: it has Catalan rather than factorial size in
     the word length, and the limit moment on it is the one on the full
-    reachable basis.  Built identically for the limits of the real and
+    reachable basis.  Its states are orbits of diagrams, as in
+    build_generator_finite: the closure of u11^k has one per partition
+    of k.  Built identically for the limits of the real and
     quaternionic processes; the complex variant differs only through the
     word filters.
     """
     states, rows = _sweep(list(states), word, ratios, fclass,
                           _limit_rates(ratios), creating_only=True,
-                          weights=weights)
+                          weights=weights, lump=True)
     return GeneratorMatrix(states, word, rows)
 
 

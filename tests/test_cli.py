@@ -300,19 +300,30 @@ class TestEdgeInputs:
           "--word", "u11", "--t", "1e300"], "more than the 1000000 allowed"),
         (["compare", "--d", "2", "--samples", "3", "--field", "C",
           "--word", "u11", "--t", "1e6"], "more than the 1000000 allowed"),
+        (["moment", "--limit", "--t", "1", "--word", " ".join(["u11"] * 40)],
+         "reachable basis exceeds 20000"),
     ], ids=["ratio-1/0", "ratio-3/0", "cumulant-p13", "cumulant-word13",
-            "simulate-t1e300", "compare-t1e6"])
+            "simulate-t1e300", "compare-t1e6", "limit-u11^40"])
     def test_fails_fast(self, capsys, argv, msg):
         rc, out, err = run(capsys, *argv)
         assert_one_line_error(rc, out, err)
         assert msg in err
 
     def test_limit_basis_bound_exits_2(self, capsys):
-        # the creating closure of u11^11 passes BASIS_BOUND states
+        # the creating closure of u12 u23 ... u14,1 passes BASIS_BOUND
+        # orbits, and with them distinct diagrams
+        word = " ".join("u[%d,%d]" % (i, i % 14 + 1) for i in range(1, 15))
         rc, out, err = run(capsys, "moment", "--limit", "--t", "1",
-                           "--word", " ".join(["u11"] * 11))
+                           "--word", word)
         assert (rc, out, err) == \
             (2, "", "error: reachable basis exceeds 20000\n")
+
+    def test_limit_u11_power_11_closes(self, capsys):
+        # its creating closure has 58,786 diagrams but 56 orbits
+        rc, out, err = run(capsys, "moment", "--limit", "--t", "1",
+                           "--word", " ".join(["u11"] * 11))
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["rate"] == "-11/2"
 
     def test_limit_moment_at_huge_t(self, capsys):
         argv = ["moment", "--limit", "--word", "u11 u11 u11", "--t", "1e300"]

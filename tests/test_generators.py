@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from mfe.brauer import (
     Word,
     WordLetter,
     compose,
+    cycle_partition,
     encode_word,
     fnc,
     identity_diagram,
@@ -21,6 +23,7 @@ from mfe.brauer import (
 )
 from mfe.evaltrace import materialize_rho, total_dim
 from mfe.generators import (
+    _orbit_code,
     _ratio_factor,
     admissible_moves,
     build_generator_finite,
@@ -36,6 +39,7 @@ from mfe.generators import (
     slot_allows,
     square_ratios,
 )
+from mfe.moments import solve_semigroup_row
 from mfe.ncpart import partition_join
 from mfe.opvalued import _coefficient_walk, _discrete, _pair_partition
 
@@ -194,21 +198,43 @@ class TestClosure:
         with pytest.raises(ValueError, match="exceeds 2"):
             reachable_basis(b, w, square_df(1), "real")
 
+    def test_bound_counts_the_diagrams_met(self, monkeypatch):
+        # u11^40 has 37,338 orbits, one per partition of 40, but each
+        # distinct product costs an orbit code before its orbit is known:
+        # the bound caps those, so the walk stops after as many codes
+        codes = []
+
+        def counted(*args):
+            codes.append(args)
+            return _orbit_code(*args)
+        monkeypatch.setattr("mfe.generators._orbit_code", counted)
+        monkeypatch.setattr("mfe.generators.BASIS_BOUND", 500)
+        seed, word = encode_word([(1, 1, False)] * 40)
+        with pytest.raises(ValueError, match="exceeds 500"):
+            build_generator_limit([seed], word, square_ratios(1), "complex")
+        # one code per given state, then one per product met
+        assert len(codes) == 500
+
     def test_partial_states_are_closed_given_states_first(self):
         seed, word = encode_word([(1, 2, False), (2, 1, False),
                                   (1, 1, False)])
         df = square_df(2, 2)
-        full = build_generator_finite([seed], word, df, "R")
-        last = full.basis[-1]
-        gen = build_generator_finite([last, seed], word, df, "R")
-        assert gen.basis[:2] == [last, seed]
-        assert set(gen.basis) == set(full.basis)
-        for i, b in enumerate(gen.basis):
-            assert {gen.basis[j]: v for j, v in gen.rows[i].items()} == \
-                {full.basis[j]: v
-                 for j, v in full.rows[full.index(b)].items()}
+        basis = reachable_basis(seed, word, df, "real")
+        ref = (basis, build_generator_finite(basis, word, df, "R").rows)
+        orbit = slot_orbits(word)
+        last = basis[-1]
+        # a given state keeps its own state, also beside an orbit mate
+        mate = next(b for b in basis[1:] if orbit(b) == orbit(seed))
+        for given in ([last, seed], [seed, mate, last]):
+            gen = build_generator_finite(given, word, df, "R")
+            held = assert_lumped(gen, given, ref, word, df, class_bases(df))
+            assert held == {orbit(b) for b in basis}
+            assert gen.size == len(held) + len(given) - len(
+                {orbit(b) for b in given})
         alone = build_generator_finite([last], word, df, "R")
-        assert alone.basis == reachable_basis(last, word, df, "real")
+        held = assert_lumped(alone, [last], ref, word, df, class_bases(df))
+        assert held == {orbit(b)
+                        for b in reachable_basis(last, word, df, "real")}
 
 
 RECT_DF = DimensionFunction({1: 2, 2: 3})
@@ -247,6 +273,19 @@ def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
 
 
+def partition_count(k, most=None):
+    """Partitions of k into parts of at most `most`."""
+    most = k if most is None else most
+    if k == 0:
+        return 1
+    return sum(partition_count(k - m, m) for m in range(1, min(k, most) + 1))
+
+
+def cycle_type(b):
+    return tuple(sorted(len(blk) // 2
+                        for blk in cycle_partition(b.pairing).blocks))
+
+
 # (field, word, block dimension) with n read off the word
 ONE_PASS_CASES = [
     ("R", [(1, 1, False)] * 4, 3),
@@ -267,9 +306,11 @@ class TestOnePass:
         fclass = "complex" if field == "C" else "real"
         gen = build_generator_finite([seed], word, df, field)
         basis = reachable_basis(seed, word, df, fclass)
-        assert gen.basis == basis
-        assert gen.rows == build_generator_finite(basis, word, df,
-                                                  field).rows
+        full = build_generator_finite(basis, word, df, field)
+        assert full.basis == basis
+        held = assert_lumped(gen, [seed], (basis, full.rows), word, df,
+                             class_bases(df, field == "H"))
+        assert held == {slot_orbits(word)(b) for b in basis}
 
     def test_weights_and_word_length(self):
         seed, word = c2_seed()
@@ -284,13 +325,23 @@ class TestOnePass:
 
     def test_limit_closure_is_catalan(self):
         # u11^k admits taus only: all k! permutations are reachable,
-        # the creating taus close on the Catalan(k) non-crossing ones
+        # the creating taus close on the Catalan(k) non-crossing ones,
+        # and slot permutations lump those by cycle type, one state per
+        # partition of k
         ratios = square_ratios(1)
-        for k in range(1, 7):
+        for k in range(1, 13):
             seed, word = encode_word([(1, 1, False)] * k)
             gen = build_generator_limit([seed], word, ratios, "complex")
-            assert gen.size == catalan(k)
+            assert gen.size == partition_count(k)
+            assert len({cycle_type(b) for b in gen.basis}) == gen.size
             assert gen.basis[0] == seed
+            if k <= 6:
+                ref = composed_closure(
+                    [seed], word, ratios, "complex", Fraction(-1, 2),
+                    Fraction(1), False, creating_only=True)
+                assert len(ref[0]) == catalan(k)
+                assert_lumped(gen, [seed], ref, word, ratios,
+                              class_bases(ratios))
 
     def test_limit_rows_are_public_rows_on_the_closure(self):
         for tokens, n in (([(1, 1, False)] * 5, 1),
@@ -302,11 +353,8 @@ class TestOnePass:
             full = build_generator_limit(
                 reachable_basis(seed, word, ratios, "complex"), word,
                 ratios, "complex")
-            for i, b in enumerate(small.basis):
-                row = {full.basis[j]: v
-                       for j, v in full.rows[full.index(b)].items()}
-                assert row == {small.basis[j]: v
-                               for j, v in small.rows[i].items()}
+            assert_lumped(small, [seed], (full.basis, full.rows), word,
+                          ratios, class_bases(ratios))
 
 
 class TestDrifts:
@@ -677,6 +725,91 @@ def composed_closure(seeds, word, df, fclass, drift, scale, quat,
     return states, rows
 
 
+def slot_orbits(word):
+    """Orbit of a diagram under the slot permutations that keep each
+    slot's letter and bar, by brute force over all permutations: a
+    frozenset of diagrams, computed once per orbit."""
+    k = len(word)
+    perms = [p for p in itertools.permutations(range(k))
+             if all(word[s] == word[p[s]] for s in range(k))]
+    known = {}
+
+    def conjugate(b, p):
+        def move(x):
+            return p[x - 1] + 1 if x <= k else k + p[x - k - 1] + 1
+        cols = [0] * (2 * k)
+        for x in range(1, 2 * k + 1):
+            cols[move(x) - 1] = b.colour(x)
+        return ColouredBrauerDiagram(
+            Pairing(k, [(move(x), move(y)) for x, y in b.pairing.pairs]),
+            cols)
+
+    def orbit(b):
+        if b not in known:
+            members = frozenset(conjugate(b, p) for p in perms)
+            known.update(dict.fromkeys(members, members))
+        return known[b]
+    return orbit
+
+
+def class_bases(df, quat=False):
+    return [(cls, -2 * df.value(cls) if quat else df.value(cls))
+            for cls in df.classes()]
+
+
+def assert_lumped(gen, given, ref, word, df, bases, seen=None):
+    """gen is the lumped generator of the given states and ref = (states,
+    rows) an unlumped reference holding them.  Checks that gen keeps
+    each given state as its own state first and holds every other orbit
+    once, by its first member met; then, for every reference diagram x
+    whose orbit gen holds, that x's reference row summed by the state
+    each target lands on (itself if given, else its orbit's), each
+    target weighted by f_y / f_state = prod base^(fnc(state) - fnc(y)),
+    is f_x / f_state times the row of x's state.  Conjugate diagrams
+    share one trace, so that ratio is all that tells their statistics
+    apart.  seen collects "lumped" when an orbit has several reference
+    members and "rescaled" when a weight is not 1.  Returns the orbits
+    gen holds."""
+    orbit = slot_orbits(word)
+    assert gen.basis[:len(given)] == list(given)
+    held = {}
+    for j, b in enumerate(gen.basis):
+        if j >= len(given):
+            assert orbit(b) not in held
+        held.setdefault(orbit(b), j)
+    own = {b: j for j, b in enumerate(given)}
+    weights = {}
+
+    def land(y):
+        j = own[y] if y in own else held[orbit(y)]
+        if (y, j) not in weights:
+            w = Fraction(1)
+            for cls, base in bases:
+                w *= Fraction(base) ** (fnc(gen.basis[j], df, cls)
+                                        - fnc(y, df, cls))
+            weights[y, j] = w
+        return j, weights[y, j]
+
+    states, rows = ref
+    for x, row in zip(states, rows):
+        if orbit(x) not in held:
+            continue
+        i, wx = land(x)
+        want = {}
+        for y, v in row.items():
+            j, w = land(states[y])
+            want[j] = want.get(j, 0) + v * w
+        got = {j: wx * v for j, v in gen.rows[i].items()}
+        assert {j: v for j, v in want.items() if v} == \
+            {j: v for j, v in got.items() if v}
+    if seen is not None:
+        if len({orbit(x) for x in states}) < len(set(states)):
+            seen.add("lumped")
+        if any(w != 1 for w in weights.values()):
+            seen.add("rescaled")
+    return set(held)
+
+
 def random_word(rng, k):
     return Word(WordLetter(1 if rng.random() < 0.8 else 2,
                            rng.random() < 0.3) for _ in range(k))
@@ -700,7 +833,7 @@ class TestLocalMoves:
     def test_finite_equals_composed_closure(self, df):
         rng = random.Random(31)
         total = sum(int(v) for v in df.dims.values())
-        kinds = set()
+        kinds, seen = set(), set()
         for case in range(40):
             k = rng.randint(2, 6 - df.n)
             seed = random_valid_diagram(rng, k, df)
@@ -709,34 +842,58 @@ class TestLocalMoves:
             weights = {1: Fraction(3, 2), 2: Fraction(1, 3)} \
                 if case % 4 == 0 else None
             quat = field == "H"
-            gen = build_generator_finite([seed], word, df, field, weights)
-            assert_same_closure((gen.basis, gen.rows), composed_closure(
-                [seed], word, df, "complex" if field == "C" else "real",
-                casimir_drift(field, total),
+            fclass = "complex" if field == "C" else "real"
+            ref = composed_closure(
+                [seed], word, df, fclass, casimir_drift(field, total),
                 Fraction(1, -2 * total if quat else total), quat,
-                weights=weights, kinds=kinds))
+                weights=weights, kinds=kinds)
+            # unlumped: the sweep's own closure, and its rows with every
+            # state given
+            assert reachable_basis(seed, word, df, fclass) == ref[0]
+            full = build_generator_finite(ref[0], word, df, field, weights)
+            assert_same_closure((full.basis, full.rows), ref)
+            gen = build_generator_finite([seed], word, df, field, weights)
+            held = assert_lumped(gen, [seed], ref, word, df,
+                                 class_bases(df, quat), seen)
+            assert held == {slot_orbits(word)(b) for b in ref[0]}
         assert kinds >= {"tau on a paired i', j'", "tau rewire", "e loop",
                          "e merge"}
         if df is SHARED_CLASS_DF:
             assert "tau swap within a class" in kinds
+        assert "lumped" in seen
+        # a cycle through blocks of two dimension classes counts for the
+        # class at its least slot, which a slot permutation can change;
+        # with one class conjugate diagrams have equal fnc
+        if len(df.classes()) == 1:
+            assert "rescaled" not in seen
+        elif df is not SHARED_CLASS_DF:
+            assert "rescaled" in seen
 
     @pytest.mark.parametrize("fclass", ["real", "complex"])
     def test_limit_equals_composed_closure(self, fclass):
         rng = random.Random(32)
         ratios = DimensionFunction({1: Fraction(1, 4), 2: Fraction(3, 4)})
-        kinds = set()
+        kinds, seen = set(), set()
         for case in range(40):
             k = rng.randint(2, 5)
             seed = random_valid_diagram(rng, k, ratios)
             word = random_word(rng, k)
             weights = {1: Fraction(2), 2: Fraction(1, 5)} \
                 if case % 2 else None
-            gen = build_generator_limit([seed], word, ratios, fclass, weights)
-            assert_same_closure((gen.basis, gen.rows), composed_closure(
+            ref = composed_closure(
                 [seed], word, ratios, fclass, Fraction(-1, 2), Fraction(1),
-                False, creating_only=True, weights=weights, kinds=kinds))
+                False, creating_only=True, weights=weights, kinds=kinds)
+            # unlumped: the sweep's rows with every state given
+            full = build_generator_limit(ref[0], word, ratios, fclass,
+                                         weights)
+            assert_same_closure((full.basis, full.rows), ref)
+            gen = build_generator_limit([seed], word, ratios, fclass, weights)
+            held = assert_lumped(gen, [seed], ref, word, ratios,
+                                 class_bases(ratios), seen)
+            assert held == {slot_orbits(word)(b) for b in ref[0]}
         # tau on a paired i', j' leaves the pairing as it is: never creating
         assert kinds >= {"tau rewire", "e loop", "e merge"}
+        assert seen == {"lumped", "rescaled"}
 
     def test_coefficient_walk_equals_composed_closure(self):
         rng = random.Random(33)
@@ -755,3 +912,75 @@ class TestLocalMoves:
                     weights=weights,
                     join=lambda part, i, j: partition_join(
                         part, _pair_partition(k, i, j))))
+
+
+def random_encoded_word(rng, df, most):
+    """An encoded word of at most `most` letters over df's colours, with
+    stars and two letters, whose diagram is valid under df."""
+    while True:
+        k = rng.randint(1, most)
+        tokens = [(rng.randint(1, df.n), rng.randint(1, df.n),
+                   rng.random() < 0.3) for _ in range(k)]
+        seed, word = encode_word(
+            tokens, [1 if rng.random() < 0.7 else 2 for _ in range(k)])
+        if seed.is_valid(df):
+            return seed, word
+
+
+def seed_moment(gen):
+    return solve_semigroup_row(gen, 0, [delta_diag(b) for b in gen.basis])
+
+
+class TestLumping:
+    # the builders lump by the slot permutations that fix the word; the
+    # same builders given the whole closure keep every diagram, and are
+    # tied to the composed closure by TestLocalMoves
+    @pytest.mark.parametrize("df", [square_df(1, 3), square_df(2, 2),
+                                    DimensionFunction([2, 6]),
+                                    SHARED_CLASS_DF],
+                             ids=["1x3", "2x2", "2-6", "shared-class"])
+    def test_orbit_sums_and_moments(self, df):
+        rng = random.Random(34)
+        total = sum(df.dims.values())
+        ratios = DimensionFunction({c: v / total for c, v in df.dims.items()})
+        seen = set()
+        for case in range(24):
+            seed, word = random_encoded_word(rng, df, 7 - df.n)
+            field = "RCH"[case % 3]
+            fclass = "complex" if field == "C" else "real"
+            weights = {1: Fraction(3, 2), 2: Fraction(1, 3)} \
+                if case % 4 == 0 else None
+            basis = reachable_basis(seed, word, df, fclass)
+            full = build_generator_finite(basis, word, df, field, weights)
+            gen = build_generator_finite([seed], word, df, field, weights)
+            assert_lumped(gen, [seed], (basis, full.rows), word, df,
+                          class_bases(df, field == "H"), seen)
+            assert seed_moment(gen) == seed_moment(full)
+            basis = reachable_basis(seed, word, ratios, fclass)
+            full = build_generator_limit(basis, word, ratios, fclass, weights)
+            gen = build_generator_limit([seed], word, ratios, fclass, weights)
+            assert_lumped(gen, [seed], (basis, full.rows), word, ratios,
+                          class_bases(ratios), seen)
+            assert seed_moment(gen) == seed_moment(full)
+        assert "lumped" in seen
+
+    def test_conjugate_statistics_differ_by_fnc(self):
+        # u12 u21 and its slot swap share one trace, but the 2-cycle
+        # counts for the class at its least slot: dimension 2 in the
+        # seed, 6 in the swap, so the swap's statistic is a third of it
+        seed, word = encode_word([(1, 2, False), (2, 1, False)])
+        mate = ColouredBrauerDiagram(Pairing(2, [(1, 4), (2, 3)]),
+                                     (2, 1, 1, 2))
+        assert slot_orbits(word)(mate) == slot_orbits(word)(seed)
+        df = DimensionFunction([2, 6])
+        for field in "RCH":
+            fclass = "complex" if field == "C" else "real"
+            basis = reachable_basis(seed, word, df, fclass)
+            basis += [b for b in reachable_basis(mate, word, df, fclass)
+                      if b not in basis]
+            full = build_generator_finite(basis, word, df, field)
+            want = seed_moment(full)
+            assert want != 0
+            dvec = [delta_diag(b) for b in basis]
+            assert solve_semigroup_row(full, full.index(mate), dvec) == \
+                want * Fraction(1, 3)

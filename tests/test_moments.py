@@ -366,6 +366,16 @@ class TestMomentOfWord:
         for t in (0.0, 0.5, 2.0):
             assert moment_of_word([(1, 2, False)], 2).value(t) == 0.0
 
+    def test_biane_power_moments(self):
+        # the moments of the free unitary Brownian motion (Biane):
+        # tr(u^p) = e^(-pt/2) sum_{k<p} (-t)^k / k! p^(k-1) C(p, k+1);
+        # p = 11 and 12 close only on slot-permutation orbits
+        for p in range(1, 13):
+            want = MomentFunction({Fraction(-p, 2): [
+                Fraction((-1) ** k * p ** k * math.comb(p, k + 1),
+                         p * math.factorial(k)) for k in range(p)]})
+            assert moment_of_word([(1, 1, False)] * p, 1) == want, p
+
     def test_two_block_cycle_value(self):
         f = moment_of_word([(1, 2, False), (2, 1, False)], 2)
         assert f == MomentFunction({Fraction(-1): [0, Fraction(-1, 2)]})
