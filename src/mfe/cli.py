@@ -2,8 +2,9 @@
 Monte-Carlo values of block trace statistics.
 
 Outputs are machine readable (JSON with a schema tag, or CSV) and byte
-identical for identical arguments and seed.  Only the Monte-Carlo
-subcommands, simulate and compare, import rmt and with it numpy.
+identical for identical arguments and seed.  Each subcommand imports
+the modules it calls: only simulate and compare import rmt and with it
+numpy, and simulate imports none of the exact solvers.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ import sys
 from fractions import Fraction
 
 from .brauer import DimensionFunction, encode_word, square_df
-from .cumulants import Colourization, cumulants_from_moments, \
-    kappa_closed_form
-from .moments import MomentFunction, finite_evaluator, moment_of_word
 from .ncpart import NonCrossingPartition, enumerate_nc
-from .opvalued import limit_cumulant_coefficient, limit_statistic
 
 SCHEMA = 1
 
@@ -119,6 +116,7 @@ def _infer_n(tokens, n):
 
 
 def cmd_moment(args):
+    from .moments import finite_evaluator, moment_of_word
     tokens = parse_word(args.word)
     n = _infer_n(tokens, args.n)
     if args.limit:
@@ -141,6 +139,9 @@ def cmd_moment(args):
 
 
 def cmd_cumulant(args):
+    from .cumulants import Colourization, cumulants_from_moments, \
+        kappa_closed_form
+    from .moments import moment_of_word
     if args.word:
         tokens = parse_word(args.word)
         if any(star for _, _, star in tokens):
@@ -201,6 +202,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare(args):
+    from .moments import finite_evaluator, moment_of_word
     from .rmt import estimate_stats
     if args.bound is not None and not 0 <= args.bound < math.inf:
         raise ValueError("--bound must be a finite non-negative number, "
@@ -233,6 +235,8 @@ def cmd_compare(args):
 
 
 def cmd_amalgamated(args):
+    from .moments import MomentFunction
+    from .opvalued import limit_cumulant_coefficient, limit_statistic
     tokens = parse_word(args.word)
     k = len(tokens)
     ratios = parse_ratios(args.ratios)

@@ -237,85 +237,47 @@ def _divide_linear(poly, r):
     return acc[:-1], acc[-1]
 
 
-def _convergents(x, max_den):
-    """Continued-fraction convergents of x with denominator <= max_den."""
-    num, den = float(x).as_integer_ratio()
-    h, h_prev, k, k_prev = 1, 0, 0, 1
-    while den:
-        a, (num, den) = num // den, (den, num % den)
-        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
-        if k > max_den:
-            return
-        yield Fraction(h, k)
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b, highest power first; the
-    remainder has its leading zeros stripped."""
-    quot = []
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        quot.append(f)
-        a = [x - f * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
-    while a and not a[0]:
-        a = a[1:]
-    return quot, a
-
-
-def _square_free(poly):
-    """poly / gcd(poly, poly'), monic: each root of poly once."""
-    m = len(poly) - 1
-    a, b = poly, [c * (m - i) for i, c in enumerate(poly[:-1])]
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    core = _poly_divmod(poly, a)[0]
-    return [c / core[0] for c in core]
-
-
-def _top_root(poly):
-    """Float Newton on a monic polynomial from the Cauchy bound
-    1 + max |c_i|: above every root, so on a real-rooted square-free
-    polynomial the iterates fall monotonically onto the largest root."""
-    cs = [float(c) for c in poly]
-    x = 1.0 + max(map(abs, cs[1:]))
-    # far above the roots a step shrinks the gap by about 1 - 1/degree,
-    # so this cap allows a ratio of e^100 between bound and root spacing
-    for _ in range(100 * len(cs)):
-        p, dp = cs[0], 0.0
-        for c in cs[1:]:
-            dp = dp * x + p
-            p = p * x + c
-        nxt = x - p / dp if dp else x
-        if not -math.inf < nxt < x:
-            break
-        x = nxt
-    return x
-
-
 def _rational_roots(rec_coeffs):
-    """Roots (with multiplicity) of x^m - sum a_i x^i over the rationals.
+    """Roots (with multiplicity) of p(x) = x^m - sum a_i x^i over the
+    rationals, found in integers alone.
 
-    Newton on the square-free part finds its largest root in floats; the
-    candidates are that root's continued-fraction convergents whose
-    denominators divide the lcm of the coefficient denominators (rational
-    root theorem), and exact division confirms and removes them.
+    The scale s takes, coefficient by coefficient, the denominator left in
+    c_i s^i, c_i the coefficient of x^(m-i), so q(y) = s^m p(y / s) is
+    monic with integer coefficients; by Gauss's lemma its rational roots
+    are integers, and the roots of p are those integers over s.  Integer
+    Newton steps y -= max(1, q(y) // q'(y)) start above Fujiwara's bound
+    2 max |c_i s^i|^(1/i), taken from bit lengths.  Above its largest root
+    a real-rooted q is positive, increasing and convex, so the steps never
+    pass that root when it is an integer, even a multiple one; q < 0 or
+    q' <= 0 proves that it is not.  Each root is confirmed and divided out
+    with its multiplicity by exact division, and the search goes on one
+    below it.
     """
-    poly = [Fraction(1)] + [-c for c in reversed(rec_coeffs)]
-    core = _square_free(poly)
+    s = 1
+    for i, a in enumerate(reversed(rec_coeffs), 1):
+        s *= (a * s ** i).denominator
+    poly = [1] + [-int(a * s ** i)
+                  for i, a in enumerate(reversed(rec_coeffs), 1)]
+    y = 2 << max(-(-abs(c).bit_length() // i)
+                 for i, c in enumerate(poly[1:], 1))
     out = {}
-    while len(core) > 1:
-        den = math.lcm(*(c.denominator for c in core))
-        root = next((r for r in _convergents(_top_root(core), den)
-                     if den % r.denominator == 0
-                     and not _divide_linear(core, r)[1]), None)
-        if root is None:
+    while len(poly) > 1:
+        q, dq = 1, 0
+        for c in poly[1:]:
+            dq = dq * y + q
+            q = q * y + c
+        if q == 0:
+            root = Fraction(y, s)
+            out[root] = 0
+            quot, rem = _divide_linear(poly, y)
+            while not rem:
+                poly, out[root] = quot, out[root] + 1
+                quot, rem = _divide_linear(poly, y)
+            y -= 1
+        elif q < 0 or dq <= 0:
             raise ValueError("annihilator does not factor over the rationals")
-        core = _divide_linear(core, root)[0]
-        quot, rem = _divide_linear(poly, root)
-        while not rem:
-            poly = quot
-            out[root] = out.get(root, 0) + 1
-            quot, rem = _divide_linear(poly, root)
+        else:
+            y -= max(1, q // dq)
     return out
 
 

@@ -130,7 +130,7 @@ class TestCumulant:
             calls.append(tuple(tokens))
             return moment_of_word(tokens, n)
 
-        monkeypatch.setattr("mfe.cli.moment_of_word", counted)
+        monkeypatch.setattr("mfe.moments.moment_of_word", counted)
         rc, out, _ = run(capsys, "cumulant", "--p", "5")
         assert rc == 0
         assert json.loads(out)["cross_check"] == "exact"
@@ -325,6 +325,18 @@ class TestEdgeInputs:
         assert (rc, err) == (0, "")
         assert json.loads(out)["rate"] == "-11/2"
 
+    def test_many_rate_moment_is_exactly_zero(self, capsys):
+        # the annihilator has 24 distinct rates; the moment is 0, since
+        # conjugating by diag(e^(i theta) I, I) multiplies this word by
+        # e^(2 i theta) and leaves the law of the diffusion unchanged
+        rc, out, err = run(capsys, "moment", "--field", "C", "--n", "2",
+                           "--d", "5", "--word",
+                           "u11 u11* u11 u11* u12 u21* u22 u11", "--t", "1")
+        assert (rc, err) == (0, "")
+        data = json.loads(out)
+        assert data["terms"] == []
+        assert data["values"] == [{"t": 1.0, "value": 0.0}]
+
     def test_limit_moment_at_huge_t(self, capsys):
         argv = ["moment", "--limit", "--word", "u11 u11 u11", "--t", "1e300"]
         rc, out, err = run(capsys, *argv, "--format", "csv")
@@ -420,6 +432,10 @@ class TestEdgeInputs:
         code = "import sys, mfe.cli\n"
         if argv:
             code += "assert mfe.cli.main(%r) == 0\n" % argv
+        if argv[:1] == ["simulate"]:
+            # the Monte-Carlo estimate calls none of the exact solvers
+            code += ("assert not {'mfe.generators', 'mfe.moments', "
+                     "'mfe.cumulants', 'mfe.opvalued'} & set(sys.modules)\n")
         code += "print('numpy' in sys.modules)\n"
         src = os.path.dirname(os.path.dirname(mfe.__file__))
         out = subprocess.run([sys.executable, "-c", code],

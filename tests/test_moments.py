@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from mfe.brauer import (
     ColouredBrauerDiagram,
@@ -248,6 +250,30 @@ def poly_with_roots(roots):
     return poly
 
 
+def poly_times(a, b):
+    """Product of two polynomials given lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def many_rates(draw):
+    """20 to 40 distinct roots over one denominator in 8..72, as the
+    rates of one generator are, each up to three times, degree <= 60."""
+    den = draw(st.integers(8, 72))
+    nums = draw(st.sets(st.integers(-8 * den, den), min_size=20,
+                        max_size=40))
+    spare, roots = 60 - len(nums), {}
+    for num in sorted(nums):
+        extra = draw(st.integers(0, min(2, spare)))
+        spare -= extra
+        roots[Fraction(num, den)] = 1 + extra
+    return roots
+
+
 class TestRationalRoots:
     @pytest.mark.parametrize("roots", [
         {Fraction(-4): 8},
@@ -273,6 +299,35 @@ class TestRationalRoots:
         flat = [r for r, mult in roots.items() for _ in range(mult)]
         assert _rational_roots(recurrence_of(poly_with_roots(flat))) \
             == roots
+
+    @pytest.mark.parametrize("m", [20, 26, 30, 40])
+    def test_many_clustered_roots(self, m):
+        # -1/8, -3/8, ..., -(2m-1)/8: at m = 26 the coefficients reach
+        # 1.7e14 while the roots lie 1/4 apart
+        roots = {Fraction(1 - 2 * j, 8): 1 for j in range(1, m + 1)}
+        assert _rational_roots(recurrence_of(poly_with_roots(roots))) \
+            == roots
+
+    @seed(17)
+    @settings(max_examples=50, deadline=None)
+    @given(many_rates())
+    def test_random_many_rate_multisets(self, roots):
+        flat = [r for r, mult in roots.items() for _ in range(mult)]
+        assert _rational_roots(recurrence_of(poly_with_roots(flat))) \
+            == roots
+
+    @pytest.mark.parametrize("factor", [
+        [-2, 0, 1],
+        [4, 0, -4, 0, 1],
+        [10001, -200, 1],
+        [Fraction(4000001, 1000000), 4, 1],
+    ], ids=["x^2-2", "(x^2-2)^2", "(x-100)^2+1", "(x+2)^2+1e-6"])
+    def test_irrational_factor_beside_many_roots_raises(self, factor):
+        poly = poly_times(
+            poly_with_roots([Fraction(-j, 8) for j in range(1, 31)]), factor)
+        with pytest.raises(ValueError,
+                           match="does not factor over the rationals"):
+            _rational_roots(recurrence_of(poly))
 
     @pytest.mark.parametrize("poly", [
         [-2, 0, 1],
@@ -300,6 +355,58 @@ def dense(gen):
         for j, v in row.items():
             a[i, j] = float(v)
     return a
+
+
+def seed_row_reference(gen, t):
+    """The float seed row of e^(tL) applied to delta_diag, from scipy's
+    sparse expm_multiply, and the sum of the absolute products, which
+    scales the rounding error of that reference."""
+    i, j, v = zip(*[(i, j, float(v)) for i, row in enumerate(gen.rows)
+                    for j, v in row.items()])
+    a = csr_matrix((v, (i, j)), shape=(gen.size, gen.size))
+    e0 = np.zeros(gen.size)
+    e0[0] = 1.0
+    row = expm_multiply(t * a.T, e0)
+    dvec = np.array([float(delta_diag(b)) for b in gen.basis])
+    return row @ dvec, np.abs(row) @ np.abs(dvec)
+
+
+class TestManyRates:
+    # exact finite moments whose annihilators have 20 or more distinct
+    # rates, against the float action of e^(tL) on the seed row; the
+    # dense expm of the 6,312-state H generator takes minutes, the action
+    # a hundredth of a second
+    def test_quaternion_twenty_rates(self):
+        tokens = [(2, 2, False), (2, 1, True), (2, 1, False), (2, 1, False),
+                  (2, 2, False), (1, 2, True), (2, 2, False)]
+        seed, word = encode_word(tokens)
+        df = square_df(2, 3)
+        value = finite_evaluator(seed, word, df, "H")
+        assert len(value.terms) == 20
+        gen = build_generator_finite([seed], word, df, "H")
+        # the reference drifts at t >= 2 (eigenvalues with positive real
+        # part), so it is read at t <= 1 only
+        for t in (0.25, 0.5, 1.0):
+            want, _ = seed_row_reference(gen, t)
+            assert abs(value(t) - want) <= 1e-12, t
+
+    def test_real_u11_power_11_at_d4(self, monkeypatch):
+        # 1,021 orbits, past the default BASIS_BOUND; the annihilator has
+        # 30 distinct rates over 8, of which the moment keeps 3
+        monkeypatch.setattr("mfe.generators.BASIS_BOUND", 400_000)
+        seed, word = encode_word([(1, 1, False)] * 11)
+        df = square_df(1, 4)
+        value = finite_evaluator(seed, word, df, "R")
+        assert value == MomentFunction({Fraction(-143, 8): [36],
+                                        Fraction(-121, 8): [-60],
+                                        Fraction(-99, 8): [25]})
+        gen = build_generator_finite([seed], word, df, "R")
+        # L has an eigenvalue near +9.6: the seed row of e^L sums to 1.3e6
+        # in absolute value against values of 1e-4, so the reference is
+        # good to a multiple of 1e-16 of that sum, not to 1e-12
+        for t in (0.25, 0.5, 1.0):
+            want, scale = seed_row_reference(gen, t)
+            assert abs(value(t) - want) <= 1e-14 * scale, t
 
 
 class TestSparseFiniteSolve:
