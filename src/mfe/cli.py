@@ -259,9 +259,10 @@ def cmd_amalgamated(args):
             "terms": c.term_records(),
         })
     stat = limit_statistic(pi, alpha, w, ratios)
+    agree = total == stat
     payload = {"cumulants": per_beta, "sum_terms": total.term_records(),
                "statistic_terms": stat.term_records(),
-               "sum_matches_statistic": total == stat}
+               "sum_matches_statistic": agree}
     if args.t:
         payload["values"] = [{"t": t, "value": float(stat.value(t))}
                              for t in args.t]
@@ -269,7 +270,7 @@ def cmd_amalgamated(args):
             for t in args.t]
     _emit(args, payload, rows,
           ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
-    return 0
+    return 0 if agree else 1
 
 
 def build_parser():

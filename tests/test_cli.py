@@ -222,6 +222,17 @@ class TestAmalgamated:
         betas = {c["beta"] for c in data["cumulants"]}
         assert betas == {"12", "1/2"}
 
+    def test_failed_sum_check_exits_one(self, capsys):
+        # the whole seed is invalid, so the statistic is 0, while the
+        # valid blocks of 1/23 give a nonzero coefficient
+        rc, out, err = run(capsys, "amalgamated", "--word", "u11 u11* u11*",
+                           "--alpha", "1,1,2,1", "--ratios", "1/4,3/4",
+                           "--t", "1")
+        data = json.loads(out)
+        assert rc == 1 and err == ""
+        assert data["sum_matches_statistic"] is False
+        assert data["statistic_terms"] == []
+
     def test_bad_alpha_length(self, capsys):
         rc, _, _ = run(capsys, "amalgamated", "--word", "u11 u11",
                        "--alpha", "1,1", "--ratios", "1")

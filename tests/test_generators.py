@@ -40,8 +40,8 @@ from mfe.generators import (
     square_ratios,
 )
 from mfe.moments import solve_semigroup_row
-from mfe.ncpart import partition_join
-from mfe.opvalued import _coefficient_walk, _discrete, _pair_partition
+from mfe.ncpart import SetPartition, partition_join
+from mfe.opvalued import _coefficient_walk
 
 
 def plain_word(k, letter=1):
@@ -904,14 +904,20 @@ class TestLocalMoves:
             word = random_word(rng, k)
             weights = {1: Fraction(3), 2: Fraction(1, 2)} \
                 if case % 2 else None
+            # reference labels: partitions joined by partition_join,
+            # then read as each slot's least block-mate
+            states, rows = composed_closure(
+                [(seed, SetPartition([(x,) for x in range(1, k + 1)]))],
+                word, ratios, "real", Fraction(-1, 2), Fraction(1), False,
+                creating_only=True, weights=weights,
+                join=lambda part, i, j: partition_join(part, SetPartition(
+                    [(i, j)] + [(x,) for x in part.ground
+                                if x not in (i, j)])))
             assert_same_closure(
                 _coefficient_walk(seed, word, ratios, weights),
-                composed_closure(
-                    [(seed, _discrete(k))], word, ratios, "real",
-                    Fraction(-1, 2), Fraction(1), False, creating_only=True,
-                    weights=weights,
-                    join=lambda part, i, j: partition_join(
-                        part, _pair_partition(k, i, j))))
+                ([(b, tuple(min(blk) for x in range(1, k + 1)
+                            for blk in part.blocks if x in blk))
+                  for b, part in states], rows))
 
 
 def random_encoded_word(rng, df, most):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from mfe.evaltrace import (
     e_pi,
     quat_embed,
 )
-from mfe.moments import MomentFunction
+from mfe.generators import GeneratorMatrix, delta_diag
+from mfe.moments import MomentFunction, solve_semigroup_row
 from mfe.ncpart import (
     SetPartition,
     enumerate_nc,
@@ -31,7 +33,7 @@ from mfe.opvalued import (
     limit_statistic,
     seed_diagram,
 )
-from mfe.opvalued import _coefficient_walk, _discrete
+from mfe.opvalued import _coefficient_walk
 
 DF = DimensionFunction({1: 2, 2: 3})
 
@@ -215,6 +217,10 @@ class TestSeedDiagram:
     def test_boundary_length_checked(self):
         with pytest.raises(ValueError):
             seed_diagram(one_nc(2), (1, 1), [False, False])
+        w = Word([WordLetter(1)] * 2)
+        for alpha in ((1, 1), (1, 1, 1, 1)):
+            with pytest.raises(ValueError, match="boundary tuple"):
+                limit_cumulant_coefficient(one_nc(2), alpha, w, RECT)
 
     def test_admissibility_sees_rectangular_strands(self):
         ok = seed_diagram(one_nc(2), (1, 2, 1), [False, False])
@@ -223,22 +229,29 @@ class TestSeedDiagram:
         assert not bad.is_valid(RECT)
 
 
+def least_mates(pi, k):
+    """The walk's label of a partition: each slot's least block-mate."""
+    return tuple(min(b) for s in range(1, k + 1) for b in pi.blocks
+                 if s in b)
+
+
 class TestEnumeratePaths:
     """Creating paths on top of a seed, enumerated by the (diagram,
-    partition) states of the coefficient walk: a path's endpoint and the
-    partition of the slots its step pairs generate."""
+    label) states of the coefficient walk: a path's endpoint and the
+    partition of the slots its step pairs generate, given as each slot's
+    least block-mate."""
 
     def test_zero_length_is_the_empty_path(self):
         b = seed_diagram(one_nc(2), (1, 1, 1), [False, False])
         w = Word([WordLetter(1)] * 2)
         states, _ = _coefficient_walk(b, w, square_df(1))
-        assert states[0] == (b, _discrete(2))
+        assert states[0] == (b, (1, 2))
 
     def test_single_step_of_a_squared_letter(self):
         b = seed_diagram(one_nc(2), (1, 1, 1), [False, False])
         w = Word([WordLetter(1)] * 2)
         states, rows = _coefficient_walk(b, w, square_df(1))
-        assert [part for _, part in states] == [_discrete(2), one_nc(2).p]
+        assert [lab for _, lab in states] == [(1, 2), (1, 1)]
         # the one step is a tau at slots (1, 2), entered with a minus sign
         assert rows[0][1] < 0
 
@@ -246,7 +259,7 @@ class TestEnumeratePaths:
         b = seed_diagram(one_nc(2), (1, 1, 1), [False, False])
         w = Word([WordLetter(1), WordLetter(2)])
         states, _ = _coefficient_walk(b, w, square_df(1))
-        assert [part for _, part in states] == [_discrete(2)]
+        assert [lab for _, lab in states] == [(1, 2)]
 
     def test_endpoint_partitions_noncrossing_below_seed(self):
         w = Word([WordLetter(1)] * 3)
@@ -255,10 +268,14 @@ class TestEnumeratePaths:
             seed = seed_diagram(pi, (1, 1, 1, 1), [False] * 3)
             top = SetPartition(pi.blocks, ground=range(1, 4))
             states, _ = _coefficient_walk(seed, w, square_df(1))
-            for _, part in states:
+            for _, lab in states:
+                part = SetPartition(
+                    [[s for s in range(1, 4) if lab[s - 1] == m]
+                     for m in set(lab)])
+                assert least_mates(part, 3) == lab
                 assert is_noncrossing(part)
                 assert part.leq(top)
-                joined += part != _discrete(3)
+                joined += lab != (1, 2, 3)
         assert joined
 
 
@@ -312,19 +329,54 @@ class TestLimitCumulantCoefficient:
                             beta, alpha, w, RECT)
                 assert got == want, (alpha, eps, letters, pi)
 
-    def test_seed_partition_does_not_matter(self):
-        # the coefficient is the same computed from any partition above
+    @staticmethod
+    def whole_seed(beta, alpha, w, ratios, weights=None):
+        """One walk of beta's whole seed, read on beta's label."""
+        seed = seed_diagram(beta, alpha, [l.bar for l in w.letters])
+        if not seed.is_valid(ratios):
+            return MomentFunction.zero()
+        states, rows = _coefficient_walk(seed, w, ratios, weights)
+        label = least_mates(beta, len(w))
+        dvec = [Fraction(delta_diag(b)) if lab == label else Fraction(0)
+                for b, lab in states]
+        return solve_semigroup_row(GeneratorMatrix(states, w, rows), 0, dvec)
+
+    def test_product_over_blocks_is_the_whole_seed_walk(self):
+        cases = 0
+        for k in (1, 2, 3):
+            for alpha, eps, letters in itertools.product(
+                    itertools.product((1, 2), repeat=k + 1),
+                    itertools.product((False, True), repeat=k),
+                    ([1] * k, [1 + s % 2 for s in range(k)])):
+                w = Word(WordLetter(l, b) for l, b in zip(letters, eps))
+                for beta in enumerate_nc(k):
+                    want = self.whole_seed(beta, alpha, w, RECT)
+                    assert limit_cumulant_coefficient(
+                        beta, alpha, w, RECT) == want, (beta, alpha, w)
+                    cases += want != MomentFunction.zero()
         rng = random.Random(21)
-        for trial in range(3):
-            alpha = tuple(rng.randrange(1, 3) for _ in range(4))
-            eps = [rng.random() < 0.4 for _ in range(3)]
-            w = Word(WordLetter(1, b) for b in eps)
-            for beta in enumerate_nc(3):
-                base = limit_cumulant_coefficient(beta, alpha, w, RECT)
-                for pi in enumerate_nc(3):
-                    if beta.leq(pi):
-                        assert limit_cumulant_coefficient(
-                            beta, alpha, w, RECT, pi=pi) == base
+        three = DimensionFunction(
+            {1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 2)})
+        weights = {1: Fraction(3, 2), 2: Fraction(1, 3)}
+        for trial in range(12):
+            k = 4 + trial % 2
+            ratios = three if trial % 4 < 2 else RECT
+            # most random boundaries kill every coefficient: redraw
+            # until at least k of them are nonzero
+            nonzero = 0
+            while nonzero < k:
+                alpha = tuple(rng.randrange(1, ratios.n + 1)
+                              for _ in range(k + 1))
+                w = Word(WordLetter(rng.choice([1, 1, 2]),
+                                    rng.random() < 0.4) for _ in range(k))
+                wants = [self.whole_seed(beta, alpha, w, ratios, weights)
+                         for beta in enumerate_nc(k)]
+                nonzero = sum(c != MomentFunction.zero() for c in wants)
+            for beta, want in zip(enumerate_nc(k), wants):
+                assert limit_cumulant_coefficient(
+                    beta, alpha, w, ratios, weights) == want, (beta, alpha, w)
+            cases += nonzero
+        assert cases > 300
 
     def test_square_top_coefficient_is_the_free_cumulant(self):
         # with n equal blocks of ratio 1/n the fully-joined coefficient
