@@ -34,11 +34,15 @@ class MomentFunction:
     def __init__(self, terms):
         clean = {}
         for rate, coeffs in terms.items():
-            cs = [Fraction(c) for c in coeffs]
+            # Fraction(c) of a Fraction rebuilds it, which products of
+            # many moment functions pay for every coefficient
+            cs = [c if isinstance(c, Fraction) else Fraction(c)
+                  for c in coeffs]
             while cs and cs[-1] == 0:
                 cs.pop()
             if cs:
-                clean[Fraction(rate)] = cs
+                clean[rate if isinstance(rate, Fraction)
+                      else Fraction(rate)] = cs
         self.terms = clean
 
     @classmethod

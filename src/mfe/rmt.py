@@ -9,11 +9,13 @@ draw to the trace.
 
 The step kernel draws each increment from one normal per real degree of
 freedom, N(N-1)/2 for R, N^2 for C and N(2N+1) for H, and runs one chunk
-of samples at a time: draw, `expm`, and the product u e^A into u's rows.
-`expm` takes its Taylor degree from ||A^4||_1^(1/4) and a bound on
-||A^5||_1^(1/5), near the spectral radius of these normal increments,
-sums each Paterson-Stockmeyer block in one coefficient product, and
-multiplies complex matrices of side 2 to 16 as one float64 product.
+of samples at a time: the draw straight into the buffer of powers of A,
+the exponential, and the product u e^A into u's rows.  The exponential
+takes its Taylor degree from the Frobenius norms ||A^4||_F^(1/4) and a
+bound on ||A^5||_F^(1/5), near the spectral radius of these normal
+increments, sums each Paterson-Stockmeyer block in one coefficient
+product, and multiplies complex matrices of side 2 to 16 as one float64
+product.
 Times measured on a 2-core Xeon VM with one BLAS thread are beside
 _CHUNK and _REAL_SIDES.
 """
@@ -153,13 +155,16 @@ def casimir_scalar_check(basis: LieBasis):
 # ---------------------------------------------------------------------------
 
 # Taylor degrees m = 4k with the largest x for which the remainder bound
-# x^(m+1) / (m+1)! / (1 - x/(m+2)) stays below 2^-53.  x bounds the
-# remainder where it is the 1-norm, or alpha_p = max(d_p, d_(p+1)) with
-# d_p = ||a^p||_1^(1/p) for p(p-1) <= m+1 (Al-Mohy & Higham 2009)
+# x^(m+1) / (m+1)! / (1 - x/(m+2)) stays below 2^-53.  In any
+# submultiplicative norm, x bounds the remainder where it is the norm, or
+# alpha_p = max(d_p, d_(p+1)) with d_p = ||a^p||^(1/p) for p(p-1) <= m+1
+# (Al-Mohy & Higham 2009).  The Frobenius norm is submultiplicative,
+# costs one sum of squares and bounds every entry, so with it the
+# remainder stays below 2^-53 entrywise
 _TAYLOR = ((8, 0.0699), (12, 0.3352), (16, 0.8245), (20, 1.504))
 
-# past this 1-norm the squarings would amplify the rounding of the Taylor
-# sum by more than 2^52, which leaves no correct digit
+# past this Frobenius norm the squarings would amplify the rounding of
+# the Taylor sum by more than 2^52, which leaves no correct digit
 _NORM_MAX = 2.0 ** 52 * _TAYLOR[-1][1]
 
 # entries per chunk of a batch, so that a chunk's arrays stay in a
@@ -183,23 +188,25 @@ def expm(a):
 
     Scaling and squaring with a truncated Taylor series of one degree
     per chunk of _CHUNK entries.  The degree and the number of squarings
-    come from alpha = max(||a^4||_1^(1/4), ||a^5||_1^(1/5)), the fifth
-    root bounded by (||a^4||_1 ||a||_1)^(1/5), the largest over the
-    chunk.  alpha is at most the 1-norm and near the spectral radius for
-    the normal matrices of a Lie algebra, so the degree is never higher
-    than the 1-norm would give.  Complex matrices of the sides in
-    _REAL_SIDES are multiplied as one float64 product (see `_mul`).
+    come from alpha = max(||a^4||_F^(1/4), ||a^5||_F^(1/5)) in the
+    Frobenius norm, the fifth root bounded by (||a^4||_F ||a||_F)^(1/5),
+    the largest over the chunk.  alpha is at most the Frobenius norm, and
+    for the normal matrices of a Lie algebra at least the spectral radius
+    and near it, so the degree is never higher than the Frobenius norm
+    would give.  Complex matrices of the sides in _REAL_SIDES are
+    multiplied as one float64 product (see `_mul`).
 
-    Raises ValueError for a 1-norm above 2^52 * 1.504, or one that is not
-    finite, where the squarings would leave no correct digit.
+    Raises ValueError for a Frobenius norm above 2^52 * 1.504, or one
+    that is not finite, where the squarings would leave no correct digit.
     """
-    a = np.ascontiguousarray(a)
+    a = np.asarray(a)
     step = _chunk_len(a.shape[-1])
-    if len(a) <= step:
-        return _expm_chunk(a)
     out = np.empty_like(a)
     for i in range(0, len(a), step):
-        out[i:i + step] = _expm_chunk(a[i:i + step])
+        c = a[i:i + step]
+        p = np.empty((4,) + c.shape, a.dtype)
+        p[0] = c
+        out[i:i + step] = _expm_chunk(p)
     return out
 
 
@@ -208,30 +215,28 @@ def _chunk_len(n):
     return max(1, _CHUNK // n ** 2)
 
 
-def _norm1(a):
-    """1-norm of each matrix of a batch.
-
-    The column sums come out column-major, so that the maximum runs over
-    n long rows: numpy's reductions over a short last axis cost several
-    times more on small sides.
-    """
-    return functools.reduce(np.maximum, np.einsum("...ij->j...", np.abs(a)))
+def _frobenius(x):
+    """Frobenius norm of each matrix of a C-contiguous batch: one sum of
+    squares over its float64 view, which holds a complex entry as its
+    real and imaginary parts."""
+    f = x.view(np.float64).reshape(len(x), -1)
+    return np.sqrt(np.einsum("ij,ij->i", f, f))
 
 
 def _degree(norm, a3, a4):
     """Taylor degree m and squaring count s for a chunk whose matrices
-    have 1-norms `norm` and cubes and fourth powers a3 and a4.
+    have Frobenius norms `norm` and cubes and fourth powers a3 and a4.
 
     p(p-1) <= m+1 admits alpha_4 from m = 12 on; degree 8 needs
-    alpha_3 = max(d_3, d_4).  Each alpha is capped by the 1-norm, which
-    also bounds the remainder.
+    alpha_3 = max(d_3, d_4).  Each alpha is capped by the Frobenius norm,
+    which also bounds the remainder.
     """
     theta8, theta_top = _TAYLOR[0][1], _TAYLOR[-1][1]
     top = float(norm.max())
-    n4 = _norm1(a4)
+    n4 = _frobenius(a4)
     d4 = float(n4.max()) ** 0.25
     if top <= theta8 or (
-            d4 <= theta8 and float(_norm1(a3).max()) ** (1 / 3) <= theta8):
+            d4 <= theta8 and float(_frobenius(a3).max()) ** (1 / 3) <= theta8):
         return 8, 0
     alpha = min(top, max(d4, float((n4 * norm).max()) ** 0.2))
     s = math.ceil(math.log2(alpha / theta_top)) if alpha > theta_top else 0
@@ -271,20 +276,22 @@ def _mul(x, yr, out=None):
     return out
 
 
-def _expm_chunk(a):
-    """Paterson-Stockmeyer in powers of a^4: three batched products for
+def _expm_chunk(p):
+    """e^a for the chunk a = p[0] of a C-contiguous buffer p of shape
+    (4, c, n, n), whose slots 1 to 3 it overwrites with a^2, a^3 and a^4.
+
+    Paterson-Stockmeyer in powers of a^4: three batched products for
     a^2, a^3 and a^4, one coefficient product for all the blocks,
     m/4 - 1 Horner products, and no solve.  The scaling by 2^-s is
     folded into the coefficients and a^4, exact in binary.
     """
-    norm = _norm1(a)
+    a = p[0]
+    norm = _frobenius(a)
     if not norm.max() <= _NORM_MAX:
-        raise ValueError("a matrix exponent of 1-norm %.3g is past %.3g, "
-                         "where the squarings leave no correct digit"
+        raise ValueError("a matrix exponent of Frobenius norm %.3g is past "
+                         "%.3g, where the squarings leave no correct digit"
                          % (norm.max(), _NORM_MAX))
-    # p holds a, a^2, a^3 and a^4, each product reusing the real form of a
-    p = np.empty((4,) + a.shape, a.dtype)
-    p[0] = a
+    # each product reuses the real form of a
     ar = _right_factor(a)
     for i in (1, 2, 3):
         _mul(p[i - 1], ar, out=p[i])
@@ -357,20 +364,24 @@ def _lie_layout(N, field):
     return pairs + N * (beta - 1), idx, w
 
 
-def _gaussian_lie(rng, N, field, samples, scale=1.0):
-    """Gaussian elements of the Lie algebra, sum_k g_k H_k over the
-    orthonormal basis times `scale`, from one normal g_k per real degree
-    of freedom.  H elements come as their complex embedding, of side 2N.
+def _gaussian_lie(rng, layout, out):
+    """Gaussian elements of the Lie algebra into `out`, a C-contiguous
+    batch of shape (samples, n, n), which it returns.
+
+    `layout` is the (dim, idx, w) of `_lie_layout`, its weights w times a
+    scale: out gets sum_k g_k H_k over the orthonormal basis times that
+    scale, from one normal g_k per real degree of freedom.  H elements
+    come as their complex embedding, of side 2N.
     """
-    dim, idx, w = _lie_layout(N, field)
-    n = _side(field, N)
-    dtype = float if field == "R" else complex
+    dim, idx, w = layout
+    flat = out.view(np.float64).reshape(len(out), -1)
     if not dim:
-        return np.zeros((samples, n, n), dtype=dtype)
-    out = np.empty((samples, n, n), dtype=dtype)
-    flat = out.view(np.float64).reshape(samples, -1)
-    np.take(rng.standard_normal((samples, dim)), idx, axis=1, out=flat)
-    flat *= w * scale
+        flat.fill(0.0)
+        return out
+    # mode "raise" writes through a temporary; every index is in range
+    np.take(rng.standard_normal((len(out), dim)), idx, axis=1, out=flat,
+            mode="clip")
+    flat *= w
     return out
 
 
@@ -425,22 +436,28 @@ def _walk(N, field, dt, stops, samples, seed):
 
     A step draws and exponentiates one chunk of increments at a time and
     multiplies it into its rows of u in place, so that no batch-sized
-    temporary lives beside u.
+    temporary lives beside u.  Each chunk's increments are drawn into
+    slot 0 of the power buffer of `_expm_chunk`, allocated once and cut
+    to the chunk's length.
     """
     rng = np.random.default_rng(seed)
     n = _side(field, N)
     u = np.broadcast_to(np.eye(n, dtype=float if field == "R" else complex),
                         (samples, n, n)).copy()
     chunk = _chunk_len(n)
-    scale = math.sqrt(dt)
+    chunks = [u[i:i + chunk] for i in range(0, samples, chunk)]
+    powers = np.empty(4 * chunks[0].size, u.dtype)
+    dim, idx, w = _lie_layout(N, field)
+    layout = dim, idx, w * math.sqrt(dt)
     last = max(stops)
     out = {}
     for k in range(1, last + 1):
         if dt > 0:
-            for i in range(0, samples, chunk):
-                uc = u[i:i + chunk]
+            for uc in chunks:
+                p = powers[:4 * uc.size].reshape((4,) + uc.shape)
+                _gaussian_lie(rng, layout, p[0])
                 try:
-                    e = expm(_gaussian_lie(rng, N, field, len(uc), scale))
+                    e = _expm_chunk(p)
                 except ValueError as exc:
                     raise ValueError("step size t/steps = %g is too large: %s"
                                      % (dt, exc)) from None

@@ -154,6 +154,13 @@ class TestSimulate:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_so1_is_exact(self, capsys):
+        # SO(1) = {1}: each draw is zero, so every sample of tr(u11) is 1
+        rc, out, _ = run(capsys, "simulate", "--field", "R", "--N", "1",
+                         "--word", "u11", "--t", "1", "--samples", "5")
+        data = json.loads(out)
+        assert rc == 0 and (data["mean"], data["stderr"]) == (1.0, 0.0)
+
     def test_indivisible_dimension(self, capsys):
         rc, _, _ = run(capsys, "simulate", "--field", "C", "--N", "5",
                        "--n", "2", "--t", "1", "--word", "u11",

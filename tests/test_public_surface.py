@@ -30,6 +30,7 @@ REFERENCES = {
     "factorized_moment": "per-cycle product route to limit moments",
     "zero_nc": "bottom of NC(k), the lower end of Moebius intervals",
     "mobius_zero_one": "closed form that mobius_nc is checked against",
+    "expm": "batched exponential on the sampler's kernel, checked by scipy",
 }
 
 

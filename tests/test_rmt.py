@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -33,7 +34,7 @@ from mfe.rmt import (
     unitarity_defect,
 )
 from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
-    _gaussian_lie, _mul, _norm1, _right_factor
+    _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor
 
 
 def quaternionic_defect(u):
@@ -92,9 +93,17 @@ class TestCasimir:
         assert np.isclose(casimir_constant("H", 2), -1.0 - 1.0 / 4)
 
 
+def draw(rng, N, field, samples, scale=1.0):
+    """`samples` Gaussian Lie elements times `scale`, drawn as the sampler
+    draws them."""
+    n = 2 * N if field == "H" else N
+    dim, idx, w = _lie_layout(N, field)
+    out = np.empty((samples, n, n), dtype=float if field == "R" else complex)
+    return _gaussian_lie(rng, (dim, idx, w * scale), out)
+
+
 def lie_batch(field, N, samples, scale, seed=0):
-    return _gaussian_lie(np.random.default_rng(seed), N, field, samples,
-                         scale)
+    return draw(np.random.default_rng(seed), N, field, samples, scale)
 
 
 def lie_coordinates(basis, x):
@@ -106,14 +115,21 @@ def lie_coordinates(basis, x):
     return c * np.real(np.einsum("kij,sij->sk", np.conj(h), x))
 
 
+def norm1(a):
+    """1-norm of each matrix of a batch: the largest column sum of
+    absolute values, the column sums taken column-major."""
+    return functools.reduce(np.maximum, np.einsum("...ij->j...", np.abs(a)))
+
+
 def powers(a):
-    """1-norms, cube and fourth power of a batch, as _degree takes them."""
+    """Frobenius norms, cube and fourth power of a batch, as _degree takes
+    them."""
     a2 = a @ a
-    return _norm1(a), a2 @ a, a2 @ a2
+    return _frobenius(a), a2 @ a, a2 @ a2
 
 
 def norm_degree(norm):
-    """The degree and squarings a 1-norm test alone gives."""
+    """The degree and squarings a test of the norms `norm` alone gives."""
     top = float(norm.max())
     for m, theta in _TAYLOR:
         if top <= theta:
@@ -128,7 +144,7 @@ def non_normal(dtype, n, norm, samples=40, seed=0):
     a = np.triu(rng.standard_normal((samples, n, n)), 1).astype(dtype)
     if dtype is complex:
         a += 1j * np.triu(rng.standard_normal((samples, n, n)), 1)
-    a *= norm / _norm1(a).max()
+    a *= norm / norm1(a).max()
     diag = 1e-3 * rng.standard_normal((samples, n))
     idx = np.arange(n)
     a[:, idx, idx] = 1j * diag if dtype is complex else diag
@@ -164,7 +180,7 @@ class TestExpm:
         for n in (2, 3, 4, 8):
             a = non_normal(dtype, n, norm, seed=n)
             got = expm(a)
-            tol = 1e-14 * max(1.0, float(_norm1(a).max()))
+            tol = 1e-14 * max(1.0, float(norm1(a).max()))
             assert np.abs(got - scipy_expm(a)).max() <= tol, (dtype, n, norm)
 
     def test_alpha_takes_fewer_squarings(self):
@@ -173,7 +189,7 @@ class TestExpm:
         for dtype in (float, complex):
             for n in (2, 3, 4):
                 a = non_normal(dtype, n, 8.0, seed=n)
-                assert norm_degree(_norm1(a)) == (20, 3)
+                assert norm_degree(norm1(a)) == (20, 3)
                 assert _degree(*powers(a))[1] == 0
 
     def test_degree_8_needs_alpha_3(self):
@@ -183,10 +199,11 @@ class TestExpm:
         a = np.triu(rng.standard_normal((20, 4, 4)), 1) * 0.5
         norm, a3, a4 = powers(a)
         assert np.abs(a4).max() == 0.0
-        assert _norm1(a3).max() ** (1 / 3) > _TAYLOR[0][1]
+        assert norm1(a3).max() ** (1 / 3) > _TAYLOR[0][1]
+        assert _frobenius(a3).max() ** (1 / 3) > _TAYLOR[0][1]
         assert _degree(norm, a3, a4) == (12, 0)
         assert np.abs(expm(a) - scipy_expm(a)).max() <= 1e-14 * max(
-            1.0, float(norm.max()))
+            1.0, float(norm1(a).max()))
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_diagonal_reaches_every_chunk(self, n):
@@ -203,8 +220,33 @@ class TestExpm:
             for bad in (1e20, np.inf, np.nan):
                 a = lie_batch("C", 3, 4, 1.0)
                 a[2, 0, 1] = bad
-                with pytest.raises(ValueError, match="1-norm"):
+                with pytest.raises(ValueError, match="Frobenius norm"):
                     expm(a)
+
+    # the largest Frobenius norm of a chunk, or its alpha, a relative
+    # 1e-6 below and above each theta_m
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("target", ["norm", "alpha"])
+    def test_theta_edges_match_scipy(self, field, target):
+        for N in (2, 4):
+            a = lie_batch(field, N, 40, 1.0, seed=N)
+            assert len(a) <= _chunk_len(a.shape[-1])
+            x = _frobenius(a).max() if target == "norm" else alpha(a)
+            for i, (m, theta) in enumerate(_TAYLOR):
+                got = []
+                for side in (1 - 1e-6, 1 + 1e-6):
+                    b = a * (theta * side / x)
+                    tol = 1e-14 * max(1.0, float(np.abs(b).sum(axis=-2).max()))
+                    assert np.abs(expm(b) - scipy_expm(b)).max() <= tol, (
+                        field, N, m, side)
+                    got.append(_degree(*powers(b)))
+                if target == "alpha" and m > 8:
+                    # alpha decides from degree 12 on: below theta_m the
+                    # chunk takes degree m, above it the next degree, or
+                    # past theta_20 one squaring, which halves alpha to
+                    # 0.752, within theta_16
+                    above = (_TAYLOR[i + 1][0], 0) if m < 20 else (16, 1)
+                    assert got == [(m, 0), above], (field, N, m)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_unitary(self, field):
@@ -214,7 +256,33 @@ class TestExpm:
             assert np.abs(gram - np.eye(e.shape[-1])).max() <= 1e-13
 
 
+def alpha(a):
+    """max(d_4, bound on d_5) of a batch, capped by the Frobenius norm, as
+    _degree reads it from degree 12 on."""
+    norm, _, a4 = powers(a)
+    n4 = _frobenius(a4)
+    return min(norm.max(), max(n4.max() ** 0.25, (n4 * norm).max() ** 0.2))
+
+
 class TestDegree:
+    def test_theta_table(self):
+        # theta_m is the largest x with x^(m+1) / (m+1)! / (1 - x/(m+2))
+        # <= 2^-53, found by bisection, and the table holds it cut down,
+        # never rounded up, to four digits
+        for m, theta in _TAYLOR:
+            def bound(x):
+                return x ** (m + 1) / math.factorial(m + 1) / (
+                    1 - x / (m + 2))
+            lo, hi = 0.0, 2.0
+            assert bound(hi) > 2.0 ** -53
+            while hi - lo > 1e-15:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if bound(mid) <= 2.0 ** -53 else (lo, mid)
+            assert round(lo, 6) == {8: 0.069933, 12: 0.335213,
+                                    16: 0.824597, 20: 1.504131}[m]
+            assert theta <= lo < theta * (1 + 1e-3), (m, theta, lo)
+            assert float("%.4g" % theta) == theta
+
     def test_simulate_default_step(self):
         # C, N=8 at 200 steps per unit time: the chunk, as expm cuts the
         # batch, that holds the largest 1-norm of 20000 draws, a tail
@@ -222,10 +290,10 @@ class TestDegree:
         # degree 16
         a = lie_batch("C", 8, 20000, math.sqrt(1 / 200), seed=1)
         step = _chunk_len(8)
-        i = int(_norm1(a).argmax()) // step * step
+        i = int(norm1(a).argmax()) // step * step
         a = a[i:i + step]
         assert _degree(*powers(a)) == (12, 0)
-        assert norm_degree(_norm1(a)) == (16, 0)
+        assert norm_degree(norm1(a)) == (16, 0)
 
     def test_criterion_10_step(self):
         # C, N=32 at dt = 0.01, in chunks of 64 matrices, as large as
@@ -236,16 +304,27 @@ class TestDegree:
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_never_above_norm_choice(self, field):
-        rng = np.random.default_rng(7)
-        for trial in range(60):
-            n = int(rng.integers(1, 7))
-            scale = 10 ** rng.uniform(-3, 1)
-            a = lie_batch(field, n, 8, scale, seed=trial)
-            if trial % 2:
-                a = a + rng.standard_normal(a.shape) * scale
-            m, s = _degree(*powers(a))
-            m1, s1 = norm_degree(_norm1(a))
-            assert m <= m1 and s <= s1, (field, n, scale, (m, s), (m1, s1))
+        assert_never_above(field, norm1)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_never_above_frobenius_choice(self, field):
+        # the Frobenius norm caps alpha, so this holds on any batch
+        assert_never_above(field, _frobenius)
+
+
+def assert_never_above(field, norm):
+    """alpha asks for no more degree or squarings than a test of the
+    norms `norm` alone, on random Lie batches and perturbed ones."""
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        scale = 10 ** rng.uniform(-3, 1)
+        a = lie_batch(field, n, 8, scale, seed=trial)
+        if trial % 2:
+            a = a + rng.standard_normal(a.shape) * scale
+        m, s = _degree(*powers(a))
+        m1, s1 = norm_degree(norm(a))
+        assert m <= m1 and s <= s1, (field, n, scale, (m, s), (m1, s1))
 
 
 def complex_batches(n, samples=300):
@@ -304,7 +383,7 @@ class TestGaussianLie:
         # normals, in the basis order
         basis = lie_basis(N, field)
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        x = _gaussian_lie(rng, N, field, 7, 0.5)
+        x = draw(rng, N, field, 7, 0.5)
         g = twin.standard_normal((7, len(basis)))
         assert rng.bit_generator.state == twin.bit_generator.state
         coords = lie_coordinates(basis, x)
@@ -318,14 +397,14 @@ class TestGaussianLie:
         # tolerance is six of those
         basis = lie_basis(3, field)
         coords = lie_coordinates(
-            basis, _gaussian_lie(np.random.default_rng(11), 3, field, 20000))
+            basis, draw(np.random.default_rng(11), 3, field, 20000))
         cov = coords.T @ coords / len(coords)
         assert np.abs(coords.mean(axis=0)).max() <= 0.06
         assert np.abs(cov - np.eye(len(basis))).max() <= 0.06
 
     @pytest.mark.parametrize("N", [1, 2, 5])
     def test_quaternion_draws_are_quaternionic(self, N):
-        x = _gaussian_lie(np.random.default_rng(N), N, "H", 50, 0.3)
+        x = draw(np.random.default_rng(N), N, "H", 50, 0.3)
         assert x.shape == (50, 2 * N, 2 * N)
         assert max(quaternionic_defect(m) for m in x) == 0.0
 
@@ -380,6 +459,15 @@ class TestSampling:
             with pytest.raises(ValueError, match="step size t/steps = 1e"
                                                  r"\+300"):
                 sample_terminals(2, "C", 1e300, 3, steps=1)
+
+    def test_so1_is_the_identity(self, monkeypatch):
+        # SO(1) has no degree of freedom: every draw is the 1x1 zero, and
+        # every path stays at 1 exactly.  New buffers start as NaN, so
+        # the draw must write its zeros into the reused power buffer
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(
+            shape, np.nan, dtype))
+        u = sample_terminals(1, "R", 1.0, 5)
+        assert u.shape == (5, 1, 1) and np.array_equal(u, np.ones((5, 1, 1)))
 
     def test_real_stays_in_identity_component(self):
         for seed in range(3):
