@@ -204,6 +204,8 @@ def cmd_simulate(args):
 def cmd_compare(args):
     from .moments import finite_evaluator, moment_of_word
     from .rmt import estimate_stats
+    if not args.t:
+        raise ValueError("compare needs at least one --t")
     if args.bound is not None and not 0 <= args.bound < math.inf:
         raise ValueError("--bound must be a finite non-negative number, "
                          "got %r" % args.bound)

@@ -87,10 +87,19 @@ def limit_cumulant_coefficient(beta, alpha, word, ratios, weights=None):
     if len(alpha) != k + 1:
         raise ValueError("boundary tuple must have length k + 1")
     wkey = None if weights is None else tuple(sorted(weights.items()))
-    return reduce(mul, (_joined_coefficient(
-        tuple((alpha[s - 1], alpha[s], word[s - 1].bar) for s in blk),
-        tuple(word[s - 1].letter for s in blk), ratios, wkey)
-        for blk in as_set_partition(beta, k).blocks))
+    return _block_product(tuple(sorted(
+        (tuple((alpha[s - 1], alpha[s], word[s - 1].bar) for s in blk),
+         tuple(word[s - 1].letter for s in blk))
+        for blk in as_set_partition(beta, k).blocks)), ratios, wkey)
+
+
+@lru_cache(maxsize=2 ** NC_ENUM_BOUND)
+def _block_product(blocks, ratios, weights):
+    """Product of the joined coefficients of the (tokens, letters) blocks,
+    sorted: the product is exact and commutes, so every beta with the
+    same blocks shares one (4,862 beta of u11^9 have 30 block multisets)."""
+    return reduce(mul, (_joined_coefficient(tokens, letters, ratios, weights)
+                        for tokens, letters in blocks))
 
 
 def limit_statistic(pi, alpha, word, ratios, weights=None):

@@ -7,6 +7,14 @@ stays exactly in the group.  Quaternion matrices are complex matrices of
 side 2N throughout, their embedding by `quat_embed`, from the Gaussian
 draw to the trace.
 
+The scheme is weak order 1.  An explicit step count walks one plain path
+per sample.  The default estimate extrapolates instead (Talay & Tubaro
+1990): each sample walks a fine path of M = DEFAULT_FINE * t steps and a
+coarse path of M/2 steps coupled to it, whose increments are the fine
+ones summed in pairs, and contributes 2F - C of their statistics.  That
+cancels the first-order bias for one more exponential per pair of fine
+steps and no more normals.
+
 The step kernel draws each increment from one normal per real degree of
 freedom, N(N-1)/2 for R, N^2 for C and N(2N+1) for H, and runs one chunk
 of samples at a time: the draw straight into the buffer of powers of A,
@@ -31,7 +39,9 @@ from .evaltrace import m_stat, quat_embed, total_dim
 
 BETA = {"R": 1, "C": 2, "H": 4}
 
-DEFAULT_STEPS_PER_UNIT_TIME = 200
+# fine steps per unit time of the default estimate, which extrapolates a
+# fine path and a coarse one of half its steps (see estimate_stats)
+DEFAULT_FINE = 32
 
 # resource limit on the steps of one sampling run, given or default
 MAX_STEPS = 10 ** 6
@@ -181,6 +191,11 @@ _CHUNK = 2 ** 13
 # and 0.95-0.97 at sides 20 to 32, which is within the spread
 _REAL_SIDES = range(2, 17)
 
+# slots of the buffer of `_expm_chunk`, each one chunk: a to a^4, then
+# the real form of a and after it the Paterson-Stockmeyer blocks of the
+# top degree
+_SLOTS = 4 + _TAYLOR[-1][0] // 4
+
 
 def expm(a):
     """e^a for every matrix of a batch of shape (samples, n, n), float64
@@ -204,7 +219,7 @@ def expm(a):
     out = np.empty_like(a)
     for i in range(0, len(a), step):
         c = a[i:i + step]
-        p = np.empty((4,) + c.shape, a.dtype)
+        p = np.empty((_SLOTS,) + c.shape, a.dtype)
         p[0] = c
         out[i:i + step] = _expm_chunk(p)
     return out
@@ -246,14 +261,17 @@ def _degree(norm, a3, a4):
     return m, s
 
 
-def _right_factor(y):
+def _right_factor(y, out=None):
     """y as the right factor of `_mul`: for complex sides in _REAL_SIDES
     its 2n x 2n real form, rows 2k and 2k+1 holding row k of y and of
-    i*y as interleaved (re, im) pairs; otherwise y itself."""
+    i*y as interleaved (re, im) pairs, written into the C-contiguous
+    `out` of twice y's size if given; otherwise y itself."""
     n = y.shape[-1]
     if y.dtype != np.complex128 or n not in _REAL_SIDES:
         return y
-    yr = np.empty(y.shape[:-2] + (n, 2, 2 * n))
+    shape = y.shape[:-2] + (n, 2, 2 * n)
+    yr = np.empty(shape) if out is None else \
+        out.view(np.float64).reshape(shape)
     yr[..., 0, :] = y.view(np.float64)
     np.multiply(y, 1j, out=yr[..., 1, :].view(np.complex128))
     return yr.reshape(y.shape[:-2] + (2 * n, 2 * n))
@@ -278,12 +296,17 @@ def _mul(x, yr, out=None):
 
 def _expm_chunk(p):
     """e^a for the chunk a = p[0] of a C-contiguous buffer p of shape
-    (4, c, n, n), whose slots 1 to 3 it overwrites with a^2, a^3 and a^4.
+    (_SLOTS, c, n, n), whose other slots it overwrites: slots 1 to 3
+    with a^2, a^3 and a^4, then the real form of a^4 and the Horner sums,
+    and the rest with the real form of a, then the blocks.  Slots 1 and 2
+    are free when it returns, and without squarings e^a is one of the
+    others.
 
     Paterson-Stockmeyer in powers of a^4: three batched products for
     a^2, a^3 and a^4, one coefficient product for all the blocks,
     m/4 - 1 Horner products, and no solve.  The scaling by 2^-s is
-    folded into the coefficients and a^4, exact in binary.
+    folded into the coefficients and a^4, exact in binary.  Without
+    squarings it allocates no array of the chunk's size.
     """
     a = p[0]
     norm = _frobenius(a)
@@ -292,7 +315,7 @@ def _expm_chunk(p):
                          "%.3g, where the squarings leave no correct digit"
                          % (norm.max(), _NORM_MAX))
     # each product reuses the real form of a
-    ar = _right_factor(a)
+    ar = _right_factor(a, out=p[4:6])
     for i in (1, 2, 3):
         _mul(p[i - 1], ar, out=p[i])
     m, s = _degree(norm, p[2], p[3])
@@ -300,12 +323,17 @@ def _expm_chunk(p):
         p[3] *= 2.0 ** (-4 * s)
     coef = _taylor_blocks(m, s)
     k = len(coef)
-    blocks = (coef @ p.view(np.float64).reshape(4, -1)).view(
-        a.dtype).reshape((k,) + a.shape)
+    blocks = p[4:4 + k]
+    np.matmul(coef, p[:4].view(np.float64).reshape(4, -1),
+              out=blocks.view(np.float64).reshape(k, -1))
+    # a^2 and a^3 are spent: the real form of a^4 takes their slots, and
+    # Horner's rule alternates between a free slot and the top block
+    a4 = p[3]
+    a4r = _right_factor(a4, out=p[1:3])
     r = blocks[k - 1]
-    a4r = _right_factor(p[3])
+    free = (p[1] if a4r is a4 else a4, r)
     for j in range(k - 2, -1, -1):
-        r = _mul(r, a4r)
+        r = _mul(r, a4r, out=free[(k - j) % 2])
         r += blocks[j]
     # r is C-contiguous, so the reshape is a view of its diagonals
     r.reshape(len(r), -1)[:, ::a.shape[-1] + 1] += 1.0
@@ -386,19 +414,22 @@ def _gaussian_lie(rng, layout, out):
 
 
 def _step_count(t, steps):
-    """The steps of a sampling run to time t, `steps` or by default
-    DEFAULT_STEPS_PER_UNIT_TIME * t rounded, at least one."""
+    """The steps of a sampling run to time t: `steps`, or by default the
+    fine steps of the extrapolated estimate, DEFAULT_FINE * t rounded to
+    an even count, at least two."""
     if not t >= 0:
         raise ValueError("negative time" if t < 0 else "time is not a number")
+    pairs = None
     if steps is None:
-        # rounded only below the bound, as 200 t may overflow to inf
-        steps = max(1.0, DEFAULT_STEPS_PER_UNIT_TIME * t)
+        # rounded only below the bound, as DEFAULT_FINE t may overflow
+        pairs = max(1.0, DEFAULT_FINE * t / 2)
+        steps = 2 * pairs
     if steps < 1:
         raise ValueError("need at least one step")
     if steps > MAX_STEPS:
         raise ValueError("t = %g takes %.7g steps, more than the %d allowed"
                          % (t, steps, MAX_STEPS))
-    return int(round(steps))
+    return int(round(steps)) if pairs is None else 2 * int(round(pairs))
 
 
 def sample_terminals(N, field, t, samples, steps=None, seed=0):
@@ -406,14 +437,16 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
 
     Returns an array of shape (samples, N, N) for R and C, and the
     complex embedding, of shape (samples, 2N, 2N), for H.  Without
-    `steps`, takes DEFAULT_STEPS_PER_UNIT_TIME * t steps, rounded, at
-    least one.  Raises ValueError past MAX_STEPS steps.
+    `steps`, takes the default estimate's fine steps, DEFAULT_FINE * t
+    rounded to an even count, at least two.  Raises ValueError past
+    MAX_STEPS steps.
     """
-    return _terminals(N, field, [t], samples, steps, seed)[0]
+    return _terminals(N, field, [t], samples, steps, seed)[0][0]
 
 
-def _terminals(N, field, times, samples, steps, seed):
-    """`sample_terminals` at each of `times`, as a list.
+def _terminals(N, field, times, samples, steps, seed, coupled=False):
+    """The paths of `sample_terminals` at each of `times`, as a list of
+    tuples: (fine,) or, `coupled`, (fine, coarse) as `_walk` gives them.
 
     Times whose runs have the same float step t/steps share one family
     of paths, read off at each one's step count: the draws depend only
@@ -426,45 +459,66 @@ def _terminals(N, field, times, samples, steps, seed):
     runs = [(t / k, k) for t, k in zip(
         times, [_step_count(t, steps) for t in times])]
     paths = {dt: _walk(N, field, dt, {k for d, k in runs if d == dt},
-                       samples, seed) for dt in {d for d, _ in runs}}
+                       samples, seed, coupled)
+             for dt in {d for d, _ in runs}}
     return [paths[dt][k] for dt, k in runs]
 
 
-def _walk(N, field, dt, stops, samples, seed):
+def _walk(N, field, dt, stops, samples, seed, coupled=False):
     """Paths of step dt from the identity, as a map from each step count
-    in `stops` to the paths after that many steps.
+    in `stops` to the tuple (paths after that many steps,).  `coupled`
+    walks in pairs of steps, to even stops, and adds a coarse path of
+    step 2 dt to the tuple: where the fine path multiplies by e^a and
+    then by e^b, the coarse one multiplies by e^(a + b), which has the
+    law of its step, so it draws no normals of its own.
 
     A step draws and exponentiates one chunk of increments at a time and
     multiplies it into its rows of u in place, so that no batch-sized
-    temporary lives beside u.  Each chunk's increments are drawn into
-    slot 0 of the power buffer of `_expm_chunk`, allocated once and cut
-    to the chunk's length.
+    temporary lives beside the paths.  Each chunk's increments are drawn
+    into the buffer of `_expm_chunk`, allocated once and cut to the
+    chunk's length, which holds every array of the step; a coupled pair
+    is drawn back to back into slots 0 and 1 of a buffer of one more
+    slot, so a is still in slot 0 for the sum.
     """
     rng = np.random.default_rng(seed)
     n = _side(field, N)
     u = np.broadcast_to(np.eye(n, dtype=float if field == "R" else complex),
                         (samples, n, n)).copy()
+    walks = (u, u.copy()) if coupled else (u,)
     chunk = _chunk_len(n)
-    chunks = [u[i:i + chunk] for i in range(0, samples, chunk)]
-    powers = np.empty(4 * chunks[0].size, u.dtype)
+    rows = [slice(i, i + chunk) for i in range(0, samples, chunk)]
+    per = len(walks)
+    slots = _SLOTS + per - 1
+    powers = np.empty(slots * n * n * min(chunk, samples), u.dtype)
     dim, idx, w = _lie_layout(N, field)
     layout = dim, idx, w * math.sqrt(dt)
     last = max(stops)
     out = {}
-    for k in range(1, last + 1):
+    for k in range(per, last + 1, per):
         if dt > 0:
-            for uc in chunks:
-                p = powers[:4 * uc.size].reshape((4,) + uc.shape)
-                _gaussian_lie(rng, layout, p[0])
-                try:
-                    e = _expm_chunk(p)
-                except ValueError as exc:
-                    raise ValueError("step size t/steps = %g is too large: %s"
-                                     % (dt, exc)) from None
-                _mul(uc, _right_factor(e), out=uc)
+            for r in rows:
+                uc = u[r]
+                p = powers[:slots * uc.size].reshape((slots,) + uc.shape)
+                for j in range(per):
+                    _gaussian_lie(rng, layout, p[j])
+                    _step(uc, p[j:j + _SLOTS], dt)
+                if coupled:
+                    p[0] += p[1]
+                    _step(walks[1][r], p[:_SLOTS], 2 * dt)
         if k in stops:
-            out[k] = u if k == last else u.copy()
+            out[k] = walks if k == last else tuple(x.copy() for x in walks)
     return out
+
+
+def _step(u, p, dt):
+    """u e^a into u in place, for the increments a = p[0] of step dt and
+    the power buffer p of `_expm_chunk`."""
+    try:
+        e = _expm_chunk(p)
+    except ValueError as exc:
+        raise ValueError("step size t/steps = %g is too large: %s"
+                         % (dt, exc)) from None
+    _mul(u, _right_factor(e, out=p[1:3]), out=u)
 
 
 def unitarity_defect(u, field):
@@ -494,6 +548,13 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
 def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     """`estimate_stat` at each t of `times`, as a list of (mean, stderr).
 
+    With `steps`, each sample's value is the statistic F of its paths.
+    Without, it is 2 F - C: F on the fine paths of the default even step
+    count M, C on coarse paths of M/2 steps coupled to them (see
+    `_walk`).  The scheme is weak order 1, E F = exact + c/M + O(1/M^2),
+    so the extrapolation cancels the first-order bias (Talay & Tubaro
+    1990), and the coupling keeps its variance near that of F alone.
+
     A letter's paths are sampled once for all the times whose runs have
     the same float step t/steps, as the default steps give t = 0.5 and
     t = 1, and read off at each one's step count: each pair is bit for
@@ -502,24 +563,39 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     _check_field(field)
     if samples < 2:
         raise ValueError("a standard error needs samples >= 2")
+    if not times:
+        raise ValueError("need at least one time")
     n = total_dim(df)
     letters = sorted({l.letter for l in word})
     children = np.random.SeedSequence(seed).spawn(len(letters))
+    coupled = steps is None
     pools = [{} for _ in times]
     for letter, child in zip(letters, children):
         at = [t[letter] if isinstance(t, dict) else float(t) for t in times]
-        # one time is one sample_terminals call, which profiles and
-        # traces of the sampler then show by name
-        us = _terminals(n, field, at, samples, steps, child) if len(at) > 1 \
-            else [sample_terminals(n, field, at[0], samples, steps, child)]
+        # one explicit-steps time is one sample_terminals call, which
+        # profiles and traces of the sampler then show by name
+        us = _terminals(n, field, at, samples, steps, child, coupled) \
+            if len(at) > 1 or coupled \
+            else [(sample_terminals(n, field, at[0], samples, steps, child),)]
         for pool, u in zip(pools, us):
             pool[letter] = u
-    return [_mean_stderr(b, word, field, df, pool) for pool in pools]
+    out = []
+    for pool in pools:
+        values = _values(b, word, field, df, {c: u[0] for c, u in
+                                               pool.items()})
+        if coupled:
+            # the coarse statistic after the fine one, not stacked with
+            # it, so that the evaluator's temporaries stay as large
+            values = 2.0 * values - _values(
+                b, word, field, df, {c: u[1] for c, u in pool.items()})
+        out.append((float(values.mean()),
+                    float(values.std(ddof=1) / math.sqrt(len(values)))))
+    return out
 
 
-def _mean_stderr(b, word, field, df, pool):
-    """Mean and standard error of the statistic on the terminals of each
-    letter in `pool`."""
+def _values(b, word, field, df, pool):
+    """Real part of the statistic, sample by sample, on the terminals of
+    each letter in `pool`."""
     if field == "C":
         barred = {c: np.conj(pool[c])
                   for c in {l.letter for l in word if l.bar}}
@@ -527,7 +603,4 @@ def _mean_stderr(b, word, field, df, pool):
         barred = pool
     mats = [barred[l.letter] if l.bar else pool[l.letter] for l in word]
     # samplewise statistics are complex; their expectation is real
-    values = np.real(m_stat(b, mats, df, field))
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
-    return mean, stderr
+    return np.real(m_stat(b, mats, df, field))

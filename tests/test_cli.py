@@ -187,12 +187,13 @@ class TestCompare:
         assert rc == 1
 
     @pytest.mark.parametrize("steps,passes", [
-        ([], 200), (["--steps", "10"], 20)])
+        ([], 32), (["--steps", "10"], 20)])
     def test_sampling_passes(self, capsys, monkeypatch, steps, passes):
-        # by default t = 0.5 and t = 1 both step 1/200, so one 200-step
-        # pass per letter serves both; an explicit --steps gives each t
-        # its own step and its own pass.  Either way each row is what
-        # its own estimate_stat call gives, bit for bit.
+        # by default t = 0.5 and t = 1 both take the fine step 1/32, so
+        # one 32-step coupled pass per letter serves both, and its coarse
+        # path draws nothing; an explicit --steps gives each t its own
+        # step and its own pass.  Either way each row is what its own
+        # estimate_stat call gives, bit for bit.
         from mfe import rmt
         draws = []
         gaussian_lie = rmt._gaussian_lie
@@ -209,6 +210,12 @@ class TestCompare:
             assert (row["mc_mean"], row["mc_stderr"]) == rmt.estimate_stat(
                 b, w, "C", square_df(1, 2), row["t"], 20, seed=5,
                 steps=int(steps[1]) if steps else None)
+
+    def test_needs_a_time(self, capsys):
+        rc, out, err = run(capsys, "compare", "--field", "C", "--d", "2",
+                           "--word", "u11", "--samples", "10")
+        assert_one_line_error(rc, out, err)
+        assert "--t" in err
 
     def test_without_check_reports_only(self, capsys):
         rc, out, _ = run(capsys, "compare", "--field", "R", "--d", "2",

@@ -33,7 +33,7 @@ from mfe.opvalued import (
     limit_statistic,
     seed_diagram,
 )
-from mfe.opvalued import _coefficient_walk
+from mfe.opvalued import _block_product, _coefficient_walk
 
 DF = DimensionFunction({1: 2, 2: 3})
 
@@ -377,6 +377,15 @@ class TestLimitCumulantCoefficient:
                     beta, alpha, w, ratios, weights) == want, (beta, alpha, w)
             cases += nonzero
         assert cases > 300
+
+    def test_one_product_per_block_multiset(self):
+        # with one colour and one letter a block's key is its size, so
+        # the 132 beta of NC(6) share 11 products, one per partition of 6
+        _block_product.cache_clear()
+        w = Word([WordLetter(1)] * 6)
+        for beta in enumerate_nc(6):
+            limit_cumulant_coefficient(beta, (1,) * 7, w, RECT)
+        assert _block_product.cache_info().currsize == 11
 
     def test_square_top_coefficient_is_the_free_cumulant(self):
         # with n equal blocks of ratio 1/n the fully-joined coefficient

@@ -19,14 +19,16 @@ from mfe.brauer import (
     square_df,
 )
 from mfe.evaltrace import block_slice, m_stat, total_dim
-from mfe.moments import evolve_finite
+from mfe.moments import evolve_finite, finite_evaluator
 from mfe.rmt import (
     BETA,
+    DEFAULT_FINE,
     MAX_STEPS,
     LieBasis,
     casimir_constant,
     casimir_scalar_check,
     estimate_stat,
+    estimate_stats,
     expm,
     inner_product,
     lie_basis,
@@ -34,7 +36,8 @@ from mfe.rmt import (
     unitarity_defect,
 )
 from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
-    _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor
+    _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor, \
+    _terminals, _values
 
 
 def quaternionic_defect(u):
@@ -283,8 +286,9 @@ class TestDegree:
             assert theta <= lo < theta * (1 + 1e-3), (m, theta, lo)
             assert float("%.4g" % theta) == theta
 
-    def test_simulate_default_step(self):
-        # C, N=8 at 200 steps per unit time: the chunk, as expm cuts the
+    def test_dt_1_200_step(self):
+        # C, N=8 at dt = 1/200, the default step before the extrapolated
+        # estimate: the chunk, as expm cuts the
         # batch, that holds the largest 1-norm of 20000 draws, a tail
         # draw past theta_12 that the 1-norm test alone would take to
         # degree 16
@@ -294,6 +298,16 @@ class TestDegree:
         a = a[i:i + step]
         assert _degree(*powers(a)) == (12, 0)
         assert norm_degree(norm1(a)) == (16, 0)
+
+    def test_default_fine_and_coarse_steps(self):
+        # C, N=8 at the default fine step 1/DEFAULT_FINE and the coarse
+        # step twice that, the increments a and a + b of the coupled
+        # walk: every chunk of 20000 draws takes degree 16, no squaring
+        step = _chunk_len(8)
+        for dt in (1 / DEFAULT_FINE, 2 / DEFAULT_FINE):
+            a = lie_batch("C", 8, 20000, math.sqrt(dt), seed=1)
+            assert {_degree(*powers(a[i:i + step]))
+                    for i in range(0, len(a), step)} == {(16, 0)}
 
     def test_criterion_10_step(self):
         # C, N=32 at dt = 0.01, in chunks of 64 matrices, as large as
@@ -428,17 +442,20 @@ class TestSampling:
             sample_terminals(4, "C", math.nan, 1)
 
     @pytest.mark.parametrize("t,steps", [
-        (1e6, None), (1e300, None), (1.0, MAX_STEPS + 1)])
+        (1e6, None), (1e300, None), (1.0, MAX_STEPS + 1),
+        ((MAX_STEPS + 2) / DEFAULT_FINE, None)])
     def test_step_count_bounded(self, t, steps):
         with pytest.raises(ValueError, match=re.escape("t = %g takes" % t)):
             sample_terminals(2, "C", t, 3, steps=steps)
 
     def test_default_steps(self):
-        # 200 per unit time, rounded, at least one; MAX_STEPS is allowed
-        assert np.array_equal(sample_terminals(2, "C", 0.02, 3, seed=5),
-                              sample_terminals(2, "C", 0.02, 3, 4, seed=5))
-        assert np.array_equal(sample_terminals(2, "R", 1e-4, 3, seed=5),
-                              sample_terminals(2, "R", 1e-4, 3, 1, seed=5))
+        # DEFAULT_FINE per unit time, rounded to an even count, at least
+        # two; MAX_STEPS is allowed
+        for field, t, steps in [("C", 0.3, 10), ("C", 0.02, 2),
+                                ("R", 1e-4, 2), ("H", 1.0, DEFAULT_FINE)]:
+            assert np.array_equal(sample_terminals(2, field, t, 3, seed=5),
+                                  sample_terminals(2, field, t, 3, steps,
+                                                   seed=5))
         sample_terminals(1, "R", 0.0, 1, steps=MAX_STEPS)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -468,6 +485,21 @@ class TestSampling:
             shape, np.nan, dtype))
         u = sample_terminals(1, "R", 1.0, 5)
         assert u.shape == (5, 1, 1) and np.array_equal(u, np.ones((5, 1, 1)))
+
+    @pytest.mark.parametrize("field,N", [("R", 3), ("C", 5), ("H", 2),
+                                         ("H", 9)])
+    def test_walk_reads_only_what_it_writes(self, monkeypatch, field, N):
+        # every slot of the step's buffer is written before it is read:
+        # NaN-filled new arrays leave both walks bit for bit the same
+        def walks():
+            return (sample_terminals(N, field, 0.3, 70, 6, seed=1),
+                    *_terminals(N, field, [0.3], 70, None, 1,
+                                coupled=True)[0])
+
+        want = walks()
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(
+            shape, np.nan, dtype))
+        assert all(np.array_equal(g, x) for g, x in zip(walks(), want))
 
     def test_real_stays_in_identity_component(self):
         for seed in range(3):
@@ -555,6 +587,82 @@ class TestEstimateStat:
         assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
         assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
                           rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_default_matches_samplewise_reference(self, field):
+        # the default estimate is the mean and standard error of 2F - C
+        # per sample, F on the fine paths and C on the coupled coarse
+        # ones: two letters, one barred twice, unequal blocks
+        df = DimensionFunction([1, 2])
+        tokens = [(1, 2, True), (1, 1, False), (1, 2, False), (2, 2, True),
+                  (2, 2, False)]
+        b, w = encode_word(tokens, letters=[1, 2, 1, 1, 2])
+        samples, seed, t = 40, 21, 0.7
+        mean, se = estimate_stat(b, w, field, df, t, samples, seed=seed)
+        letters = sorted({l.letter for l in w})
+        children = np.random.SeedSequence(seed).spawn(len(letters))
+        pools = {c: _terminals(total_dim(df), field, [t], samples, None,
+                               child, coupled=True)[0]
+                 for c, child in zip(letters, children)}
+        values = []
+        for s in range(samples):
+            fine, coarse = ([np.conj(pools[l.letter][i][s])
+                             if l.bar and field == "C"
+                             else pools[l.letter][i][s] for l in w]
+                            for i in (0, 1))
+            values.append(2 * np.real(m_stat(b, fine, df, field))
+                          - np.real(m_stat(b, coarse, df, field)))
+        assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
+        assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
+                          rtol=1e-12, atol=1e-14)
+
+    def test_coupled_walk_steps(self):
+        # 0.7 * DEFAULT_FINE = 22.4 fine steps round to 22, in 11 pairs:
+        # the fine path is a plain walk of that many steps, the coarse
+        # one of half as many, neither equal to the other
+        fine, coarse = _terminals(2, "C", [0.7], 3, None, 4, coupled=True)[0]
+        assert np.array_equal(fine, sample_terminals(2, "C", 0.7, 3, 22,
+                                                     seed=4))
+        assert not np.allclose(fine, coarse)
+        assert unitarity_defect(coarse, "C") <= 1e-12
+
+    def test_u1_increments_commute(self):
+        # on U(1) e^a e^b = e^(a + b), so the coarse path is the fine one
+        # to rounding, and 2F - C has the fine paths' mean
+        b, w = encode_word([(1, 1, False), (1, 1, False)])
+        fine, coarse = _terminals(1, "C", [1.0], 300, None, 3,
+                                  coupled=True)[0]
+        assert np.abs(fine - coarse).max() <= 1e-13
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        fine, _ = _terminals(1, "C", [1.0], 300, None, child,
+                             coupled=True)[0]
+        mean, _ = estimate_stat(b, w, "C", square_df(1, 1), 1.0, 300, seed=3)
+        assert np.isclose(mean, _values(b, w, "C", square_df(1, 1),
+                                        {1: fine}).mean(),
+                          rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_default_at_time_zero_is_exact(self, field):
+        b, w = encode_word([(1, 1, False), (1, 1, True), (2, 2, False)])
+        df = square_df(2, 2)
+        # the paths stay at the identity, where every sample is equal
+        mean, se = estimate_stat(b, w, field, df, 0.0, 30, seed=2)
+        exact = finite_evaluator(b, w, df, field)(0.0)
+        assert se == 0.0 and abs(mean - exact) <= 1e-15
+
+    @pytest.mark.parametrize("field,seed", [("R", 31), ("C", 32), ("H", 33)])
+    def test_default_near_exact(self, field, seed):
+        # tr(u11 u11) at N = 2, t = 1, by the extrapolated default
+        b, w = encode_word([(1, 1, False), (1, 1, False)])
+        df = square_df(1, 2)
+        mean, se = estimate_stat(b, w, field, df, 1.0, 20000, seed=seed)
+        exact = finite_evaluator(b, w, df, field)(1.0)
+        assert abs(mean - exact) <= 4 * se, (mean, exact, se)
+
+    def test_no_times(self):
+        b, w = encode_word([(1, 1, False)])
+        with pytest.raises(ValueError, match="at least one time"):
+            estimate_stats(b, w, "C", square_df(1, 2), [], 10)
 
     def test_diagonal_block_complex(self):
         b = identity_diagram(1, [1])
