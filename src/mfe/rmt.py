@@ -26,6 +26,12 @@ product, and multiplies complex matrices of side 2 to 16 as one float64
 product.
 Times measured on a 2-core Xeon VM with one BLAS thread are beside
 _CHUNK and _REAL_SIDES.
+
+A run holds its paths, twice for the default estimate's coupled pair,
+plus chunk-sized temporaries: the step works one chunk of samples at a
+time, and the statistics and the unitarity defect are evaluated in the
+chunks of `sample_chunks`.  Over C, a barred letter adds one conjugate
+copy of its paths while its statistic is evaluated.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import math
 
 import numpy as np
 
-from .evaltrace import m_stat, quat_embed, total_dim
+from .evaltrace import m_stat, quat_embed, sample_chunks, total_dim
 
 BETA = {"R": 1, "C": 2, "H": 4}
 
@@ -523,9 +529,14 @@ def _step(u, p, dt):
 
 def unitarity_defect(u, field):
     """Largest entry of U U* - 1 over a batch of shape (..., n, n), the
-    same for every field: H matrices come as their complex embedding."""
-    prod = u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1])
-    return float(np.abs(prod).max())
+    same for every field: H matrices come as their complex embedding.
+    The batch is taken in the chunks of `sample_chunks`."""
+    n = u.shape[-1]
+    u = u.reshape((-1, n, n))
+    eye = np.eye(n)
+    return float(np.max([
+        np.abs(c @ np.conj(np.swapaxes(c, -1, -2)) - eye).max()
+        for c in (u[r] for r in sample_chunks(len(u), n * n))]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +590,17 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
             else [(sample_terminals(n, field, at[0], samples, steps, child),)]
         for pool, u in zip(pools, us):
             pool[letter] = u
+    # only the pools hold the paths now, so each time's paths are
+    # released once its statistic is evaluated
+    del us, u
     out = []
-    for pool in pools:
+    while pools:
+        pool = pools.pop(0)
         values = _values(b, word, field, df, {c: u[0] for c, u in
                                                pool.items()})
         if coupled:
             # the coarse statistic after the fine one, not stacked with
-            # it, so that the evaluator's temporaries stay as large
+            # it, which would copy both pools
             values = 2.0 * values - _values(
                 b, word, field, df, {c: u[1] for c, u in pool.items()})
         out.append((float(values.mean()),

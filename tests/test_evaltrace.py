@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from mfe.brauer import (
     parse_diagram,
     square_df,
 )
+from mfe import evaltrace
 from mfe.evaltrace import (
+    STAT_CHUNK,
     DiagonalElement,
     block_slice,
     m_stat,
     materialize_rho,
     quat_embed,
     rho_contract,
+    sample_chunks,
     total_dim,
 )
 from mfe.ncpart import Permutation
@@ -339,6 +343,113 @@ class TestBatchedQuaternion:
             for s, value in enumerate(batched):
                 want = m_stat(b, [m[s] for m in mats], df, "H")
                 assert np.isclose(value, want, rtol=1e-12, atol=1e-12)
+
+
+def normal_pool(rng, shape, field):
+    """Gaussian matrices of the given shape over the field; H matrices
+    come as their complex embedding, of twice the side."""
+    if field == "H":
+        n, m = shape[-2:]
+        return quat_embed(rng.standard_normal(shape[:-2] + (n, m, 4)))
+    x = rng.standard_normal(shape)
+    return x if field == "R" else x + 1j * rng.standard_normal(shape)
+
+
+class TestChunkedEvaluation:
+    # m_stat cuts a leading sample axis into chunks of STAT_CHUNK entries;
+    # the reference is the same call with a budget that takes the whole
+    # pool in one chunk, which is the evaluation before chunking
+    df = DimensionFunction([1, 2])
+    WORDS = [
+        ([(1, 1, False)], None),
+        ([(1, 2, True), (2, 1, True)], None),
+        ([(2, 2, True), (2, 1, False), (2, 1, True)], [1, 2, 1]),
+        ([(1, 2, False), (2, 2, True), (2, 1, False), (1, 1, True)],
+         [2, 1, 1, 2]),
+    ]
+
+    def cases(self):
+        """(diagram, slot letters, orientation) for plain and barred
+        words of one and two letters, an identity diagram of two loops,
+        and each word's first loop reversed."""
+        out = []
+        for tokens, letters in self.WORDS:
+            b, _ = encode_word(tokens, letters=letters)
+            out.append((b, letters or [1] * b.k, None))
+            s = canonical_orientation(b.pairing)
+            cyc, _ = oriented_cycles(b.pairing, s)[0]
+            signs = [-x if i + 1 in cyc else x for i, x in enumerate(s.signs)]
+            out.append((b, letters or [1] * b.k, Orientation(signs)))
+        b = identity_diagram(2, [1, 2])
+        assert len(oriented_cycles(b.pairing,
+                                   canonical_orientation(b.pairing))) == 2
+        out.append((b, [1, 2], None))
+        return out
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_bit_identical_to_one_shot(self, monkeypatch, field):
+        rng = np.random.default_rng(30)
+        side = total_dim(self.df)
+        n = 2 * side if field == "H" else side
+        c = STAT_CHUNK // n ** 2
+        for samples, chunks in [(1, 1), (c - 1, 1), (c, 1), (c + 1, 2),
+                                (2 * c + 3, 3)]:
+            assert len(sample_chunks(samples, n * n)) == chunks
+            pools = {x: normal_pool(rng, (samples, side, side), field)
+                     for x in (1, 2)}
+
+            def values():
+                return [m_stat(b, [pools[x] for x in letters], self.df,
+                               field, orientation=s)
+                        for b, letters, s in self.cases()]
+
+            chunked = values()
+            with monkeypatch.context() as m:
+                m.setattr(evaltrace, "STAT_CHUNK", samples * n * n)
+                one_shot = values()
+            for got, want in zip(chunked, one_shot):
+                assert got.shape == (samples,)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        # unbatched slot matrices give a scalar, of the batched value
+        sample = {x: u[-1] for x, u in pools.items()}
+        for (b, letters, s), batched in zip(self.cases(), chunked):
+            value = m_stat(b, [sample[x] for x in letters], self.df, field,
+                           orientation=s)
+            assert np.ndim(value) == 0
+            assert np.isclose(value, batched[-1], rtol=1e-12, atol=1e-12)
+
+    def test_more_axes_and_broadcast_slots(self, monkeypatch):
+        # chunks run along the first axis and hold STAT_CHUNK entries of
+        # one sample's slot matrices; a slot without the sample axes is
+        # broadcast against every chunk
+        rng = np.random.default_rng(31)
+        n, extra = total_dim(self.df), 3
+        c = STAT_CHUNK // (extra * n * n)
+        pool = normal_pool(rng, (2 * c + 3, extra, n, n), "C")
+        fixed = normal_pool(rng, (n, n), "C")
+        b, _ = encode_word([(1, 2, True), (1, 2, False)], letters=[1, 2])
+        assert len(sample_chunks(len(pool), pool[0].size)) == 3
+        chunked = m_stat(b, [pool, fixed], self.df, "C")
+        monkeypatch.setattr(evaltrace, "STAT_CHUNK", pool.size)
+        assert chunked.shape == (2 * c + 3, extra)
+        assert np.array_equal(chunked, m_stat(b, [pool, fixed], self.df, "C"))
+
+    def test_pool_memory_stays_chunk_sized(self):
+        # simulate --field H --N 2 --word "u11 u11" --samples 10000: one
+        # 2x2 quaternion block, whose statistic conjugates both factors.
+        # Evaluated in one shot, it held three temporaries of the pool's
+        # size, 7.3 MiB beside the 2.4 MiB pool
+        rng = np.random.default_rng(32)
+        pool = normal_pool(rng, (10 ** 4, 2, 2), "H")
+        b, _ = encode_word([(1, 1, False), (1, 1, False)])
+        tracemalloc.start()
+        try:
+            m_stat(b, [pool, pool], square_df(1, 2), "H")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def component_stat(b, qs, df):

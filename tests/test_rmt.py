@@ -18,7 +18,8 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.evaltrace import block_slice, m_stat, total_dim
+from mfe.evaltrace import STAT_CHUNK, block_slice, m_stat, sample_chunks, \
+    total_dim
 from mfe.moments import evolve_finite, finite_evaluator
 from mfe.rmt import (
     BETA,
@@ -470,6 +471,27 @@ class TestSampling:
         assert np.isclose(batched, max(unitarity_defect(x, field) for x in u),
                           rtol=0, atol=4 * np.finfo(float).eps)
 
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_unitarity_defect_in_chunks(self, field):
+        # the max of the chunks' maxima is the one-shot max exactly, at
+        # every chunk edge, and with no or two leading axes; the last
+        # sample, scaled off the group, holds the largest entry
+        def one_shot(u):
+            prod = u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1])
+            return float(np.abs(prod).max())
+
+        n = 2 * 3 if field == "H" else 3
+        c = STAT_CHUNK // n ** 2
+        u = sample_terminals(3, field, 0.4, 2 * c + 3, steps=3, seed=2)
+        for samples, chunks in [(1, 1), (c - 1, 1), (c, 1), (c + 1, 2),
+                                (2 * c + 3, 3)]:
+            assert len(sample_chunks(samples, n * n)) == chunks
+            x = u[:samples].copy()
+            x[-1] *= 1.0 + 1e-6
+            assert unitarity_defect(x, field) == one_shot(x) > 1e-6
+        for x in (u[c], u[:2 * c + 2].reshape(2, c + 1, n, n)):
+            assert unitarity_defect(x, field) == one_shot(x)
+
     def test_overflowing_step_names_step_size(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -489,12 +511,22 @@ class TestSampling:
     @pytest.mark.parametrize("field,N", [("R", 3), ("C", 5), ("H", 2),
                                          ("H", 9)])
     def test_walk_reads_only_what_it_writes(self, monkeypatch, field, N):
-        # every slot of the step's buffer is written before it is read:
-        # NaN-filled new arrays leave both walks bit for bit the same
+        # every slot of the step's buffer is written before it is read,
+        # and every chunk of the evaluator's result: NaN-filled new arrays
+        # leave the walks and their statistics bit for bit the same
+        b, w = encode_word([(1, 1, True), (1, 1, False)])
+        df = square_df(1, N)
+        n = 2 * N if field == "H" else N
+        # a pool of three chunks of the evaluator
+        pool = np.resize(sample_terminals(N, field, 0.3, 70, 6, seed=1),
+                         (2 * (STAT_CHUNK // n ** 2) + 3, n, n))
+
         def walks():
-            return (sample_terminals(N, field, 0.3, 70, 6, seed=1),
-                    *_terminals(N, field, [0.3], 70, None, 1,
-                                coupled=True)[0])
+            paths = (sample_terminals(N, field, 0.3, 70, 6, seed=1),
+                     *_terminals(N, field, [0.3], 70, None, 1,
+                                 coupled=True)[0])
+            return paths + tuple(_values(b, w, field, df, {1: u})
+                                 for u in paths + (pool,))
 
         want = walks()
         monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(
