@@ -23,6 +23,11 @@ from .ncpart import NonCrossingPartition, enumerate_nc
 
 SCHEMA = 1
 
+# how every subcommand but amalgamated reads a word
+_WORD_HELP = ("block word, e.g. \"u11 u12* u21\": u<i><j> is the (i, j) "
+              "block of the Brownian unitary, and u<i><j>* the adjoint of "
+              "that block, which is the (j, i) block of u*")
+
 _TOKEN = re.compile(r"u(?:(\d)(\d)|\[(\d+),(\d+)\])(\*?)$")
 
 
@@ -169,7 +174,7 @@ def cmd_cumulant(args):
             moments[toks] = moment_of_word(toks, n)
         return moments[toks]
 
-    inverted = cumulants_from_moments(phi, p)[p - 1]
+    inverted, = cumulants_from_moments(phi, p, orders=[p])
     agree = closed == inverted
     payload = _mf_payload(closed, args.t)
     payload["cross_check"] = "exact" if agree else "mismatch"
@@ -288,7 +293,7 @@ def build_parser():
         p.add_argument("--t", type=float, action="append", default=None)
 
     p = sub.add_parser("moment", help="word moments, finite or limit")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, help=_WORD_HELP)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--limit", action="store_true")
     p.add_argument("--field", choices=("R", "C", "H"), default=None)
@@ -300,12 +305,14 @@ def build_parser():
                        help="closed-form cumulant with cross-check")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--word", default=None)
+    p.add_argument("--word", default=None,
+                   help="block word of unstarred tokens u<i><j>, the (i, j) "
+                        "blocks of the Brownian unitary")
     common(p)
     p.set_defaults(func=cmd_cumulant)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, help=_WORD_HELP)
     p.add_argument("--field", choices=("R", "C", "H"), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
@@ -317,7 +324,7 @@ def build_parser():
 
     p = sub.add_parser("compare",
                        help="exact finite-d vs limit vs Monte-Carlo")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, help=_WORD_HELP)
     p.add_argument("--field", choices=("R", "C", "H"), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
@@ -331,7 +338,10 @@ def build_parser():
 
     p = sub.add_parser("amalgamated",
                        help="limit cumulant coefficients below a partition")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True,
+                   help="word whose slot s is the (a(s-1), a(s)) block of "
+                        "--alpha, and a starred slot the adjoint of that "
+                        "block; the indices of the tokens are not read")
     p.add_argument("--alpha", required=True,
                    help="comma-separated boundary colours a0..ak")
     p.add_argument("--ratios", required=True,

@@ -178,9 +178,10 @@ def _product(values):
     return out
 
 
-def cumulants_from_moments(moments, p):
+def cumulants_from_moments(moments, p, orders=None):
     """Cumulants k_1..k_p by Moebius inversion over non-crossing
-    partitions.
+    partitions, or k_q for each q of `orders` alone, a sequence of
+    orders in 1..p.
 
     moments is either a sequence (m_1, ..., m_p) for a single variable,
     or a callable sending a tuple of positions to the moment of the
@@ -190,16 +191,20 @@ def cumulants_from_moments(moments, p):
     # NC(p) is the largest lattice of the sweep: past the enumeration bound
     # this fails before the smaller ones are swept
     enumerate_nc(p)
-    out = []
-    for q in range(1, p + 1):
-        top = one_nc(q)
-        acc = None
-        for pi in enumerate_nc(q):
-            term = mobius_nc(pi, top) * \
-                _product(phi(tuple(sorted(v))) for v in pi.blocks)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [_cumulant(phi, q)
+            for q in (range(1, p + 1) if orders is None else orders)]
+
+
+def _cumulant(phi, q):
+    """k_q = sum over NC(q) of mu(pi, 1_q) times the moments of the
+    blocks of pi."""
+    top = one_nc(q)
+    acc = None
+    for pi in enumerate_nc(q):
+        term = mobius_nc(pi, top) * \
+            _product(phi(tuple(sorted(v))) for v in pi.blocks)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def moments_from_cumulants(cumulants, p):

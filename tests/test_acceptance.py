@@ -263,6 +263,7 @@ def test_criterion_05_casimir_scalar():
 # 6. Monte-Carlo estimates match the exact finite-d semigroup
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_monte_carlo_vs_exact():
     samples, steps = 10 ** 4, 150
     letters = [(i, j, s) for i in (1, 2) for j in (1, 2)
@@ -462,6 +463,7 @@ def _block_means(u, d):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_10_asymptotic_freeness_probe():
     samples, t1, t2 = 10 ** 4, 0.5, 0.5
     results = {}

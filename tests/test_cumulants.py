@@ -283,6 +283,12 @@ class TestMomentCumulantInversion:
             ks = cumulants_from_moments(ms, 6)
             assert moments_from_cumulants(ks, 6) == ms
 
+    def test_selected_orders(self):
+        # each order alone is the entry of the full sweep
+        ms = [moment_of_word([(1, 1, False)] * q, 1) for q in range(1, 6)]
+        ks = cumulants_from_moments(ms, 5)
+        assert cumulants_from_moments(ms, 5, orders=[5, 2]) == [ks[4], ks[1]]
+
     def test_roundtrip_on_moment_functions(self):
         ms = [moment_of_word([(1, 1, False)] * q, 1) for q in range(1, 5)]
         ks = cumulants_from_moments(ms, 4)

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from mfe.rmt import (
     BETA,
     DEFAULT_FINE,
     MAX_STEPS,
+    SAMPLE_BLOCK,
     LieBasis,
     casimir_constant,
     casimir_scalar_check,
@@ -690,6 +692,82 @@ class TestEstimateStat:
         mean, se = estimate_stat(b, w, field, df, 1.0, 20000, seed=seed)
         exact = finite_evaluator(b, w, df, field)(1.0)
         assert abs(mean - exact) <= 4 * se, (mean, exact, se)
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("steps", [4, None])
+    def test_blocks_match_their_documented_streams(self, monkeypatch,
+                                                   field, steps):
+        # three blocks, the last one short: block 0 of a letter draws
+        # from its child of SeedSequence(seed).spawn(L), block i >= 1
+        # from that child's (i-1)-th spawned child.  The reference walks
+        # each block on its own from those streams, one run per letter
+        # and time, and evaluates it with m_stat; letter 1 is barred and
+        # has two times on one step with the default steps, letter 2 one
+        # time twice.  New arrays start as NaN, so every value of every
+        # block must be written
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(
+            shape, np.nan, dtype))
+        df = DimensionFunction([1, 1])
+        b, w = encode_word([(1, 2, True), (2, 1, False), (1, 1, False)],
+                           letters=[1, 2, 1])
+        times = [{1: 0.25, 2: 0.5}, 0.5]
+        samples, seed = 2 * SAMPLE_BLOCK + 5, 17
+        got = estimate_stats(b, w, field, df, times, samples, seed=seed,
+                             steps=steps)
+        children = np.random.SeedSequence(seed).spawn(2)
+        streams = {c: [child, *child.spawn(2)]
+                   for c, child in zip((1, 2), children)}
+        sizes = [SAMPLE_BLOCK, SAMPLE_BLOCK, 5]
+
+        def paths(letter, t, i):
+            if steps is not None:
+                return (sample_terminals(2, field, t, sizes[i], steps,
+                                         streams[letter][i]),)
+            return _terminals(2, field, [t], sizes[i], None,
+                              streams[letter][i], coupled=True)[0]
+
+        for t, (mean, se) in zip(times, got):
+            at = t if isinstance(t, dict) else {1: t, 2: t}
+            values = []
+            for i in range(3):
+                pool = {c: paths(c, at[c], i) for c in (1, 2)}
+                stats = [np.real(m_stat(b, [np.conj(pool[l.letter][j])
+                                            if l.bar and field == "C"
+                                            else pool[l.letter][j]
+                                            for l in w], df, field))
+                         for j in range(len(pool[1]))]
+                values.append(stats[0] if steps else
+                              2 * stats[0] - stats[1])
+            values = np.concatenate(values)
+            assert len(values) == samples
+            assert np.isclose(mean, values.mean(), rtol=1e-12, atol=1e-14)
+            assert np.isclose(se, values.std(ddof=1) / math.sqrt(samples),
+                              rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("field,tokens", [
+        ("H", [(1, 1, False), (1, 1, False)]),
+        ("C", [(1, 1, True), (1, 1, False)]),
+    ])
+    def test_memory_does_not_grow_with_samples(self, field, tokens):
+        # a run holds one block of paths, and over C one block of their
+        # conjugates for a barred letter: from 4 to 16 blocks of samples
+        # at N = 2 the peak grows by the value array alone, 8 bytes a
+        # sample
+        b, w = encode_word(tokens)
+        df = square_df(1, 2)
+        estimate_stat(b, w, field, df, 1.0, 4, seed=3, steps=20)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                estimate_stat(b, w, field, df, 1.0, samples, seed=3,
+                              steps=20)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grown = peak(16 * SAMPLE_BLOCK) - peak(4 * SAMPLE_BLOCK)
+        assert grown <= 8 * 12 * SAMPLE_BLOCK + 2 ** 16, grown
 
     def test_no_times(self):
         b, w = encode_word([(1, 1, False)])
