@@ -171,7 +171,7 @@ def stack_components(b1: Pairing, b2: Pairing) -> int:
 class DimensionFunction:
     """Positive dimension (or limit-ratio) per colour 1..n."""
 
-    __slots__ = ("dims",)
+    __slots__ = ("dims", "_class")
 
     def __init__(self, dims):
         if isinstance(dims, dict):
@@ -181,6 +181,12 @@ class DimensionFunction:
         self.dims = {c: Fraction(v) for c, v in vals.items()}
         if any(v <= 0 for v in self.dims.values()):
             raise ValueError("dimensions must be positive")
+        # each colour's class, made once: a scan per colour would make
+        # the classes quadratic in the number of colours
+        least = {}
+        for c in sorted(self.dims):
+            least.setdefault(self.dims[c], c)
+        self._class = {c: least[v] for c, v in self.dims.items()}
 
     @property
     def n(self):
@@ -191,11 +197,10 @@ class DimensionFunction:
 
     def class_of(self, colour):
         """Canonical kernel-class representative: least colour of equal dim."""
-        v = self.dims[colour]
-        return min(c for c, w in self.dims.items() if w == v)
+        return self._class[colour]
 
     def classes(self):
-        return sorted({self.class_of(c) for c in self.dims})
+        return sorted(set(self._class.values()))
 
     def __eq__(self, other):
         return isinstance(other, DimensionFunction) and self.dims == other.dims
@@ -558,7 +563,7 @@ def fnc(x, df: DimensionFunction, cls) -> int:
         loops = {}
     else:
         diagram, orient, loops = x, canonical_orientation(x.pairing), {}
-    if cls not in df.classes():
+    if cls not in df.dims or df.class_of(cls) != cls:
         raise ValueError("unknown dimension class %r" % (cls,))
     total = loops.get(cls, 0)
     k = diagram.k

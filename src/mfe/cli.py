@@ -23,6 +23,9 @@ from .ncpart import NonCrossingPartition, enumerate_nc
 
 SCHEMA = 1
 
+# the columns of every subcommand's CSV rows
+CSV_HEADER = ("statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr")
+
 # how every subcommand but amalgamated reads a word
 _WORD_HELP = ("block word, e.g. \"u11 u12* u21\": u<i><j> is the (i, j) "
               "block of the Brownian unitary, and u<i><j>* the adjoint of "
@@ -91,7 +94,7 @@ def _mf_payload(mf, times):
     return out
 
 
-def _emit(args, payload, rows=None, header=None):
+def _emit(args, payload, rows):
     if args.format == "json":
         payload = dict(payload)
         payload["schema"] = SCHEMA
@@ -100,7 +103,7 @@ def _emit(args, payload, rows=None, header=None):
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
+        w.writerow(CSV_HEADER)
         for row in rows:
             w.writerow(row)
         text = buf.getvalue()
@@ -138,8 +141,7 @@ def cmd_moment(args):
     for v in payload.get("values", []):
         exact, lim = ("", v["value"]) if args.limit else (v["value"], "")
         rows.append([args.word, v["t"], exact, lim, "", ""])
-    _emit(args, payload, rows,
-          ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
+    _emit(args, payload, rows)
     return 0
 
 
@@ -180,8 +182,7 @@ def cmd_cumulant(args):
     payload["cross_check"] = "exact" if agree else "mismatch"
     rows = [[args.word or ("u11 " * p).strip(), t, "",
              float(closed.value(t)), "", ""] for t in args.t]
-    _emit(args, payload, rows,
-          ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
+    _emit(args, payload, rows)
     return 0 if agree else 1
 
 
@@ -201,8 +202,7 @@ def cmd_simulate(args):
     payload = {"mean": mean, "stderr": se, "samples": args.samples,
                "seed": args.seed}
     rows = [[args.word, t, "", "", mean, se]]
-    _emit(args, payload, rows,
-          ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
+    _emit(args, payload, rows)
     return 0
 
 
@@ -236,8 +236,7 @@ def cmd_compare(args):
                         "finite_limit_delta": abs(exact - lim)})
         rows.append([args.word, t, exact, lim, mean, se])
     _emit(args, {"rows": entries, "N": n * args.d, "field": args.field},
-          rows,
-          ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
+          rows)
     return 1 if failed else 0
 
 
@@ -275,8 +274,7 @@ def cmd_amalgamated(args):
                              for t in args.t]
     rows = [[args.word, t, "", float(stat.value(t)), "", ""]
             for t in args.t]
-    _emit(args, payload, rows,
-          ["statistic", "t", "exact_d", "limit", "mc_mean", "mc_stderr"])
+    _emit(args, payload, rows)
     return 0 if agree else 1
 
 

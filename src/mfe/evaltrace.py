@@ -12,9 +12,12 @@ Evaluation is batched: slot matrices may carry any leading sample axes,
 and the statistic then has those axes.
 
 The conditional expectation onto the block projectors keeps one
-normalized trace per diagonal block; nesting it along a non-crossing
-partition and applying a Moebius transformation gives the amalgamated
-cumulants of a tuple of matrices.
+normalized trace per diagonal block.  Their algebra D is commutative, so
+an element of D is held as a plain array of its block values, colours in
+increasing order on the last axis, after any leading sample axes; a
+product with it scales the rows or columns of each block.  Nesting the
+expectation along a non-crossing partition and applying a Moebius
+transformation gives the amalgamated cumulants of a tuple of matrices.
 """
 
 from __future__ import annotations
@@ -239,82 +242,25 @@ def rho_contract(b, mats, df):
 # conditional expectation onto the block projectors
 # ---------------------------------------------------------------------------
 
-class DiagonalElement:
-    """Element of the commutative algebra spanned by the block
-    projectors: one scalar per block, componentwise operations."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    @classmethod
-    def one(cls, n):
-        return cls([1.0] * n)
-
-    @classmethod
-    def zero(cls, n):
-        return cls([0.0] * n)
-
-    @property
-    def n(self):
-        return len(self.values)
-
-    def __add__(self, other):
-        return DiagonalElement(a + b
-                               for a, b in zip(self.values, other.values))
-
-    def __sub__(self, other):
-        return DiagonalElement(a - b
-                               for a, b in zip(self.values, other.values))
-
-    def __mul__(self, other):
-        if isinstance(other, DiagonalElement):
-            return DiagonalElement(
-                a * b for a, b in zip(self.values, other.values))
-        return DiagonalElement(other * a for a in self.values)
-
-    __rmul__ = __mul__
-
-    def star(self):
-        return DiagonalElement(v.conjugate() for v in self.values)
-
-    def isclose(self, other, tol=1e-10):
-        return all(abs(a - b) <= tol
-                   for a, b in zip(self.values, other.values))
-
-    def to_matrix(self, df, field="C"):
-        """The block-diagonal matrix sum_i v_i p_i, of side 2n in the
-        complex embedding for H."""
-        scale = 2 if field == "H" else 1
-        n = scale * total_dim(df)
-        out = np.zeros((n, n), dtype=complex)
-        for i, c in enumerate(sorted(df.dims)):
-            s = block_slice(df, c, scale)
-            out[s, s] = np.eye(s.stop - s.start) * self.values[i]
-        return out
-
-    def __repr__(self):
-        return "DiagonalElement(%s)" % (list(self.values),)
-
-
-def cond_expectation(a, df) -> DiagonalElement:
+def cond_expectation(a, df):
     """E[A] = sum_i (1/d_i) Tr(p_i A p_i) p_i, with Re Tr over H.
 
-    A matrix of side 2n, twice that of the dimension function, is a
-    quaternion matrix in its complex embedding, whose block traces are
-    twice the quaternion ones in their real part.
+    Returns the values 1/d_i Tr(p_i A p_i) as an array whose last axis
+    runs over the colour blocks in increasing colour order; leading
+    sample axes of `a` carry through.  A matrix of side 2n, twice that
+    of the dimension function, is a quaternion matrix in its complex
+    embedding, whose block traces are twice the quaternion ones in
+    their real part; its values are real.
     """
     n = total_dim(df)
-    if a.shape not in ((n, n), (2 * n, 2 * n)):
+    if a.shape[-2:] not in ((n, n), (2 * n, 2 * n)):
         raise ValueError("matrix does not match the dimension function")
-    scale = a.shape[0] // n
-    vals = []
-    for c in sorted(df.dims):
-        s = block_slice(df, c, scale)
-        v = np.trace(a[s, s]) / (s.stop - s.start)
-        vals.append(float(v.real) if scale == 2 else v)
-    return DiagonalElement(vals)
+    scale = a.shape[-1] // n
+    vals = np.stack([np.trace(a[..., s, s], axis1=-2, axis2=-1)
+                     / (s.stop - s.start) for s in
+                     (block_slice(df, c, scale) for c in sorted(df.dims))],
+                    axis=-1)
+    return vals.real if scale == 2 else vals
 
 
 def _mat_product(mats):
@@ -324,17 +270,22 @@ def _mat_product(mats):
     return out
 
 
-def e_pi(pi, mats, df) -> DiagonalElement:
-    """Nested conditional expectation along a non-crossing partition.
+def e_pi(pi, mats, df):
+    """Nested conditional expectation along a non-crossing partition, as
+    an array of block values like that of cond_expectation.
 
-    Innermost interval blocks are evaluated first and their diagonal
-    results multiplied back in place of the subproduct they replace.
-    Matrices of side twice total_dim(df) are H matrices in their complex
-    embedding, as for cond_expectation.
+    Innermost interval blocks are evaluated first.  Each value is
+    repeated over its colour block's width (twice that for H), and these
+    scale the columns of the factor left of the interval, or the rows of
+    the factor right of it, which is the product with the block-diagonal
+    matrix sum_i v_i p_i.  Matrices of side twice total_dim(df) are H
+    matrices in their complex embedding, as for cond_expectation.
+    Leading sample axes of the matrices carry through.
     """
     mats = list(mats)
     k = len(mats)
-    field = "H" if len(mats[0]) == 2 * total_dim(df) else "C"
+    scale = mats[0].shape[-1] // total_dim(df)
+    widths = [scale * int(df.value(c)) for c in sorted(df.dims)]
     part = as_set_partition(pi, k)
     if len(part.blocks) == 0 or \
             sorted(x for b in part.blocks for x in b) != list(range(1, k + 1)):
@@ -348,16 +299,15 @@ def e_pi(pi, mats, df) -> DiagonalElement:
             idx = [positions.index(p) for p in blk]
             if idx != list(range(min(idx), min(idx) + len(blk))):
                 continue
-            d = cond_expectation(
-                _mat_product([work[p] for p in blk]), df)
-            dm = d.to_matrix(df, field)
+            diag = np.repeat(cond_expectation(
+                _mat_product([work[p] for p in blk]), df), widths, axis=-1)
             lo = min(idx)
             if lo > 0:
                 left = positions[lo - 1]
-                work[left] = work[left] @ dm
+                work[left] = work[left] * diag[..., None, :]
             else:
                 right = positions[lo + len(blk)]
-                work[right] = dm @ work[right]
+                work[right] = diag[..., None] * work[right]
             for p in blk:
                 positions.remove(p)
             blocks.pop(bi)
@@ -369,16 +319,9 @@ def e_pi(pi, mats, df) -> DiagonalElement:
         _mat_product([work[p] for p in sorted(last)]), df)
 
 
-def amalgamated_cumulant(pi, mats, df) -> DiagonalElement:
-    """c_pi = sum_{gamma <= pi} mu(gamma, pi) E_gamma."""
-    k = len(mats)
-    part = as_set_partition(pi, k)
-    top = NonCrossingPartition(part.blocks)
-    n = len(df.dims)
-    out = DiagonalElement.zero(n)
-    for gamma in enumerate_nc(k):
-        if not gamma.leq(top):
-            continue
-        w = float(mobius_nc(gamma, top))
-        out = out + w * e_pi(gamma, mats, df)
-    return out
+def amalgamated_cumulant(pi, mats, df):
+    """c_pi = sum_{gamma <= pi} mu(gamma, pi) E_gamma, as an array of
+    block values like that of e_pi."""
+    top = NonCrossingPartition(as_set_partition(pi, len(mats)).blocks)
+    return sum(float(mobius_nc(gamma, top)) * e_pi(gamma, mats, df)
+               for gamma in enumerate_nc(len(mats)) if gamma.leq(top))

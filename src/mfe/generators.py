@@ -271,8 +271,8 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     if not all(b.is_valid(df) for b in diagrams):
         raise ValueError("diagram invalid under the dimension function")
     drift, bases, scale = rates
-    classes = [cls for cls, _ in bases]
-    class_pos = {c: classes.index(df.class_of(c)) for c in df.dims}
+    pos = {cls: i for i, (cls, _) in enumerate(bases)}
+    class_pos = {c: pos[df.class_of(c)] for c in df.dims}
     diag = drift * sum(_weight(weights, l.letter) for l in word.letters)
     slot = [scale * _weight(weights, l.letter) for l in word.letters]
     moves = [(si, sj, slot_allows(word, si + 1, sj + 1, "tau", fclass),

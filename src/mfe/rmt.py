@@ -58,6 +58,10 @@ DEFAULT_FINE = 32
 # resource limit on the steps of one sampling run, given or default
 MAX_STEPS = 10 ** 6
 
+# resource limit on samples x times of one estimate, the length of its
+# 8-byte value arrays: 10^8 values take 0.8 GB
+MAX_VALUES = 10 ** 8
+
 # samples per block of the estimator, which walks and evaluates one
 # block at a time, each from its own stream (see estimate_stats).  A
 # power of two and at least _chunk_len(2): a block then holds at least
@@ -589,13 +593,13 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     array per time, and its paths dropped before the next block.  So a
     run holds one block's paths (twice for the coupled pair) and
     block-sized temporaries, whatever the sample count, besides 8 bytes
-    per sample and time for the values.  Letter l draws from the l-th
-    child of SeedSequence(seed).spawn(L), L the number of letters:
-    block 0 from that child itself, block i >= 1 from the child's
-    (i-1)-th spawned child.  A block's draws thus do not depend on the
-    sample count, and a run of at most SAMPLE_BLOCK samples gives the
-    bytes that one pool per letter gave; a larger run gives other paths,
-    from the same law.
+    per sample and time for the values, of which there may be at most
+    MAX_VALUES.  Letter l draws from the l-th child of
+    SeedSequence(seed).spawn(L), L the number of letters: block 0 from
+    that child itself, block i >= 1 from the child's (i-1)-th spawned
+    child.  A block's draws thus do not depend on the sample count, and
+    a run of at most SAMPLE_BLOCK samples gives the bytes that one pool
+    per letter gave; a larger run gives other paths, from the same law.
 
     Within a block, a letter's paths are sampled once for all the times
     whose runs have the same float step t/steps, as the default steps
@@ -611,9 +615,14 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     letters = sorted({l.letter for l in word})
     at = [[t[c] if isinstance(t, dict) else float(t) for t in times]
           for c in letters]
-    # every time is checked before the values are allocated
+    # every time, and the values' size, is checked before the values are
+    # allocated
     for t in (t for ts in at for t in ts):
         _step_count(t, steps)
+    if samples * len(times) > MAX_VALUES:
+        raise ValueError("%d samples at %d times take more than the %d "
+                         "values allowed"
+                         % (samples, len(times), MAX_VALUES))
     streams = [_block_seeds(child) for child in
                np.random.SeedSequence(seed).spawn(len(letters))]
     coupled = steps is None
@@ -622,12 +631,7 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
         size = min(SAMPLE_BLOCK, samples - start)
         pools = [{} for _ in times]
         for letter, ts, stream in zip(letters, at, streams):
-            # one explicit-steps time is one sample_terminals call, which
-            # profiles and traces of the sampler then show by name
-            us = _terminals(n, field, ts, size, steps, next(stream),
-                            coupled) if len(ts) > 1 or coupled else \
-                [(sample_terminals(n, field, ts[0], size, steps,
-                                   next(stream)),)]
+            us = _terminals(n, field, ts, size, steps, next(stream), coupled)
             for pool, u in zip(pools, us):
                 pool[letter] = u
         # only the pools hold the paths now, so each time's paths are

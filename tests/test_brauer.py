@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -386,6 +387,36 @@ class TestCreatesCycle:
         for i, j in itertools.combinations(range(1, 4), 2):
             assert not creates_cycle(Pairing.tau(3, i, j), b)
             assert not creates_cycle(Pairing.e(3, i, j), b)
+
+
+class TestDimensionClasses:
+    def test_classes_follow_the_definition(self):
+        # colours out of order, several dimensions repeated
+        rng = random.Random(31)
+        for trial in range(20):
+            colours = rng.sample(range(1, 40), rng.randrange(1, 12))
+            dims = {c: Fraction(rng.randrange(1, 4), rng.randrange(1, 3))
+                    for c in colours}
+            df = DimensionFunction(dims)
+            for c in colours:
+                assert df.class_of(c) == min(
+                    x for x in colours if dims[x] == dims[c])
+            assert df.classes() == sorted({df.class_of(c) for c in colours})
+
+    def test_equality_and_hash_by_dims(self):
+        a = DimensionFunction({3: 2, 1: 5, 2: 2})
+        b = DimensionFunction({1: 5, 2: 2, 3: 2})
+        assert a == b and hash(a) == hash(b)
+        assert a.classes() == [1, 2]
+        assert a != DimensionFunction({1: 5, 2: 2, 3: 3})
+
+    def test_fnc_takes_class_representatives_only(self):
+        df = DimensionFunction([2, 3, 2])
+        b = identity_diagram(2, [1, 3])
+        assert fnc(b, df, 1) == 2
+        for cls in (3, 4):
+            with pytest.raises(ValueError, match="unknown dimension class"):
+                fnc(b, df, cls)
 
 
 class TestFnc:

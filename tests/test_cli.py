@@ -100,6 +100,17 @@ class TestMoment:
                          "--word", "u12")
         assert rc == 2
 
+    def test_limit_with_many_blocks_is_fast(self):
+        # the dimension classes of 20,000 colours are made in linear time;
+        # a scan of every colour per colour took minutes
+        src = os.path.dirname(os.path.dirname(mfe.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "mfe.cli", "moment", "--limit",
+             "--word", "u11 u11", "--n", "20000"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=10, check=True)
+        assert json.loads(out.stdout)["coeffs"] == ["1", "-1/20000"]
+
 
 class TestCumulant:
     def test_first_cumulant_value(self, capsys):
@@ -404,19 +415,31 @@ class TestEdgeInputs:
         assert "rational" in err
 
     def test_refused_allocation_exits_2(self):
-        # a 3 GiB address-space cap makes the 954 GiB sample array fail
-        # to allocate whatever the host's overcommit policy
+        # a 3 GiB address-space cap makes the 8.6 GB paths of one block
+        # fail to allocate whatever the host's overcommit policy
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
         src = os.path.dirname(os.path.dirname(mfe.__file__))
         out = subprocess.run(
             [sys.executable, "-m", "mfe.cli", "simulate", "--field", "C",
-             "--N", "8", "--word", "u11", "--t", "1",
-             "--samples", "1000000000"],
+             "--N", "512", "--word", "u11", "--t", "1",
+             "--samples", "2048"],
             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
             capture_output=True, text=True, preexec_fn=cap, timeout=300)
         assert_one_line_error(out.returncode, out.stdout, out.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--N", "2", "--t", "1", "--samples", "100000001"],
+        ["compare", "--d", "1", "--t", "0.5", "--t", "1",
+         "--samples", "50000001"],
+    ], ids=["simulate", "compare"])
+    def test_values_past_bound_exit_2(self, capsys, argv):
+        # samples x times past MAX_VALUES is refused before anything is
+        # allocated, with no address-space cap
+        rc, out, err = run(capsys, *argv, "--field", "C", "--word", "u11")
+        assert_one_line_error(rc, out, err)
+        assert "values allowed" in err
 
     @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "sympy"])
     def test_import_leaves_sparse_solver_unloaded(self, module):

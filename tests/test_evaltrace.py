@@ -20,7 +20,6 @@ from mfe.brauer import (
 from mfe import evaltrace
 from mfe.evaltrace import (
     STAT_CHUNK,
-    DiagonalElement,
     block_slice,
     m_stat,
     materialize_rho,
@@ -178,11 +177,6 @@ class TestBlocks:
         df = DimensionFunction([1, 2])
         a = np.arange(9.0).reshape(3, 3)
         assert np.allclose(block(a, df, 1, 2), [[1.0, 2.0]])
-
-    def test_projector(self):
-        df = DimensionFunction([2, 1])
-        p = DiagonalElement([0.0, 1.0]).to_matrix(df)
-        assert np.allclose(p, np.diag([0.0, 0.0, 1.0]))
 
 
 class TestAgainstTensorOperator:

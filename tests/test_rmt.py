@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+import mfe.rmt as rmt
 from mfe.brauer import (
     ColouredBrauerDiagram,
     DimensionFunction,
@@ -593,6 +594,15 @@ class TestEstimateStat:
         with pytest.raises(ValueError, match="samples >= 2"):
             estimate_stat(b, Word([WordLetter(1)]), "C", square_df(1, 4),
                           1.0, samples)
+
+    def test_values_bounded(self, monkeypatch):
+        # samples x times may reach MAX_VALUES, and not pass it
+        monkeypatch.setattr(rmt, "MAX_VALUES", 10)
+        b, w = identity_diagram(1, [1]), Word([WordLetter(1)])
+        assert len(estimate_stats(b, w, "R", square_df(1, 1), [0.5, 1.0],
+                                  5, steps=1)) == 2
+        with pytest.raises(ValueError, match="6 samples at 2 times"):
+            estimate_stats(b, w, "R", square_df(1, 1), [0.5, 1.0], 6)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_matches_samplewise_reference(self, field):
