@@ -246,7 +246,11 @@ def cmd_amalgamated(args):
     tokens = parse_word(args.word)
     k = len(tokens)
     ratios = parse_ratios(args.ratios)
-    alpha = tuple(int(x) for x in args.alpha.split(","))
+    try:
+        alpha = tuple(int(x) for x in args.alpha.split(","))
+    except ValueError:
+        raise ValueError("--alpha must be comma-separated integer colours, "
+                         "got %r" % args.alpha) from None
     if any(a not in ratios.dims for a in alpha):
         raise ValueError("--alpha colours must lie in 1..%d, one per ratio"
                          % ratios.n)
@@ -362,6 +366,9 @@ def main(argv=None):
                 raise ValueError("--t must be a finite number, got %r" % t)
         if getattr(args, "samples", 2) < 2:
             raise ValueError("a standard error needs --samples >= 2")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be a non-negative integer, got %d"
+                             % args.seed)
         return args.func(args)
     except (ValueError, MemoryError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

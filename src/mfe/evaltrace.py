@@ -58,25 +58,20 @@ def quat_embed(a):
 # block layout induced by a dimension function
 # ---------------------------------------------------------------------------
 
-def block_offsets(df):
-    """Start index of each colour block; colours sit in increasing order."""
-    off, pos = {}, 0
+def block_slices(df, scale=1):
+    """Indices of every colour block, from one sorted pass, as a dict
+    whose keys run in increasing colour order; scale 2 gives their rows
+    or columns in the complex embedding of a quaternion matrix."""
+    out, pos = {}, 0
     for c in sorted(df.dims):
-        off[c] = pos
-        pos += int(df.value(c))
-    return off, pos
+        width = scale * int(df.value(c))
+        out[c] = slice(pos, pos + width)
+        pos += width
+    return out
 
 
 def total_dim(df):
-    return block_offsets(df)[1]
-
-
-def block_slice(df, c, scale=1):
-    """Indices of colour block c; scale 2 gives its rows or columns in
-    the complex embedding of a quaternion matrix."""
-    off, _ = block_offsets(df)
-    d = int(df.value(c))
-    return slice(scale * off[c], scale * (off[c] + d))
+    return sum(s.stop - s.start for s in block_slices(df).values())
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +99,26 @@ def sample_chunks(samples, entries):
     return [slice(i, i + step) for i in range(0, samples, step)]
 
 
-def _loop_factors(cycle, signs, b, df, scale):
+def _loop_factors(cycle, signs, b, slices, field, bars):
     """The factors of the trace read off one loop of the diagram, in
-    traversal order, as (slot, index, adjoint): the block
-    mats[slot][index], or its adjoint.
+    traversal order, as (slot, index, transpose, conjugate): the block
+    mats[slot][index], transposed and entrywise conjugated as flagged.
 
-    cycle and signs are one entry of oriented_cycles.  Crossing the
+    cycle and signs are one entry of oriented_cycles, slices the
+    block_slices of the matrices and bars those of m_stat.  Crossing the
     vertical edge of slot l upward (signs[l] = -1) contributes the
     (c(l), c(l')) block of mats[l-1], crossing it downward
-    (signs[l] = +1) the transpose (adjoint for H) of that block.  A walk
-    that leaves its start slot through the pairing edge crosses that
-    slot last.
+    (signs[l] = +1) the transpose of that block.  A factor is conjugated
+    where the field is H and it is transposed, or where the field is C
+    and its slot is barred.  A walk that leaves its start slot through
+    the pairing edge crosses that slot last.
     """
     k = b.k
     if signs[cycle[0]] == 1:
         cycle = cycle[1:] + cycle[:1]
-    return [(l - 1, (Ellipsis, block_slice(df, b.colour(l), scale),
-                     block_slice(df, b.colour(k + l), scale)), signs[l] == 1)
+    return [(l - 1, (Ellipsis, slices[b.colour(l)], slices[b.colour(k + l)]),
+             signs[l] == 1,
+             signs[l] == 1 if field == "H" else field == "C" and bars[l - 1])
             for l in cycle]
 
 
@@ -130,18 +128,18 @@ def _loop_trace(factors, mats, quat):
     trace, which is minus the real part of the trace of the complex
     embedding.  Leading sample axes of the matrices carry through."""
     prod = None
-    for slot, index, adjoint in factors:
+    for slot, index, transpose, conj in factors:
         f = mats[slot][index]
-        if adjoint:
+        if transpose:
             f = np.swapaxes(f, -1, -2)
-            if quat:
-                f = f.conj()
+        if conj:
+            f = f.conj()
         prod = f if prod is None else prod @ f
     tr = np.trace(prod, axis1=-2, axis2=-1)
     return -tr.real if quat else tr
 
 
-def m_stat(b, mats, df, field="C", orientation=None):
+def m_stat(b, mats, df, field="C", orientation=None, bars=None):
     """Normalized trace statistic of a coloured diagram on slot matrices.
 
     mats[l] is the full matrix for tensor slot l+1, of shape (..., N, N),
@@ -153,13 +151,22 @@ def m_stat(b, mats, df, field="C", orientation=None):
     depend on the orientation.  Loop variables, when present, contribute
     their class dimension (-2 times it for H) -- they cancel against the
     extra normalizer.
+
+    bars flags the barred slots, none by default.  A barred slot reads
+    the adjoint of its matrix, as given: the diagram's twist transposes
+    its blocks, the adjoint over R, and over C m_stat conjugates them
+    one chunk at a time, as it conjugates every transposed block over H.
     """
     s = orientation if orientation is not None else canonical_orientation(
         b.pairing)
     if not b.is_valid(df):
         raise ValueError("diagram invalid under the dimension function")
+    bars = [False] * b.k if bars is None else bars
+    if len(bars) != b.k:
+        raise ValueError("%d bars for %d slots" % (len(bars), b.k))
     quat = field == "H"
-    loops = [_loop_factors(cycle, sg, b, df, 2 if quat else 1)
+    slices = block_slices(df, 2 if quat else 1)
+    loops = [_loop_factors(cycle, sg, b, slices, field, bars)
              for cycle, sg in oriented_cycles(b.pairing, s)]
     # a removed loop of class d is worth d (-2d for H) in the numerator and
     # raises fnc_d by one, so extended diagrams evaluate like bare ones.
@@ -199,31 +206,18 @@ def materialize_rho(b, df):
     import itertools
 
     k = b.k
-    off, n = block_offsets(df)
-    size = n ** k
-    rho = np.zeros((size, size))
-
-    def in_block(idx, c):
-        return off[c] <= idx < off[c] + int(df.value(c))
-
-    for col in itertools.product(range(n), repeat=k):
-        for row in itertools.product(range(n), repeat=k):
-            idx = {}
-            for i in range(1, k + 1):
-                idx[i] = col[i - 1]
-                idx[k + i] = row[i - 1]
-            ok = True
-            for x, y in b.pairing.pairs:
-                cx, cy = b.colour(x), b.colour(y)
-                if not (in_block(idx[x], cx) and in_block(idx[y], cy)):
-                    ok = False
-                    break
-                if idx[x] - off[cx] != idx[y] - off[cy]:
-                    ok = False
-                    break
-            if ok:
-                r = sum(v * n ** (k - 1 - i) for i, v in enumerate(row))
-                c = sum(v * n ** (k - 1 - i) for i, v in enumerate(col))
+    # the colour block of each index, and the index's offset in that block
+    where = [(c, i) for c, s in block_slices(df).items()
+             for i in range(s.stop - s.start)]
+    tuples = list(itertools.product(range(len(where)), repeat=k))
+    rho = np.zeros((len(tuples), len(tuples)))
+    for c, col in enumerate(tuples):
+        for r, row in enumerate(tuples):
+            # point i reads col[i-1], point k+i reads row[i-1]
+            at = [None] + [where[i] for i in col + row]
+            if all((at[x][0], at[y][0], at[x][1]) ==
+                   (b.colour(x), b.colour(y), at[y][1])
+                   for x, y in b.pairing.pairs):
                 rho[r, c] = 1.0
     return rho
 
@@ -257,9 +251,8 @@ def cond_expectation(a, df):
         raise ValueError("matrix does not match the dimension function")
     scale = a.shape[-1] // n
     vals = np.stack([np.trace(a[..., s, s], axis1=-2, axis2=-1)
-                     / (s.stop - s.start) for s in
-                     (block_slice(df, c, scale) for c in sorted(df.dims))],
-                    axis=-1)
+                     / (s.stop - s.start)
+                     for s in block_slices(df, scale).values()], axis=-1)
     return vals.real if scale == 2 else vals
 
 
@@ -285,7 +278,7 @@ def e_pi(pi, mats, df):
     mats = list(mats)
     k = len(mats)
     scale = mats[0].shape[-1] // total_dim(df)
-    widths = [scale * int(df.value(c)) for c in sorted(df.dims)]
+    widths = [s.stop - s.start for s in block_slices(df, scale).values()]
     part = as_set_partition(pi, k)
     if len(part.blocks) == 0 or \
             sorted(x for b in part.blocks for x in b) != list(range(1, k + 1)):

@@ -33,7 +33,6 @@ block's paths, twice for the default estimate's coupled pair, plus
 chunk-sized temporaries and 8 bytes per sample and time for the values:
 the step works one chunk of samples at a time, and the statistics and
 the unitarity defect are evaluated in the chunks of `sample_chunks`.
-Over C, a barred letter adds one conjugate copy of its block's paths.
 Each block of a letter draws from a SeedSequence of its own (see
 `estimate_stats`), so a run of at most SAMPLE_BLOCK samples draws what
 one pool per letter drew, and a larger run draws other paths, from the
@@ -570,10 +569,8 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
 
     Each distinct word letter gets an independent family of sample
     paths; t may be a scalar or a map letter -> time.  A barred letter
-    reads the adjoint of its sampled matrix: the diagram's twist at the
-    slot transposes it, and for C the slot gets the entry-wise conjugate;
-    for H the evaluator conjugates the transposed block itself, and R
-    needs no conjugate.
+    reads the adjoint of its sampled matrix, which `m_stat` takes from
+    the matrix as sampled and the word's bars.
     """
     return estimate_stats(b, word, field, df, [t], samples, seed, steps)[0]
 
@@ -653,28 +650,16 @@ def _block_seeds(seq):
 
 
 def _write_values(b, word, field, df, pool, out):
-    """The values of one time on a block into `out`: F on the paths of
-    each letter in `pool`, or 2 F - C where each letter has a coupled
-    (fine, coarse) pair."""
-    fine = _values(b, word, field, df, {c: u[0] for c, u in pool.items()})
+    """The values of one time on a block into `out`: the real part of
+    the statistic F on the paths of each letter in `pool`, or 2 F - C
+    where each letter has a coupled (fine, coarse) pair."""
+    def stat(i):
+        # samplewise statistics are complex; their expectation is real
+        return np.real(m_stat(b, [pool[l.letter][i] for l in word], df,
+                              field, bars=[l.bar for l in word]))
+
     if len(next(iter(pool.values()))) == 1:
-        out[:] = fine
+        out[:] = stat(0)
     else:
-        # the coarse statistic after the fine one, not stacked with it,
-        # which would copy both pools
-        np.subtract(2.0 * fine, _values(
-            b, word, field, df, {c: u[1] for c, u in pool.items()}),
-            out=out)
-
-
-def _values(b, word, field, df, pool):
-    """Real part of the statistic, sample by sample, on the terminals of
-    each letter in `pool`."""
-    if field == "C":
-        barred = {c: np.conj(pool[c])
-                  for c in {l.letter for l in word if l.bar}}
-    else:
-        barred = pool
-    mats = [barred[l.letter] if l.bar else pool[l.letter] for l in word]
-    # samplewise statistics are complex; their expectation is real
-    return np.real(m_stat(b, mats, df, field))
+        # the coarse statistic after the fine one, not stacked with it
+        np.subtract(2.0 * stat(0), stat(1), out=out)

@@ -276,11 +276,10 @@ def test_criterion_06_monte_carlo_vs_exact():
         u = sample_terminals(2 * d, "C", t, samples, steps=steps,
                              seed=600 + cfg)
         worst_defect = max(worst_defect, unitarity_defect(u, "C"))
-        uc = np.conj(u)
         for tokens in words:
             b, w = encode_word(tokens)
-            vals = np.real(m_stat(
-                b, [uc if star else u for _, _, star in tokens], df, "C"))
+            vals = np.real(m_stat(b, [u] * len(tokens), df, "C",
+                                  bars=[star for _, _, star in tokens]))
             mean = float(vals.mean())
             se = float(vals.std(ddof=1)) / math.sqrt(samples)
             exact = evolve_finite(b, w, t, df, "C")

@@ -338,8 +338,17 @@ class TestEdgeInputs:
           "--word", "u11", "--t", "1e6"], "more than the 1000000 allowed"),
         (["moment", "--limit", "--t", "1", "--word", " ".join(["u11"] * 40)],
          "reachable basis exceeds 20000"),
+        (["simulate", "--N", "2", "--samples", "3", "--field", "C",
+          "--word", "u11", "--t", "1", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["compare", "--d", "2", "--samples", "3", "--field", "C",
+          "--word", "u11", "--t", "1", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["amalgamated", "--word", "u11 u11", "--alpha", "1,x,1",
+          "--ratios", "1/4,3/4"], "--alpha must be comma-separated"),
     ], ids=["ratio-1/0", "ratio-3/0", "cumulant-p13", "cumulant-word13",
-            "simulate-t1e300", "compare-t1e6", "limit-u11^40"])
+            "simulate-t1e300", "compare-t1e6", "limit-u11^40",
+            "simulate-seed-1", "compare-seed-1", "alpha-x"])
     def test_fails_fast(self, capsys, argv, msg):
         rc, out, err = run(capsys, *argv)
         assert_one_line_error(rc, out, err)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -20,7 +21,9 @@ from mfe.brauer import (
 from mfe import evaltrace
 from mfe.evaltrace import (
     STAT_CHUNK,
-    block_slice,
+    block_slices,
+    cond_expectation,
+    e_pi,
     m_stat,
     materialize_rho,
     quat_embed,
@@ -28,12 +31,13 @@ from mfe.evaltrace import (
     sample_chunks,
     total_dim,
 )
-from mfe.ncpart import Permutation
+from mfe.ncpart import NonCrossingPartition, Permutation
 
 
 def block(a, df, c, cp):
     """Rows in colour block c, columns in colour block cp."""
-    return a[block_slice(df, c), block_slice(df, cp)]
+    s = block_slices(df)
+    return a[s[c], s[cp]]
 
 
 # quaternion matrices as (n, m, 4) arrays of their 1, i, j, k components,
@@ -170,13 +174,36 @@ class TestBlocks:
     def test_layout(self):
         df = DimensionFunction([2, 3])
         assert total_dim(df) == 5
-        assert block_slice(df, 1) == slice(0, 2)
-        assert block_slice(df, 2) == slice(2, 5)
+        assert block_slices(df) == {1: slice(0, 2), 2: slice(2, 5)}
+        assert block_slices(df, 2) == {1: slice(0, 4), 2: slice(4, 10)}
 
     def test_extract(self):
         df = DimensionFunction([1, 2])
         a = np.arange(9.0).reshape(3, 3)
         assert np.allclose(block(a, df, 1, 2), [[1.0, 2.0]])
+
+    def test_layout_is_linear_in_the_colours(self, monkeypatch):
+        # each call lays the blocks out in one sorted pass, so its
+        # dimension lookups grow linearly in the number of colours; a
+        # layout made again for each block made them quadratic
+        calls = []
+        value = DimensionFunction.value
+        monkeypatch.setattr(DimensionFunction, "value",
+                            lambda df, c: calls.append(c) or value(df, c))
+        b, _ = encode_word([(1, 2, False), (2, 1, False)])
+        split = NonCrossingPartition([[1], [2]])
+
+        def lookups(n):
+            df, eye = square_df(n, 1), np.eye(n)
+            del calls[:]
+            cond_expectation(eye, df)
+            e_pi(split, [eye, eye], df)
+            m_stat(b, [eye, eye], df, "C")
+            materialize_rho(identity_diagram(1, [1]), df)
+            return len(calls)
+
+        few, more, most = (lookups(n) for n in (16, 32, 64))
+        assert most - more == 2 * (more - few) > 0
 
 
 class TestAgainstTensorOperator:
@@ -246,14 +273,15 @@ class TestWordStatistics:
         assert np.isclose(got, np.trace(blocks) / 2.0)
 
     def test_starred_word_complex(self):
-        # a starred slot carries the conjugated matrix; the diagram's twist
-        # supplies the transpose, so together they evaluate the adjoint
+        # a barred slot carries the matrix as given; the diagram's twist
+        # supplies the transpose and m_stat the conjugate, so together
+        # they evaluate the adjoint
         rng = random.Random(8)
         df = DimensionFunction([2, 3])
         n = total_dim(df)
         u = rand_mat(rng, n, n, "C")
         b, _ = encode_word([(1, 1, True), (1, 1, False)])
-        got = m_stat(b, [u.conj(), u], df, "C")
+        got = m_stat(b, [u, u], df, "C", bars=[True, False])
         ustar = u.conj().T
         blocks = block(ustar, df, 1, 1) @ block(u, df, 1, 1)
         assert np.isclose(got, np.trace(blocks) / 2.0)
@@ -265,6 +293,8 @@ class TestWordStatistics:
         u = rand_mat(rng, n, n, "R")
         b, _ = encode_word([(2, 1, True), (2, 1, False)])
         got = m_stat(b, [u, u], df, "R")
+        # the twist's transpose is the adjoint: the bar changes nothing
+        assert m_stat(b, [u, u], df, "R", bars=[True, False]) == got
         blk = block(u, df, 2, 1)
         # the statistic is cyclically invariant, so it is normalized by the
         # block dimension at the cycle minimum (colour 2, dim 2)
@@ -289,10 +319,44 @@ class TestWordStatistics:
         q = rand_quat(rng, n, n)
         b, _ = encode_word([(1, 1, True), (1, 1, False)])
         got = m_stat(b, [quat_embed(q), quat_embed(q)], df, "H")
+        # the evaluator conjugates every transposed block over H, barred
+        # or not: the bar changes nothing
+        assert m_stat(b, [quat_embed(q), quat_embed(q)], df, "H",
+                      bars=[True, False]) == got
         blk = block(q, df, 1, 1)
         prod = hamilton(q_adjoint(blk), blk)
         # single loop: value -2 Re Tr over H, normalized by -2 d_1
         assert np.isclose(got, -2.0 * q_re_trace(prod) / (-2.0 * 2.0))
+
+
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_bars_read_adjoints(self, field):
+        # every word of up to three letters u_ij and u_ij* in two blocks,
+        # as in acceptance criterion 6, on one seeded pool: with the bars,
+        # the pool as sampled gives the bits of the conjugated pool
+        # without them over C, and of the pool without them over R and H
+        df = square_df(2, 2)
+        n = total_dim(df)
+        pool = normal_pool(np.random.default_rng(40), (5, n, n), field)
+        letters = [(i, j, s) for i in (1, 2) for j in (1, 2)
+                   for s in (False, True)]
+        words = [list(t) for k in (1, 2, 3)
+                 for t in itertools.product(letters, repeat=k)]
+        assert len(words) == 584
+        for tokens in words:
+            b, _ = encode_word(tokens)
+            bars = [s for _, _, s in tokens]
+            want = [np.conj(pool) if s and field == "C" else pool
+                    for s in bars]
+            got = m_stat(b, [pool] * len(tokens), df, field, bars=bars)
+            assert np.array_equal(got, m_stat(b, want, df, field)), tokens
+
+    def test_bars_need_one_flag_per_slot(self):
+        b, _ = encode_word([(1, 1, True), (1, 1, False)])
+        u = np.eye(2)
+        for bars in ([True], [True, False, False]):
+            with pytest.raises(ValueError, match="bars for 2 slots"):
+                m_stat(b, [u, u], square_df(1, 2), "C", bars=bars)
 
 
 class TestOrientationIndependence:

@@ -15,7 +15,7 @@ from mfe.brauer import (
 from mfe.cumulants import Colourization, kappa_closed_form
 from mfe.evaltrace import (
     amalgamated_cumulant,
-    block_slice,
+    block_slices,
     cond_expectation,
     e_pi,
     quat_embed,
@@ -59,8 +59,7 @@ def block_diagonal(values, df, field="C"):
     scale = 2 if field == "H" else 1
     n = scale * total_dim(df)
     out = np.zeros((n, n), dtype=complex)
-    for v, c in zip(values, sorted(df.dims)):
-        s = block_slice(df, c, scale)
+    for v, s in zip(values, block_slices(df, scale).values()):
         out[s, s] = np.eye(s.stop - s.start) * v
     return out
 

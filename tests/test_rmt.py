@@ -20,7 +20,7 @@ from mfe.brauer import (
     identity_diagram,
     square_df,
 )
-from mfe.evaltrace import STAT_CHUNK, block_slice, m_stat, sample_chunks, \
+from mfe.evaltrace import STAT_CHUNK, block_slices, m_stat, sample_chunks, \
     total_dim
 from mfe.moments import evolve_finite, finite_evaluator
 from mfe.rmt import (
@@ -41,7 +41,7 @@ from mfe.rmt import (
 )
 from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
     _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor, \
-    _terminals, _values
+    _terminals
 
 
 def quaternionic_defect(u):
@@ -528,7 +528,8 @@ class TestSampling:
             paths = (sample_terminals(N, field, 0.3, 70, 6, seed=1),
                      *_terminals(N, field, [0.3], 70, None, 1,
                                  coupled=True)[0])
-            return paths + tuple(_values(b, w, field, df, {1: u})
+            return paths + tuple(m_stat(b, [u, u], df, field,
+                                        bars=[l.bar for l in w])
                                  for u in paths + (pool,))
 
         want = walks()
@@ -577,7 +578,7 @@ class TestBlocks:
         assert total_dim(df) == 8
 
         def blk(i, j):
-            return a[block_slice(df, i), block_slice(df, j)]
+            return a[block_slices(df)[i], block_slices(df)[j]]
 
         assert blk(2, 2).shape == (3, 3)
         assert blk(1, 4).shape == (1, 3)
@@ -620,14 +621,13 @@ class TestEstimateStat:
         pools = {c: sample_terminals(total_dim(df), field, t, samples,
                                      steps, child)
                  for c, child in zip(letters, children)}
-        # a barred slot evaluates U*: the diagram's twist transposes it,
-        # the conjugate comes from the pool for C and from the evaluator
-        # for H
+        # a barred slot evaluates U*: the slot takes the sampled matrix,
+        # and m_stat, told the word's bars, takes its adjoint
+        bars = [l.bar for l in w]
         values = []
         for s in range(samples):
-            mats = [np.conj(pools[l.letter][s]) if l.bar and field == "C"
-                    else pools[l.letter][s] for l in w]
-            values.append(np.real(m_stat(b, mats, df, field)))
+            mats = [pools[l.letter][s] for l in w]
+            values.append(np.real(m_stat(b, mats, df, field, bars=bars)))
         assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
         assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
                           rtol=1e-12, atol=1e-14)
@@ -648,14 +648,13 @@ class TestEstimateStat:
         pools = {c: _terminals(total_dim(df), field, [t], samples, None,
                                child, coupled=True)[0]
                  for c, child in zip(letters, children)}
+        bars = [l.bar for l in w]
         values = []
         for s in range(samples):
-            fine, coarse = ([np.conj(pools[l.letter][i][s])
-                             if l.bar and field == "C"
-                             else pools[l.letter][i][s] for l in w]
+            fine, coarse = ([pools[l.letter][i][s] for l in w]
                             for i in (0, 1))
-            values.append(2 * np.real(m_stat(b, fine, df, field))
-                          - np.real(m_stat(b, coarse, df, field)))
+            values.append(2 * np.real(m_stat(b, fine, df, field, bars=bars))
+                          - np.real(m_stat(b, coarse, df, field, bars=bars)))
         assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
         assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
                           rtol=1e-12, atol=1e-14)
@@ -681,8 +680,8 @@ class TestEstimateStat:
         fine, _ = _terminals(1, "C", [1.0], 300, None, child,
                              coupled=True)[0]
         mean, _ = estimate_stat(b, w, "C", square_df(1, 1), 1.0, 300, seed=3)
-        assert np.isclose(mean, _values(b, w, "C", square_df(1, 1),
-                                        {1: fine}).mean(),
+        assert np.isclose(mean, np.real(m_stat(b, [fine, fine],
+                                               square_df(1, 1), "C")).mean(),
                           rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -741,10 +740,8 @@ class TestEstimateStat:
             values = []
             for i in range(3):
                 pool = {c: paths(c, at[c], i) for c in (1, 2)}
-                stats = [np.real(m_stat(b, [np.conj(pool[l.letter][j])
-                                            if l.bar and field == "C"
-                                            else pool[l.letter][j]
-                                            for l in w], df, field))
+                stats = [np.real(m_stat(b, [pool[l.letter][j] for l in w],
+                                        df, field, bars=[l.bar for l in w]))
                          for j in range(len(pool[1]))]
                 values.append(stats[0] if steps else
                               2 * stats[0] - stats[1])
@@ -759,8 +756,7 @@ class TestEstimateStat:
         ("C", [(1, 1, True), (1, 1, False)]),
     ])
     def test_memory_does_not_grow_with_samples(self, field, tokens):
-        # a run holds one block of paths, and over C one block of their
-        # conjugates for a barred letter: from 4 to 16 blocks of samples
+        # a run holds one block of paths: from 4 to 16 blocks of samples
         # at N = 2 the peak grows by the value array alone, 8 bytes a
         # sample
         b, w = encode_word(tokens)
@@ -778,6 +774,26 @@ class TestEstimateStat:
 
         grown = peak(16 * SAMPLE_BLOCK) - peak(4 * SAMPLE_BLOCK)
         assert grown <= 8 * 12 * SAMPLE_BLOCK + 2 ** 16, grown
+
+    def test_barred_letter_copies_no_paths(self):
+        # over C a barred letter costs what a plain one does: m_stat
+        # conjugates chunk-sized blocks, not a copy of the block's paths,
+        # which at N = 8 held 1 MiB more
+        df = square_df(1, 8)
+
+        def peak(tokens):
+            b, w = encode_word(tokens)
+            estimate_stat(b, w, "C", df, 1.0, 4, seed=3, steps=20)
+            tracemalloc.start()
+            try:
+                estimate_stat(b, w, "C", df, 1.0, 4096, seed=3, steps=20)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain = peak([(1, 1, False), (1, 1, False)])
+        barred = peak([(1, 1, True), (1, 1, False)])
+        assert barred <= plain + 2 ** 16, (barred, plain)
 
     def test_no_times(self):
         b, w = encode_word([(1, 1, False)])
