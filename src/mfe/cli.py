@@ -31,6 +31,13 @@ _WORD_HELP = ("block word, e.g. \"u11 u12* u21\": u<i><j> is the (i, j) "
               "block of the Brownian unitary, and u<i><j>* the adjoint of "
               "that block, which is the (j, i) block of u*")
 
+# how simulate and compare read --steps
+_STEPS_HELP = ("steps of each sampled path to time t, by default 16 per "
+               "unit time, at least one.  Each step draws the semisimple "
+               "part of its increment with variance dt (1 - kappa dt/24), "
+               "kappa = 2 + 4 (beta - 2)/(beta N), which makes the scheme "
+               "weak order 2; kappa dt >= 24 exits 2")
+
 _TOKEN = re.compile(r"u(?:(\d)(\d)|\[(\d+),(\d+)\])(\*?)$")
 
 
@@ -319,7 +326,7 @@ def build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_simulate)
@@ -331,7 +338,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true")
     p.add_argument("--bound", type=float, default=None)

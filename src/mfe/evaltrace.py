@@ -126,16 +126,32 @@ def _loop_trace(factors, mats, quat):
     """Trace of the product of one loop's factors (see _loop_factors).
     The quaternion value is -2 times the real part of the quaternion
     trace, which is minus the real part of the trace of the complex
-    embedding.  Leading sample axes of the matrices carry through."""
-    prod = None
-    for slot, index, transpose, conj in factors:
+    embedding.  Leading sample axes of the matrices carry through.
+
+    The product stops one factor early: tr(P F) is the sum of P_ij F_ji,
+    O(n^2) per sample where the last product would cost O(n^3).  The sum
+    is taken elementwise, not by einsum, whose rounding depends on the
+    operands' memory layout."""
+    def read(slot, index, transpose, conj):
         f = mats[slot][index]
         if transpose:
             f = np.swapaxes(f, -1, -2)
-        if conj:
-            f = f.conj()
+        return f.conj() if conj else f
+
+    *head, (slot, index, transpose, conj) = factors
+    prod = None
+    for factor in head:
+        f = read(*factor)
         prod = f if prod is None else prod @ f
-    tr = np.trace(prod, axis1=-2, axis2=-1)
+    # the last factor F read transposed: tr(P F) = sum_ij P_ij (F^T)_ij
+    last_t = read(slot, index, not transpose, conj)
+    if prod is None:
+        tr = np.trace(last_t, axis1=-2, axis2=-1)
+    else:
+        # the products land in one C-ordered array, so the sum does not
+        # depend on how the factors are laid out: a barred C slot gives
+        # the bytes of its conjugated matrix
+        tr = np.multiply(prod, last_t, order="C").sum(axis=(-2, -1))
     return -tr.real if quat else tr
 
 

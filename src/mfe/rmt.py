@@ -7,13 +7,31 @@ stays exactly in the group.  Quaternion matrices are complex matrices of
 side 2N throughout, their embedding by `quat_embed`, from the Gaussian
 draw to the trace.
 
-The scheme is weak order 1.  An explicit step count walks one plain path
-per sample.  The default estimate extrapolates instead (Talay & Tubaro
-1990): each sample walks a fine path of M = DEFAULT_FINE * t steps and a
-coarse path of M/2 steps coupled to it, whose increments are the fine
-ones summed in pairs, and contributes 2F - C of their statistics.  That
-cancels the first-order bias for one more exponential per pair of fine
-steps and no more normals.
+The plain step is weak order 1.  Over one step X = sqrt(dt) sum_i g_i H_i,
+with the H_i an orthonormal basis and Delta = sum_i H_i^2 the Laplacian,
+the fourth moments of the g_i give
+
+    E f(u e^X) = f + (dt/2) Delta f + (dt^2/8) Delta^2 f
+                 + (kappa dt^2/48) Delta_s f + O(dt^3),
+
+because sum_ij H_i [H_j, H_i] H_j = (kappa/2) Delta_s, where Delta_s sums
+over the semisimple part of the algebra, orthogonal to its centre.  The
+first three terms are those of e^(dt Delta/2); the last is the bias of
+the step, which runs the semisimple part fast.  `kappa` is the Casimir
+value of the adjoint action, sum_jk f_ijk^2 for the structure constants
+f_ijk of the basis: for the metric (beta N/2) Re Tr(X* Y) it is
+2 + 4 (beta - 2)/(beta N), that is 2 - 4/N over R (0 on the abelian
+so(1) and so(2)), 2 over C and 2 + 2/N over H.  So each step draws the
+semisimple part with variance dt (1 - kappa dt/24) instead of dt, which
+cancels the last term and makes the scheme weak order 2 (cf. Malham &
+Wiese, Stochastic Lie group integrators, 2008) at the cost of a scale.
+That part is all of so(N) and sp(N), where the factor
+s = sqrt(1 - kappa dt/24) sits in the weights of the draw, and the
+traceless part of u(N): over C the centre is the multiples of the
+identity, so the off-diagonal weights carry s and the diagonal of each
+increment X becomes P X + s (X - P X), P X = (tr X / N) I.  A step with
+kappa dt >= 24 has no such variance and is refused.  The default
+estimate walks DEFAULT_STEPS * t steps, and `--steps` the same scheme.
 
 The step kernel draws each increment from one normal per real degree of
 freedom, N(N-1)/2 for R, N^2 for C and N(2N+1) for H, and runs one chunk
@@ -29,10 +47,10 @@ _CHUNK and _REAL_SIDES.
 
 The estimator walks and evaluates the samples in blocks of SAMPLE_BLOCK,
 one block at a time, so whatever the sample count a run holds one
-block's paths, twice for the default estimate's coupled pair, plus
-chunk-sized temporaries and 8 bytes per sample and time for the values:
-the step works one chunk of samples at a time, and the statistics and
-the unitarity defect are evaluated in the chunks of `sample_chunks`.
+block's paths plus chunk-sized temporaries and 8 bytes per sample and
+time for the values: the step works one chunk of samples at a time, and
+the statistics and the unitarity defect are evaluated in the chunks of
+`sample_chunks`.
 Each block of a letter draws from a SeedSequence of its own (see
 `estimate_stats`), so a run of at most SAMPLE_BLOCK samples draws what
 one pool per letter drew, and a larger run draws other paths, from the
@@ -50,9 +68,12 @@ from .evaltrace import m_stat, quat_embed, sample_chunks, total_dim
 
 BETA = {"R": 1, "C": 2, "H": 4}
 
-# fine steps per unit time of the default estimate, which extrapolates a
-# fine path and a coarse one of half its steps (see estimate_stats)
-DEFAULT_FINE = 32
+# steps per unit time of the default estimate: the smallest M of
+# 8, 12, 16, 24 and 32 whose bias, the 4-step bias b_4 of tr(u11 u11) at
+# t = 1 scaled by the weak order 2 as (|b_4| + 2 se) (4/M)^2, is below
+# that of 200 plain first-order steps for C and H at N = 2 and R at
+# N = 3 (4 * 10^6 samples each; table in CHANGES.md)
+DEFAULT_STEPS = 16
 
 # resource limit on the steps of one sampling run, given or default
 MAX_STEPS = 10 ** 6
@@ -177,6 +198,15 @@ def casimir_constant(field, N):
     """Scalar c with sum_k H_k^2 = c I: c = -1 + (2 - beta)/(beta N)."""
     beta = BETA[field]
     return -1.0 + (2.0 - beta) / (beta * N)
+
+
+def kappa(field, N):
+    """The constant of the plain step's bias (see the module docstring):
+    2 + 4 (beta - 2)/(beta N), and 0 on the abelian so(1) and so(2)."""
+    if field == "R" and N <= 2:
+        return 0.0
+    beta = BETA[field]
+    return 2.0 + 4.0 * (beta - 2) / (beta * N)
 
 
 def casimir_scalar_check(basis: LieBasis):
@@ -440,23 +470,48 @@ def _gaussian_lie(rng, layout, out):
     return out
 
 
+def _step_layout(N, field, dt):
+    """The layout of `_gaussian_lie` for the increments of step dt: the
+    weights of `_lie_layout` times sqrt(dt), and times
+    s = sqrt(1 - kappa dt/24) on the semisimple coordinates, all over R
+    and H and all but the diagonal's N over C.  Returned with the factor
+    for `_shrink_traceless`: s over C at N >= 2, else 1."""
+    shrink = kappa(field, N) * dt / 24.0
+    if not shrink < 1.0:
+        raise ValueError("step size t/steps = %g is too large: the "
+                         "semisimple variance factor 1 - kappa dt/24 = %.3g "
+                         "is not positive" % (dt, 1.0 - shrink))
+    s = math.sqrt(1.0 - shrink)
+    dim, idx, w = _lie_layout(N, field)
+    semisimple = dim - N if field == "C" else dim
+    w = np.where(idx < semisimple, s, 1.0) * (w * math.sqrt(dt))
+    return (dim, idx, w), (s if field == "C" and N > 1 else 1.0)
+
+
+def _shrink_traceless(x, s):
+    """The diagonal of each matrix X of the C-contiguous batch x to that
+    of P X + s (X - P X), P X = (tr X / N) I, in place."""
+    d = x.reshape(len(x), -1)[:, ::x.shape[-1] + 1].imag
+    c = d.mean(axis=1, keepdims=True)
+    d -= c
+    d *= s
+    d += c
+
+
 def _step_count(t, steps):
-    """The steps of a sampling run to time t: `steps`, or by default the
-    fine steps of the extrapolated estimate, DEFAULT_FINE * t rounded to
-    an even count, at least two."""
+    """The steps of a sampling run to time t: `steps`, or by default
+    DEFAULT_STEPS * t rounded, at least one."""
     if not t >= 0:
         raise ValueError("negative time" if t < 0 else "time is not a number")
-    pairs = None
     if steps is None:
-        # rounded only below the bound, as DEFAULT_FINE t may overflow
-        pairs = max(1.0, DEFAULT_FINE * t / 2)
-        steps = 2 * pairs
+        # rounded only below the bound, as DEFAULT_STEPS t may overflow
+        steps = max(1.0, DEFAULT_STEPS * t)
     if steps < 1:
         raise ValueError("need at least one step")
     if steps > MAX_STEPS:
         raise ValueError("t = %g takes %.7g steps, more than the %d allowed"
                          % (t, steps, MAX_STEPS))
-    return int(round(steps)) if pairs is None else 2 * int(round(pairs))
+    return int(round(steps))
 
 
 def sample_terminals(N, field, t, samples, steps=None, seed=0):
@@ -464,16 +519,14 @@ def sample_terminals(N, field, t, samples, steps=None, seed=0):
 
     Returns an array of shape (samples, N, N) for R and C, and the
     complex embedding, of shape (samples, 2N, 2N), for H.  Without
-    `steps`, takes the default estimate's fine steps, DEFAULT_FINE * t
-    rounded to an even count, at least two.  Raises ValueError past
-    MAX_STEPS steps.
+    `steps`, takes DEFAULT_STEPS * t steps, rounded, at least one.
+    Raises ValueError past MAX_STEPS steps.
     """
-    return _terminals(N, field, [t], samples, steps, seed)[0][0]
+    return _terminals(N, field, [t], samples, steps, seed)[0]
 
 
-def _terminals(N, field, times, samples, steps, seed, coupled=False):
-    """The paths of `sample_terminals` at each of `times`, as a list of
-    tuples: (fine,) or, `coupled`, (fine, coarse) as `_walk` gives them.
+def _terminals(N, field, times, samples, steps, seed):
+    """The paths of `sample_terminals` at each of `times`, as a list.
 
     Times whose runs have the same float step t/steps share one family
     of paths, read off at each one's step count: the draws depend only
@@ -486,54 +539,42 @@ def _terminals(N, field, times, samples, steps, seed, coupled=False):
     runs = [(t / k, k) for t, k in zip(
         times, [_step_count(t, steps) for t in times])]
     paths = {dt: _walk(N, field, dt, {k for d, k in runs if d == dt},
-                       samples, seed, coupled)
+                       samples, seed)
              for dt in {d for d, _ in runs}}
     return [paths[dt][k] for dt, k in runs]
 
 
-def _walk(N, field, dt, stops, samples, seed, coupled=False):
+def _walk(N, field, dt, stops, samples, seed):
     """Paths of step dt from the identity, as a map from each step count
-    in `stops` to the tuple (paths after that many steps,).  `coupled`
-    walks in pairs of steps, to even stops, and adds a coarse path of
-    step 2 dt to the tuple: where the fine path multiplies by e^a and
-    then by e^b, the coarse one multiplies by e^(a + b), which has the
-    law of its step, so it draws no normals of its own.
+    in `stops` to the paths after that many steps.
 
     A step draws and exponentiates one chunk of increments at a time and
     multiplies it into its rows of u in place, so that no batch-sized
     temporary lives beside the paths.  Each chunk's increments are drawn
     into the buffer of `_expm_chunk`, allocated once and cut to the
-    chunk's length, which holds every array of the step; a coupled pair
-    is drawn back to back into slots 0 and 1 of a buffer of one more
-    slot, so a is still in slot 0 for the sum.
+    chunk's length, which holds every array of the step.
     """
     rng = np.random.default_rng(seed)
     n = _side(field, N)
     u = np.broadcast_to(np.eye(n, dtype=float if field == "R" else complex),
                         (samples, n, n)).copy()
-    walks = (u, u.copy()) if coupled else (u,)
     chunk = _chunk_len(n)
     rows = [slice(i, i + chunk) for i in range(0, samples, chunk)]
-    per = len(walks)
-    slots = _SLOTS + per - 1
-    powers = np.empty(slots * n * n * min(chunk, samples), u.dtype)
-    dim, idx, w = _lie_layout(N, field)
-    layout = dim, idx, w * math.sqrt(dt)
+    powers = np.empty(_SLOTS * n * n * min(chunk, samples), u.dtype)
+    layout, s = _step_layout(N, field, dt)
     last = max(stops)
     out = {}
-    for k in range(per, last + 1, per):
+    for k in range(1, last + 1):
         if dt > 0:
             for r in rows:
                 uc = u[r]
-                p = powers[:slots * uc.size].reshape((slots,) + uc.shape)
-                for j in range(per):
-                    _gaussian_lie(rng, layout, p[j])
-                    _step(uc, p[j:j + _SLOTS], dt)
-                if coupled:
-                    p[0] += p[1]
-                    _step(walks[1][r], p[:_SLOTS], 2 * dt)
+                p = powers[:_SLOTS * uc.size].reshape((_SLOTS,) + uc.shape)
+                _gaussian_lie(rng, layout, p[0])
+                if s != 1.0:
+                    _shrink_traceless(p[0], s)
+                _step(uc, p, dt)
         if k in stops:
-            out[k] = walks if k == last else tuple(x.copy() for x in walks)
+            out[k] = u if k == last else u.copy()
     return out
 
 
@@ -578,25 +619,22 @@ def estimate_stat(b, word, field, df, t, samples, seed=0, steps=None):
 def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     """`estimate_stat` at each t of `times`, as a list of (mean, stderr).
 
-    With `steps`, each sample's value is the statistic F of its paths.
-    Without, it is 2 F - C: F on the fine paths of the default even step
-    count M, C on coarse paths of M/2 steps coupled to them (see
-    `_walk`).  The scheme is weak order 1, E F = exact + c/M + O(1/M^2),
-    so the extrapolation cancels the first-order bias (Talay & Tubaro
-    1990), and the coupling keeps its variance near that of F alone.
+    Each sample's value is the statistic of its paths, walked with
+    `steps` steps, or by default DEFAULT_STEPS * t rounded (see
+    `sample_terminals`).
 
     The samples are taken in blocks of SAMPLE_BLOCK, one block at a time:
     its paths are walked, its values at every time written into one
     array per time, and its paths dropped before the next block.  So a
-    run holds one block's paths (twice for the coupled pair) and
-    block-sized temporaries, whatever the sample count, besides 8 bytes
-    per sample and time for the values, of which there may be at most
-    MAX_VALUES.  Letter l draws from the l-th child of
-    SeedSequence(seed).spawn(L), L the number of letters: block 0 from
-    that child itself, block i >= 1 from the child's (i-1)-th spawned
-    child.  A block's draws thus do not depend on the sample count, and
-    a run of at most SAMPLE_BLOCK samples gives the bytes that one pool
-    per letter gave; a larger run gives other paths, from the same law.
+    run holds one block's paths and block-sized temporaries, whatever
+    the sample count, besides 8 bytes per sample and time for the
+    values, of which there may be at most MAX_VALUES.  Letter l draws
+    from the l-th child of SeedSequence(seed).spawn(L), L the number of
+    letters: block 0 from that child itself, block i >= 1 from the
+    child's (i-1)-th spawned child.  A block's draws thus do not depend
+    on the sample count, and a run of at most SAMPLE_BLOCK samples gives
+    the bytes that one pool per letter gave; a larger run gives other
+    paths, from the same law.
 
     Within a block, a letter's paths are sampled once for all the times
     whose runs have the same float step t/steps, as the default steps
@@ -622,21 +660,23 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
                          % (samples, len(times), MAX_VALUES))
     streams = [_block_seeds(child) for child in
                np.random.SeedSequence(seed).spawn(len(letters))]
-    coupled = steps is None
     values = [np.empty(samples) for _ in times]
     for start in range(0, samples, SAMPLE_BLOCK):
         size = min(SAMPLE_BLOCK, samples - start)
         pools = [{} for _ in times]
         for letter, ts, stream in zip(letters, at, streams):
-            us = _terminals(n, field, ts, size, steps, next(stream), coupled)
+            us = _terminals(n, field, ts, size, steps, next(stream))
             for pool, u in zip(pools, us):
                 pool[letter] = u
         # only the pools hold the paths now, so each time's paths are
         # released once its values are written
         del us, u, pool
         for value in values:
-            _write_values(b, word, field, df, pools.pop(0),
-                          value[start:start + size])
+            # samplewise statistics are complex; their expectation is real
+            value[start:start + size] = np.real(m_stat(
+                b, [pools[0][l.letter] for l in word], df, field,
+                bars=[l.bar for l in word]))
+            del pools[0]
     return [(float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples)))
             for v in values]
 
@@ -647,19 +687,3 @@ def _block_seeds(seq):
     yield seq
     while True:
         yield seq.spawn(1)[0]
-
-
-def _write_values(b, word, field, df, pool, out):
-    """The values of one time on a block into `out`: the real part of
-    the statistic F on the paths of each letter in `pool`, or 2 F - C
-    where each letter has a coupled (fine, coarse) pair."""
-    def stat(i):
-        # samplewise statistics are complex; their expectation is real
-        return np.real(m_stat(b, [pool[l.letter][i] for l in word], df,
-                              field, bars=[l.bar for l in word]))
-
-    if len(next(iter(pool.values()))) == 1:
-        out[:] = stat(0)
-    else:
-        # the coarse statistic after the fine one, not stacked with it
-        np.subtract(2.0 * stat(0), stat(1), out=out)

@@ -198,13 +198,12 @@ class TestCompare:
         assert rc == 1
 
     @pytest.mark.parametrize("steps,passes", [
-        ([], 32), (["--steps", "10"], 20)])
+        ([], 16), (["--steps", "10"], 20)])
     def test_sampling_passes(self, capsys, monkeypatch, steps, passes):
-        # by default t = 0.5 and t = 1 both take the fine step 1/32, so
-        # one 32-step coupled pass per letter serves both, and its coarse
-        # path draws nothing; an explicit --steps gives each t its own
-        # step and its own pass.  Either way each row is what its own
-        # estimate_stat call gives, bit for bit.
+        # by default t = 0.5 and t = 1 both take the step 1/16, so one
+        # 16-step pass per letter serves both; an explicit --steps gives
+        # each t its own step and its own pass.  Either way each row is
+        # what its own estimate_stat call gives, bit for bit.
         from mfe import rmt
         draws = []
         gaussian_lie = rmt._gaussian_lie
@@ -390,6 +389,24 @@ class TestEdgeInputs:
         rc, out, err = run(capsys, *argv)
         assert (rc, err) == (0, "")
         assert json.loads(out)["values"] == [{"t": 1e300, "value": 0.0}]
+
+    def test_step_without_variance_exits_2(self, capsys):
+        # over C at N = 2, kappa = 2: a step of 12 leaves the semisimple
+        # part of its increment the variance 12 (1 - 2 * 12/24) = 0
+        argv = ["simulate", "--field", "C", "--N", "2", "--word", "u11",
+                "--samples", "3", "--steps", "1"]
+        rc, out, err = run(capsys, *argv, "--t", "12")
+        assert_one_line_error(rc, out, err)
+        assert "step size t/steps = 12 is too large" in err
+        rc, out, err = run(capsys, *argv, "--t", "11.99")
+        assert (rc, err) == (0, "")
+        assert all(math.isfinite(v) for v in json.loads(out).values())
+
+    def test_steps_help_names_the_default(self):
+        from mfe import rmt
+        from mfe.cli import _STEPS_HELP
+        assert "by default %d per unit time" % rmt.DEFAULT_STEPS in \
+            _STEPS_HELP
 
     def test_overflowing_step_exits_2(self, capsys):
         # the error comes before numpy overflows, so no warning is raised

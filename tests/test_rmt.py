@@ -25,7 +25,7 @@ from mfe.evaltrace import STAT_CHUNK, block_slices, m_stat, sample_chunks, \
 from mfe.moments import evolve_finite, finite_evaluator
 from mfe.rmt import (
     BETA,
-    DEFAULT_FINE,
+    DEFAULT_STEPS,
     MAX_STEPS,
     SAMPLE_BLOCK,
     LieBasis,
@@ -35,13 +35,14 @@ from mfe.rmt import (
     estimate_stats,
     expm,
     inner_product,
+    kappa,
     lie_basis,
     sample_terminals,
     unitarity_defect,
 )
 from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
     _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor, \
-    _terminals
+    _shrink_traceless, _step_layout
 
 
 def quaternionic_defect(u):
@@ -99,6 +100,30 @@ class TestCasimir:
     def test_quaternion_constant(self):
         assert np.isclose(casimir_constant("H", 2), -1.0 - 1.0 / 4)
 
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    def test_kappa_from_structure_constants(self, field):
+        # sum_jk f_ijk^2 over the structure constants
+        # f_ijk = <[H_i, H_j], H_k> of lie_basis is kappa times the
+        # squared norm of H_i's semisimple part: all of H_i over R and H,
+        # its traceless part over C, whose diagonal elements i E_jj
+        # carry the centre.  The empty so(1) has kappa 0
+        for N in range(1, 6):
+            basis = lie_basis(N, field)
+            if not len(basis):
+                continue
+            h = np.array(basis.elements)
+            comm = h[:, None] @ h[None] - h[None] @ h[:, None]
+            f = lie_coordinates(basis, comm.reshape((-1,) + h.shape[1:]))
+            got = (f ** 2).reshape(len(h), -1).sum(axis=1)
+            if field == "C":
+                h = h - np.trace(h, axis1=1, axis2=2)[:, None, None] / N \
+                    * np.eye(N)
+            want = [kappa(field, N) * inner_product(field, N, x, x)
+                    for x in h]
+            assert np.abs(got - want).max() <= 1e-12, (field, N)
+        assert kappa("R", 1) == 0.0 and kappa("R", 2) == 0.0
+        assert len(lie_basis(1, "R")) == 0
+
 
 def draw(rng, N, field, samples, scale=1.0):
     """`samples` Gaussian Lie elements times `scale`, drawn as the sampler
@@ -107,6 +132,17 @@ def draw(rng, N, field, samples, scale=1.0):
     dim, idx, w = _lie_layout(N, field)
     out = np.empty((samples, n, n), dtype=float if field == "R" else complex)
     return _gaussian_lie(rng, (dim, idx, w * scale), out)
+
+
+def draw_step(rng, N, field, samples, dt):
+    """`samples` increments of step dt, drawn as the walk draws them."""
+    n = 2 * N if field == "H" else N
+    layout, s = _step_layout(N, field, dt)
+    out = np.empty((samples, n, n), dtype=float if field == "R" else complex)
+    _gaussian_lie(rng, layout, out)
+    if s != 1.0:
+        _shrink_traceless(out, s)
+    return out
 
 
 def lie_batch(field, N, samples, scale, seed=0):
@@ -303,15 +339,16 @@ class TestDegree:
         assert _degree(*powers(a)) == (12, 0)
         assert norm_degree(norm1(a)) == (16, 0)
 
-    def test_default_fine_and_coarse_steps(self):
-        # C, N=8 at the default fine step 1/DEFAULT_FINE and the coarse
-        # step twice that, the increments a and a + b of the coupled
-        # walk: every chunk of 20000 draws takes degree 16, no squaring
-        step = _chunk_len(8)
-        for dt in (1 / DEFAULT_FINE, 2 / DEFAULT_FINE):
-            a = lie_batch("C", 8, 20000, math.sqrt(dt), seed=1)
-            assert {_degree(*powers(a[i:i + step]))
-                    for i in range(0, len(a), step)} == {(16, 0)}
+    @pytest.mark.parametrize("field,N", [("C", 8), ("R", 8), ("H", 4)])
+    def test_default_step(self, field, N):
+        # the increments of the default step 1/DEFAULT_STEPS, as the walk
+        # draws them: every chunk of 20000 draws takes degree 16, no
+        # squaring, so every step costs the same
+        dt = 1 / DEFAULT_STEPS
+        a = draw_step(np.random.default_rng(1), N, field, 20000, dt)
+        step = _chunk_len(a.shape[-1])
+        assert {_degree(*powers(a[i:i + step]))
+                for i in range(0, len(a), step)} == {(16, 0)}
 
     def test_criterion_10_step(self):
         # C, N=32 at dt = 0.01, in chunks of 64 matrices, as large as
@@ -447,16 +484,17 @@ class TestSampling:
 
     @pytest.mark.parametrize("t,steps", [
         (1e6, None), (1e300, None), (1.0, MAX_STEPS + 1),
-        ((MAX_STEPS + 2) / DEFAULT_FINE, None)])
+        ((MAX_STEPS + 1) / DEFAULT_STEPS, None)])
     def test_step_count_bounded(self, t, steps):
         with pytest.raises(ValueError, match=re.escape("t = %g takes" % t)):
             sample_terminals(2, "C", t, 3, steps=steps)
 
     def test_default_steps(self):
-        # DEFAULT_FINE per unit time, rounded to an even count, at least
-        # two; MAX_STEPS is allowed
-        for field, t, steps in [("C", 0.3, 10), ("C", 0.02, 2),
-                                ("R", 1e-4, 2), ("H", 1.0, DEFAULT_FINE)]:
+        # DEFAULT_STEPS per unit time, rounded, at least one; MAX_STEPS
+        # is allowed
+        for field, t, steps in [("C", 0.3, 5), ("C", 0.02, 1),
+                                ("R", 1e-4, 1), ("H", 0.5, 8),
+                                ("H", 1.0, DEFAULT_STEPS)]:
             assert np.array_equal(sample_terminals(2, field, t, 3, seed=5),
                                   sample_terminals(2, field, t, 3, steps,
                                                    seed=5))
@@ -502,6 +540,20 @@ class TestSampling:
                                                  r"\+300"):
                 sample_terminals(2, "C", 1e300, 3, steps=1)
 
+    @pytest.mark.parametrize("field,N,edge", [("C", 2, 12.0), ("R", 3, 36.0),
+                                              ("H", 1, 6.0)])
+    def test_step_needs_positive_variance(self, field, N, edge):
+        # the semisimple variance dt (1 - kappa dt/24) vanishes at
+        # kappa dt = 24, which is refused; a step just short of it walks
+        assert math.isclose(kappa(field, N) * edge, 24.0)
+        with pytest.raises(ValueError, match="step size t/steps = %g is too "
+                                             "large" % edge):
+            sample_terminals(N, field, edge, 3, steps=1)
+        u = sample_terminals(N, field, edge * (1 - 1e-9), 3, steps=1)
+        assert unitarity_defect(u, field) <= 1e-12
+        # abelian so(2) has kappa 0, so any step keeps its variance
+        assert np.isfinite(sample_terminals(2, "R", 1e3, 3, steps=1)).all()
+
     def test_so1_is_the_identity(self, monkeypatch):
         # SO(1) has no degree of freedom: every draw is the 1x1 zero, and
         # every path stays at 1 exactly.  New buffers start as NaN, so
@@ -526,8 +578,7 @@ class TestSampling:
 
         def walks():
             paths = (sample_terminals(N, field, 0.3, 70, 6, seed=1),
-                     *_terminals(N, field, [0.3], 70, None, 1,
-                                 coupled=True)[0])
+                     sample_terminals(N, field, 0.3, 70, seed=1))
             return paths + tuple(m_stat(b, [u, u], df, field,
                                         bars=[l.bar for l in w])
                                  for u in paths + (pool,))
@@ -634,55 +685,61 @@ class TestEstimateStat:
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_default_matches_samplewise_reference(self, field):
-        # the default estimate is the mean and standard error of 2F - C
-        # per sample, F on the fine paths and C on the coupled coarse
-        # ones: two letters, one barred twice, unequal blocks
+        # the default estimate walks DEFAULT_STEPS * t steps, rounded:
+        # 0.7 * 16 = 11.2 gives the bytes of 11 explicit steps, the mean
+        # and standard error of the statistic per sample of those paths.
+        # Two letters, one barred twice, unequal blocks
         df = DimensionFunction([1, 2])
         tokens = [(1, 2, True), (1, 1, False), (1, 2, False), (2, 2, True),
                   (2, 2, False)]
         b, w = encode_word(tokens, letters=[1, 2, 1, 1, 2])
         samples, seed, t = 40, 21, 0.7
-        mean, se = estimate_stat(b, w, field, df, t, samples, seed=seed)
+        assert DEFAULT_STEPS == 16
+        got = estimate_stat(b, w, field, df, t, samples, seed=seed)
+        assert got == estimate_stat(b, w, field, df, t, samples, seed=seed,
+                                    steps=11)
         letters = sorted({l.letter for l in w})
         children = np.random.SeedSequence(seed).spawn(len(letters))
-        pools = {c: _terminals(total_dim(df), field, [t], samples, None,
-                               child, coupled=True)[0]
+        pools = {c: sample_terminals(total_dim(df), field, t, samples,
+                                     seed=child)
                  for c, child in zip(letters, children)}
         bars = [l.bar for l in w]
-        values = []
-        for s in range(samples):
-            fine, coarse = ([pools[l.letter][i][s] for l in w]
-                            for i in (0, 1))
-            values.append(2 * np.real(m_stat(b, fine, df, field, bars=bars))
-                          - np.real(m_stat(b, coarse, df, field, bars=bars)))
+        values = [np.real(m_stat(b, [pools[l.letter][s] for l in w], df,
+                                 field, bars=bars))
+                  for s in range(samples)]
+        mean, se = got
         assert np.isclose(mean, np.mean(values), rtol=1e-12, atol=1e-14)
         assert np.isclose(se, np.std(values, ddof=1) / math.sqrt(samples),
                           rtol=1e-12, atol=1e-14)
 
-    def test_coupled_walk_steps(self):
-        # 0.7 * DEFAULT_FINE = 22.4 fine steps round to 22, in 11 pairs:
-        # the fine path is a plain walk of that many steps, the coarse
-        # one of half as many, neither equal to the other
-        fine, coarse = _terminals(2, "C", [0.7], 3, None, 4, coupled=True)[0]
-        assert np.array_equal(fine, sample_terminals(2, "C", 0.7, 3, 22,
-                                                     seed=4))
-        assert not np.allclose(fine, coarse)
-        assert unitarity_defect(coarse, "C") <= 1e-12
+    def test_u1_increments_commute(self, monkeypatch):
+        # on U(1) the algebra is its centre: the increments commute, the
+        # plain step has no bias to cancel, and the correction leaves
+        # the walk bit for bit as it is.  On U(2) it moves the paths
+        u1 = sample_terminals(1, "C", 1.0, 300, seed=3)
+        u2 = sample_terminals(2, "C", 1.0, 30, seed=3)
+        monkeypatch.setattr(rmt, "kappa", lambda field, N: 0.0)
+        assert np.array_equal(sample_terminals(1, "C", 1.0, 300, seed=3), u1)
+        assert not np.allclose(sample_terminals(2, "C", 1.0, 30, seed=3), u2)
 
-    def test_u1_increments_commute(self):
-        # on U(1) e^a e^b = e^(a + b), so the coarse path is the fine one
-        # to rounding, and 2F - C has the fine paths' mean
+    @pytest.mark.parametrize("field,samples", [("C", 4 * 10 ** 5),
+                                               ("H", 10 ** 5)])
+    def test_correction_cancels_bias(self, monkeypatch, field, samples):
+        # tr(u11 u11) at N = 2, t = 1, in 4 steps: the corrected scheme
+        # lies within 4 se of the exact value, and the plain one, kappa
+        # patched to 0, 8 se or more off it.  Its bias is about -0.0070
+        # over C and -0.0117 over H (CHANGES.md), 11 and 13 se at these
+        # sample counts
         b, w = encode_word([(1, 1, False), (1, 1, False)])
-        fine, coarse = _terminals(1, "C", [1.0], 300, None, 3,
-                                  coupled=True)[0]
-        assert np.abs(fine - coarse).max() <= 1e-13
-        child = np.random.SeedSequence(3).spawn(1)[0]
-        fine, _ = _terminals(1, "C", [1.0], 300, None, child,
-                             coupled=True)[0]
-        mean, _ = estimate_stat(b, w, "C", square_df(1, 1), 1.0, 300, seed=3)
-        assert np.isclose(mean, np.real(m_stat(b, [fine, fine],
-                                               square_df(1, 1), "C")).mean(),
-                          rtol=0, atol=1e-13)
+        df = square_df(1, 2)
+        exact = finite_evaluator(b, w, df, field)(1.0)
+        mean, se = estimate_stat(b, w, field, df, 1.0, samples, seed=41,
+                                 steps=4)
+        assert abs(mean - exact) <= 4 * se, (mean, exact, se)
+        monkeypatch.setattr(rmt, "kappa", lambda field, N: 0.0)
+        mean, se = estimate_stat(b, w, field, df, 1.0, samples, seed=41,
+                                 steps=4)
+        assert abs(mean - exact) >= 8 * se, (mean, exact, se)
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_default_at_time_zero_is_exact(self, field):
@@ -695,7 +752,7 @@ class TestEstimateStat:
 
     @pytest.mark.parametrize("field,seed", [("R", 31), ("C", 32), ("H", 33)])
     def test_default_near_exact(self, field, seed):
-        # tr(u11 u11) at N = 2, t = 1, by the extrapolated default
+        # tr(u11 u11) at N = 2, t = 1, by the default 16 steps
         b, w = encode_word([(1, 1, False), (1, 1, False)])
         df = square_df(1, 2)
         mean, se = estimate_stat(b, w, field, df, 1.0, 20000, seed=seed)
@@ -728,23 +785,15 @@ class TestEstimateStat:
                    for c, child in zip((1, 2), children)}
         sizes = [SAMPLE_BLOCK, SAMPLE_BLOCK, 5]
 
-        def paths(letter, t, i):
-            if steps is not None:
-                return (sample_terminals(2, field, t, sizes[i], steps,
-                                         streams[letter][i]),)
-            return _terminals(2, field, [t], sizes[i], None,
-                              streams[letter][i], coupled=True)[0]
-
         for t, (mean, se) in zip(times, got):
             at = t if isinstance(t, dict) else {1: t, 2: t}
             values = []
             for i in range(3):
-                pool = {c: paths(c, at[c], i) for c in (1, 2)}
-                stats = [np.real(m_stat(b, [pool[l.letter][j] for l in w],
-                                        df, field, bars=[l.bar for l in w]))
-                         for j in range(len(pool[1]))]
-                values.append(stats[0] if steps else
-                              2 * stats[0] - stats[1])
+                pool = {c: sample_terminals(2, field, at[c], sizes[i], steps,
+                                            streams[c][i]) for c in (1, 2)}
+                values.append(np.real(m_stat(
+                    b, [pool[l.letter] for l in w], df, field,
+                    bars=[l.bar for l in w])))
             values = np.concatenate(values)
             assert len(values) == samples
             assert np.isclose(mean, values.mean(), rtol=1e-12, atol=1e-14)
