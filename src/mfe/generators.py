@@ -11,12 +11,12 @@ the limit generator evaluated on words.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
 from .brauer import (
     ColouredBrauerDiagram,
-    DimensionFunction,
     canonical_orientation,
     creates_cycle,
     encode_word,
@@ -25,6 +25,7 @@ from .brauer import (
     matching_tau,
     oriented_cycles,
     Pairing,
+    square_df,
     Word,
     WordLetter,
 )
@@ -76,32 +77,9 @@ def admissible_moves(b, word, df, fclass, creating_only=False):
     return out
 
 
-class GeneratorMatrix:
-    """Generator as sparse rows of exact rationals over an ordered basis.
-
-    rows[i][j] is the coefficient of basis[j] in L(basis[i]); from the
-    builders, basis[j] stands for its orbit's state, and index finds a
-    diagram only where it holds a state.
-    """
-
-    def __init__(self, basis, word, rows):
-        self.basis = list(basis)
-        self.word = word
-        self.rows = [dict(r) for r in rows]
-        self._index = {b: i for i, b in enumerate(self.basis)}
-
-    def index(self, b):
-        return self._index[b]
-
-    def entry(self, i, j):
-        return self.rows[i].get(j, Fraction(0))
-
-    @property
-    def size(self):
-        return len(self.basis)
-
-    def __repr__(self):
-        return "GeneratorMatrix(size=%d, word=%r)" % (self.size, self.word)
+# rows[i][j] is the coefficient of basis[j] in L(basis[i]); from the
+# builders, basis[j] stands for its orbit's state
+GeneratorMatrix = namedtuple("GeneratorMatrix", "basis rows")
 
 
 def casimir_drift(field, total_n):
@@ -253,8 +231,9 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     and j' and is made once per top colour t: it removes one loop of
     their class when p = j', else it pairs p with q; then it pairs i'
     with j', both coloured t.  A diagram is built once per new state.
-    The creating moves come from one walk of the state's cycles: i and j
-    lie on one cycle, with equal canonical signs for tau and opposite
+    The creating moves come from the one walk of the state's cycles made
+    when it is found, which also gives its fnc exponents: i and j lie on
+    one cycle, with equal canonical signs for tau and opposite
     ones for e (the rule of creates_cycle_sign).
 
     From rates = (drift, bases, scale) the pass fills the generator
@@ -284,7 +263,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     labels = None if join is None else [lab for _, lab in states]
     index = {key: n for n, key in enumerate(
         flats if join is None else zip(flats, labels))}
-    fncs = [_cycle_walk(st, k, class_pos, len(bases))[1] for st in flats]
+    walks = [_cycle_walk(st, k, class_pos, len(bases)) for st in flats]
     orbits = index
     if lump:
         kind = {}
@@ -301,8 +280,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
         st = flats[i]
         row = {i: diag}
         rows.append(row)
-        if creating_only:
-            code = _cycle_walk(st, k, class_pos, len(bases))[0]
+        code, fi = walks[i]
         out = []
         for si, sj, tau_ok, e_ok in moves:
             if creating_only:
@@ -326,7 +304,6 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                 for t in range(1, df.n + 1):
                     n[k2 + ti] = n[k2 + tj] = t
                     out.append((tuple(n), si, sj, loop, False))
-        fi = fncs[i]
         for nxt, si, sj, loop, tau in out:
             if join is None:
                 key = nxt
@@ -343,8 +320,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                 if j is None:
                     j = orbits[okey] = len(states)
                     flats.append(nxt)
-                    fncs.append(
-                        _cycle_walk(nxt, k, class_pos, len(bases))[1])
+                    walks.append(_cycle_walk(nxt, k, class_pos, len(bases)))
                     d = ColouredBrauerDiagram(
                         Pairing(k, [(x + 1, y + 1) for x, y in
                                     enumerate(nxt[:k2]) if x < y]),
@@ -355,11 +331,12 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                         labels.append(lab)
                         states.append((d, lab))
                 index[key] = j
-            vkey = (fncs[j], fi, loop, si, tau)
+            fj = walks[j][1]
+            vkey = (fj, fi, loop, si, tau)
             val = values.get(vkey)
             if val is None:
                 val = slot[si]
-                for c, (x, y) in enumerate(zip(fncs[j], fi)):
+                for c, (x, y) in enumerate(zip(fj, fi)):
                     m = x - y + (c == loop)
                     if m:
                         val *= bases[c][1] ** m
@@ -387,12 +364,12 @@ def build_generator_finite(states, word, df, field, weights=None):
     Entry for a move r at slots (i, j):
       sign(r) * t_letter * (1/base_N) * prod_cls base_cls^(loops + dfnc)
     with base = dims (R, C) or -2 dims (H), base_N the matching total,
-    summed over the moves into one orbit.
+    summed over the moves into one orbit.  Returns the (basis, rows)
+    pair of _sweep.
     """
-    states, rows = _sweep(list(states), word, df, field_class(field),
-                          _finite_rates(df, field), weights=weights,
-                          lump=True)
-    return GeneratorMatrix(states, word, rows)
+    return GeneratorMatrix(*_sweep(
+        list(states), word, df, field_class(field), _finite_rates(df, field),
+        weights=weights, lump=True))
 
 
 def build_generator_limit(states, word, ratios, fclass="real",
@@ -409,17 +386,16 @@ def build_generator_limit(states, word, ratios, fclass="real",
     build_generator_finite: the closure of u11^k has one per partition
     of k.  Built identically for the limits of the real and
     quaternionic processes; the complex variant differs only through the
-    word filters.
+    word filters.  Returns the (basis, rows) pair of _sweep.
     """
-    states, rows = _sweep(list(states), word, ratios, fclass,
-                          _limit_rates(ratios), creating_only=True,
-                          weights=weights, lump=True)
-    return GeneratorMatrix(states, word, rows)
+    return GeneratorMatrix(*_sweep(
+        list(states), word, ratios, fclass, _limit_rates(ratios),
+        creating_only=True, weights=weights, lump=True))
 
 
 def square_ratios(n):
     """Equal block ratios 1/n for the square n-block limit."""
-    return DimensionFunction({c: Fraction(1, n) for c in range(1, n + 1)})
+    return square_df(n, Fraction(1, n))
 
 
 def generator_free_process(tokens, n):

@@ -177,8 +177,9 @@ class MomentFunction:
 # exact solution of the semigroup
 # ---------------------------------------------------------------------------
 
-def _krylov_annihilator(gen, seed_index):
-    """Minimal polynomial of the generator on the seed's Krylov row space.
+def _krylov_annihilator(rows, seed_index):
+    """Minimal polynomial of the generator rows on the seed's Krylov row
+    space.
 
     Returns (monic coefficient list a_0..a_{m-1} with x^m = sum a_i x^i,
     list of Krylov rows v_0..v_m as pairs (integer vector, den^i) with
@@ -186,11 +187,10 @@ def _krylov_annihilator(gen, seed_index):
     den the lcm of the entry denominators, and the dependency is found
     by fraction-free elimination on Python ints.
     """
-    n = gen.size
-    den = math.lcm(*(v.denominator for row in gen.rows
-                     for v in row.values()))
+    n = len(rows)
+    den = math.lcm(*(v.denominator for row in rows for v in row.values()))
     rows_g = [[(j, v.numerator * (den // v.denominator))
-               for j, v in row.items()] for row in gen.rows]
+               for j, v in row.items()] for row in rows]
 
     def step(vec):
         out = [0] * n
@@ -324,13 +324,14 @@ def _match_exponentials(roots, taylor):
     return MomentFunction(terms)
 
 
-def solve_semigroup_row(gen, seed_index, dvec):
-    """Exact (dvec o e^(tL)) applied to one basis coordinate.
+def solve_semigroup_row(rows, seed_index, dvec):
+    """Exact (dvec o e^(tL)) applied to one basis coordinate, L given by
+    its sparse rows (rows[i][j] the coefficient of state j in L(state i)).
 
     dvec holds one rational per basis state: delta_diag for a moment,
     or any other statistic read off the states.
     """
-    rec, krylov = _krylov_annihilator(gen, seed_index)
+    rec, krylov = _krylov_annihilator(rows, seed_index)
     m = len(rec)
     if m == 0:
         return MomentFunction.zero()
@@ -347,8 +348,7 @@ def solve_semigroup_row(gen, seed_index, dvec):
 def _seed_moment(gen):
     """Exact moment function of state 0, the seed the generator was
     built from."""
-    dvec = [delta_diag(b) for b in gen.basis]
-    return solve_semigroup_row(gen, 0, dvec)
+    return solve_semigroup_row(gen.rows, 0, [delta_diag(b) for b in gen.basis])
 
 
 def finite_evaluator(seed, word, df, field, weights=None):

@@ -16,12 +16,7 @@ from functools import lru_cache, reduce
 from operator import mul
 
 from .brauer import Word, WordLetter, encode_word, twisted_cycle_diagram
-from .generators import (
-    GeneratorMatrix,
-    _limit_rates,
-    _sweep,
-    delta_diag,
-)
+from .generators import _limit_rates, _sweep, delta_diag
 from .moments import MomentFunction, evolve_limit, solve_semigroup_row
 from .ncpart import (
     NC_ENUM_BOUND,
@@ -60,7 +55,7 @@ def _joined_coefficient(tokens, letters, ratios, weights):
     joined = (1,) * len(tokens)
     dvec = [Fraction(delta_diag(b)) if lab == joined else Fraction(0)
             for b, lab in states]
-    return solve_semigroup_row(GeneratorMatrix(states, word, rows), 0, dvec)
+    return solve_semigroup_row(rows, 0, dvec)
 
 
 def seed_diagram(pi, alpha, eps):

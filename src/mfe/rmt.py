@@ -650,10 +650,10 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     letters = sorted({l.letter for l in word})
     at = [[t[c] if isinstance(t, dict) else float(t) for t in times]
           for c in letters]
-    # every time, and the values' size, is checked before the values are
-    # allocated
+    # every time, its step size and the values' size are checked before
+    # the values are allocated or any path is walked
     for t in (t for ts in at for t in ts):
-        _step_count(t, steps)
+        _step_layout(n, field, t / _step_count(t, steps))
     if samples * len(times) > MAX_VALUES:
         raise ValueError("%d samples at %d times take more than the %d "
                          "values allowed"

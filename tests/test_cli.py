@@ -422,7 +422,7 @@ class TestEdgeInputs:
         # an annihilator x^2 - 2 has no rational roots
         monkeypatch.setattr(
             "mfe.moments._krylov_annihilator",
-            lambda gen, seed: ([Fraction(2), Fraction(0)], []))
+            lambda rows, seed: ([Fraction(2), Fraction(0)], []))
         rc, out, err = run(capsys, "moment", "--limit", "--word", "u11 u11",
                            "--t", "1")
         assert_one_line_error(rc, out, err)
@@ -434,7 +434,7 @@ class TestEdgeInputs:
         # fallback
         monkeypatch.setattr(
             "mfe.moments._krylov_annihilator",
-            lambda gen, seed: ([Fraction(2), Fraction(0)], []))
+            lambda rows, seed: ([Fraction(2), Fraction(0)], []))
         rc, out, err = run(capsys, "moment", "--field", "R", "--d", "2",
                            "--word", "u11 u11", "--t", "1")
         assert_one_line_error(rc, out, err)

@@ -131,7 +131,7 @@ def tensor_generator(word, n, field):
 
 def dense(gen):
     """The exact generator as a float matrix."""
-    a = np.zeros((gen.size, gen.size))
+    a = np.zeros((len(gen.rows), len(gen.rows)))
     for i, row in enumerate(gen.rows):
         for j, v in row.items():
             a[i, j] = float(v)
@@ -140,7 +140,13 @@ def dense(gen):
 
 def moment_prediction(gen, t):
     """Expected statistics at time t for every basis element, from the
-    diagram-side generator: rows of exp(tG) against the diagonal indicator."""
+    diagram-side generator: rows of exp(tG) against the diagonal indicator.
+
+    scipy's dense expm drifts past t = 2 where G has eigenvalues with
+    positive real part, by 6.6e-12 at t = 2 and 5.6e-9 at t = 3 on R
+    u11^4 at n = d = 1, so later times are refused."""
+    if t > 2:
+        raise ValueError("the dense expm reference drifts past t = 2")
     dvec = np.array([float(delta_diag(b)) for b in gen.basis])
     return expm(t * dense(gen)) @ dvec
 
@@ -229,7 +235,7 @@ class TestClosure:
             gen = build_generator_finite(given, word, df, "R")
             held = assert_lumped(gen, given, ref, word, df, class_bases(df))
             assert held == {orbit(b) for b in basis}
-            assert gen.size == len(held) + len(given) - len(
+            assert len(gen.rows) == len(held) + len(given) - len(
                 {orbit(b) for b in given})
         alone = build_generator_finite([last], word, df, "R")
         held = assert_lumped(alone, [last], ref, word, df, class_bases(df))
@@ -332,8 +338,8 @@ class TestOnePass:
         for k in range(1, 13):
             seed, word = encode_word([(1, 1, False)] * k)
             gen = build_generator_limit([seed], word, ratios, "complex")
-            assert gen.size == partition_count(k)
-            assert len({cycle_type(b) for b in gen.basis}) == gen.size
+            assert len(gen.rows) == partition_count(k)
+            assert len({cycle_type(b) for b in gen.basis}) == len(gen.rows)
             assert gen.basis[0] == seed
             if k <= 6:
                 ref = composed_closure(
@@ -369,14 +375,14 @@ class TestDrifts:
                     ("H", Fraction(-(2 * n + 1), 4 * n))):
                 basis = [identity_diagram(1, [1])]
                 gen = build_generator_finite(basis, w, df, field)
-                assert gen.size == 1
-                assert gen.entry(0, 0) == want
+                assert len(gen.rows) == 1
+                assert gen.rows[0].get(0, 0) == want
         assert casimir_drift("C", 7) == Fraction(-1, 2)
 
     def test_limit_rate(self):
         basis = [identity_diagram(1, [1])]
         gen = build_generator_limit(basis, plain_word(1), square_ratios(1))
-        assert gen.entry(0, 0) == Fraction(-1, 2)
+        assert gen.rows[0].get(0, 0) == Fraction(-1, 2)
 
     def test_unknown_field(self):
         with pytest.raises(ValueError):
@@ -446,9 +452,9 @@ class TestFiniteAgainstTensorOperator:
         g1 = build_generator_finite(basis, word, df, "C")
         g2 = build_generator_finite(basis, word, df, "C",
                                     weights={1: Fraction(2)})
-        for i in range(g1.size):
-            for j in range(g1.size):
-                assert g2.entry(i, j) == 2 * g1.entry(i, j)
+        for i in range(len(g1.rows)):
+            for j in range(len(g1.rows)):
+                assert g2.rows[i].get(j, 0) == 2 * g1.rows[i].get(j, 0)
 
 
 class TestQuaternionEntries:
@@ -461,15 +467,15 @@ class TestQuaternionEntries:
             basis = reachable_basis(seed, word, df, "real")
             gr = build_generator_finite(basis, word, df, "R")
             gh = build_generator_finite(basis, word, df, "H")
-            i = gr.index(seed)
-            j = gr.index(identity_diagram(2, [1, 1]))
-            assert gr.entry(i, j) == -1
-            assert gh.entry(i, j) == -1
+            i = gr.basis.index(seed)
+            j = gr.basis.index(identity_diagram(2, [1, 1]))
+            assert gr.rows[i].get(j, 0) == -1
+            assert gh.rows[i].get(j, 0) == -1
             e_diag = next(b for b in basis
                           if b not in (seed, identity_diagram(2, [1, 1])))
-            je = gr.index(e_diag)
-            assert gr.entry(i, je) == Fraction(1, d)
-            assert gh.entry(i, je) == Fraction(-1, 2 * d)
+            je = gr.basis.index(e_diag)
+            assert gr.rows[i].get(je, 0) == Fraction(1, d)
+            assert gh.rows[i].get(je, 0) == Fraction(-1, 2 * d)
 
 
 class TestLimitGenerator:
@@ -480,12 +486,12 @@ class TestLimitGenerator:
         gen = build_generator_limit(basis, word, ratios)
         ident = identity_diagram(2, [1, 1])
         e_diag = next(b for b in basis if b not in (seed, ident))
-        i, j, je = gen.index(seed), gen.index(ident), gen.index(e_diag)
-        assert gen.entry(i, i) == -1 and gen.entry(i, j) == -1
-        assert gen.entry(i, je) == 0
-        assert gen.entry(j, j) == -1 and gen.entry(j, i) == 0
+        i, j, je = (gen.basis.index(b) for b in (seed, ident, e_diag))
+        assert gen.rows[i].get(i, 0) == -1 and gen.rows[i].get(j, 0) == -1
+        assert gen.rows[i].get(je, 0) == 0
+        assert gen.rows[j].get(j, 0) == -1 and gen.rows[j].get(i, 0) == 0
         # the projection feeds itself a loop: +1 against drift -1
-        assert gen.entry(je, je) == 0
+        assert gen.rows[je].get(je, 0) == 0
 
     def test_square_entries_are_inverse_block_counts(self):
         # with equal ratios 1/n every creating entry is +-(1/n)^(power)
@@ -494,7 +500,7 @@ class TestLimitGenerator:
         basis = reachable_basis(seed, word, ratios, "complex")
         gen = build_generator_limit(basis, word, ratios, "complex")
         seen = set()
-        for i in range(gen.size):
+        for i in range(len(gen.rows)):
             for j, v in gen.rows[i].items():
                 if i != j and v:
                     assert abs(v).denominator in (1, 2, 4)
@@ -532,10 +538,10 @@ class TestLimitGenerator:
             err = Fraction(0)
             for field in ("R", "H"):
                 gfin = build_generator_finite(basis, word, df, field)
-                for i in range(glim.size):
-                    for j in range(glim.size):
-                        err = max(err, abs(gfin.entry(i, j)
-                                           - glim.entry(i, j)))
+                for i in range(len(glim.rows)):
+                    for j in range(len(glim.rows)):
+                        err = max(err, abs(gfin.rows[i].get(j, 0)
+                                           - glim.rows[i].get(j, 0)))
             assert err <= Fraction(4, d)
             if last is not None:
                 assert err < last
@@ -934,7 +940,8 @@ def random_encoded_word(rng, df, most):
 
 
 def seed_moment(gen):
-    return solve_semigroup_row(gen, 0, [delta_diag(b) for b in gen.basis])
+    return solve_semigroup_row(gen.rows, 0,
+                               [delta_diag(b) for b in gen.basis])
 
 
 class TestLumping:
@@ -988,5 +995,6 @@ class TestLumping:
             want = seed_moment(full)
             assert want != 0
             dvec = [delta_diag(b) for b in basis]
-            assert solve_semigroup_row(full, full.index(mate), dvec) == \
+            assert solve_semigroup_row(
+                full.rows, full.basis.index(mate), dvec) == \
                 want * Fraction(1, 3)

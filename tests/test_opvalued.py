@@ -21,7 +21,7 @@ from mfe.evaltrace import (
     quat_embed,
     total_dim,
 )
-from mfe.generators import GeneratorMatrix, delta_diag
+from mfe.generators import delta_diag
 from mfe.moments import MomentFunction, solve_semigroup_row
 from mfe.ncpart import (
     SetPartition,
@@ -388,7 +388,7 @@ class TestLimitCumulantCoefficient:
         label = least_mates(beta, len(w))
         dvec = [Fraction(delta_diag(b)) if lab == label else Fraction(0)
                 for b, lab in states]
-        return solve_semigroup_row(GeneratorMatrix(states, w, rows), 0, dvec)
+        return solve_semigroup_row(rows, 0, dvec)
 
     def test_product_over_blocks_is_the_whole_seed_walk(self):
         cases = 0

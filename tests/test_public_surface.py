@@ -1,6 +1,8 @@
 """Every public module-level function or class of the package has a use:
 the package itself names it, an acceptance criterion names it, or it is
-a reference that the tests check other routes against (REFERENCES)."""
+a reference that the tests check other routes against (REFERENCES).
+Every private one has a caller elsewhere in the package, or is such a
+reference."""
 
 import ast
 import io
@@ -31,6 +33,8 @@ REFERENCES = {
     "zero_nc": "bottom of NC(k), the lower end of Moebius intervals",
     "mobius_zero_one": "closed form that mobius_nc is checked against",
     "expm": "batched exponential on the sampler's kernel, checked by scipy",
+    "_ratio_factor": "per-move loop factor the generator rows are checked "
+                     "against",
 }
 
 
@@ -43,32 +47,42 @@ def tokens_of(path):
                                          .readline))
 
 
-def public_definitions():
-    """(module, name, first line, last line) of each public module-level
-    def and class."""
+def definitions(private=False):
+    """(module, name, first line, last line) of each public, or each
+    private, module-level def and class."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not node.name.startswith("_"):
+                    node.name.startswith("_") == private:
                 first = min([node.lineno] + [d.lineno
                                              for d in node.decorator_list])
                 out.append((path.name, node.name, first, node.end_lineno))
     return out
 
 
-def test_every_public_definition_has_a_use():
+def unused(defs, kept):
+    """The definitions that the package names nowhere outside their own
+    lines and that are not in kept, as module.name."""
     tokens = {path.name: tokens_of(path) for path in SRC.glob("*.py")}
-    acceptance = names(tokens_of(ROOT / "tests" / "test_acceptance.py"))
-    unused = []
-    for module, name, first, last in public_definitions():
+    out = []
+    for module, name, first, last in defs:
         outside = names(t for m, ts in tokens.items() for t in ts
                         if m != module or not first <= t.start[0] <= last)
-        if name not in outside | acceptance | set(REFERENCES):
-            unused.append("%s.%s" % (module[:-3], name))
-    assert unused == []
+        if name not in outside | kept:
+            out.append("%s.%s" % (module[:-3], name))
+    return out
+
+
+def test_every_public_definition_has_a_use():
+    acceptance = names(tokens_of(ROOT / "tests" / "test_acceptance.py"))
+    assert unused(definitions(), acceptance | set(REFERENCES)) == []
+
+
+def test_every_private_definition_has_a_caller():
+    assert unused(definitions(private=True), set(REFERENCES)) == []
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_references_exist(name):
-    assert name in {n for _, n, _, _ in public_definitions()}
+    assert name in {n for _, n, _, _ in definitions() + definitions(True)}

@@ -656,6 +656,20 @@ class TestEstimateStat:
         with pytest.raises(ValueError, match="6 samples at 2 times"):
             estimate_stats(b, w, "R", square_df(1, 1), [0.5, 1.0], 6)
 
+    def test_refused_step_fails_before_any_walk(self, monkeypatch):
+        # kappa dt = 24 at t = 12 over C at N = 2 is refused before the
+        # paths of the first letter at t = 0.5 are walked
+        def walk(*args):
+            raise AssertionError("a path was walked")
+
+        monkeypatch.setattr(rmt, "_walk", walk)
+        b = identity_diagram(2, [1, 1])
+        w = Word([WordLetter(1), WordLetter(2)])
+        with pytest.raises(ValueError,
+                           match="step size t/steps = 12 is too large"):
+            estimate_stats(b, w, "C", square_df(1, 2), [0.5, 12.0], 10,
+                           steps=1)
+
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_matches_samplewise_reference(self, field):
         # the batched estimate against a per-sample loop over the same
