@@ -4,7 +4,9 @@ Monte-Carlo values of block trace statistics.
 Outputs are machine readable (JSON with a schema tag, or CSV) and byte
 identical for identical arguments and seed.  Each subcommand imports
 the modules it calls: only simulate and compare import rmt and with it
-numpy, and simulate imports none of the exact solvers.
+numpy, simulate imports none of the exact solvers, only cumulant and
+amalgamated import the non-crossing partitions of ncpart, and none
+imports the reference definitions of mfe.reference.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from .brauer import DimensionFunction, encode_word, square_df
-from .ncpart import NonCrossingPartition, enumerate_nc
 
 SCHEMA = 1
 
@@ -63,6 +64,7 @@ def parse_word(text):
 
 def parse_partition(text, k):
     """Blocks separated by '/', each block digits or a comma list."""
+    from .ncpart import NonCrossingPartition
     blocks = []
     for part in text.split("/"):
         part = part.strip().strip("[]{}")
@@ -249,6 +251,7 @@ def cmd_compare(args):
 
 def cmd_amalgamated(args):
     from .moments import MomentFunction
+    from .ncpart import NonCrossingPartition, enumerate_nc
     from .opvalued import limit_cumulant_coefficient, limit_statistic
     tokens = parse_word(args.word)
     k = len(tokens)

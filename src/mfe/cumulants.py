@@ -1,9 +1,10 @@
 """Free cumulants of the large-dimension limit of block Brownian motion.
 
-Three routes to the same numbers live here: the Taylor-coefficient
-recursion over geodesic transpositions, the Moebius inversion of moments
-over non-crossing partitions, and the closed form of the top cumulant.
-Keeping all of them lets the tests confront one against the other.
+Two routes to the same numbers live here: the Moebius inversion of
+moments over non-crossing partitions, and the closed form of the top
+cumulant.  The Taylor-coefficient recursion over geodesic
+transpositions, the inverse relation and the single-block moments
+(mfe.reference) are the third route the tests confront them with.
 """
 
 from __future__ import annotations
@@ -11,18 +12,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .brauer import Permutation
 from .moments import MomentFunction
-from .ncpart import (
-    NonCrossingPartition,
-    Permutation,
-    all_transpositions,
-    count_minimal_factorizations,
-    enumerate_nc,
-    geodesic_distance,
-    mobius_nc,
-    nc_to_permutation,
-    one_nc,
-)
+from .ncpart import enumerate_nc, mobius_nc, one_nc
 
 
 class Colourization:
@@ -73,73 +65,6 @@ class Colourization:
 def colour_act(seq, sigma: Permutation):
     """(sigma . s)_l = s_{sigma(l)}."""
     return tuple(seq[sigma(l) - 1] for l in range(1, len(seq) + 1))
-
-
-def increasing_transpositions(sigma: Permutation):
-    """Transpositions whose right multiplication splits a cycle of sigma."""
-    base = sigma.num_cycles()
-    out = []
-    for tau in all_transpositions(sigma.k):
-        if (sigma * tau).num_cycles() == base + 1:
-            out.append(tau)
-    return out
-
-
-def _as_permutation(pi):
-    if isinstance(pi, Permutation):
-        return pi
-    if isinstance(pi, NonCrossingPartition):
-        return nc_to_permutation(pi)
-    return nc_to_permutation(NonCrossingPartition(pi))
-
-
-def taylor_coeff(pi, kdx, col: Colourization, n) -> Fraction:
-    """Taylor coefficient P^{pi,k}_{i,j} of the moment of a colourized
-    word, through the splitting-transposition recursion."""
-    sigma = _as_permutation(pi)
-    p = col.p
-    if sigma.k != p:
-        raise ValueError("partition size does not match colourization")
-    if not 0 <= kdx <= p - 1:
-        raise ValueError("order out of range")
-    return _taylor_rec(sigma, kdx, col.i, col.j, n)
-
-
-def _taylor_rec(sigma, k, i, j, n):
-    if k == 0:
-        return Fraction(int(i == j))
-    if k > geodesic_distance(sigma):
-        return Fraction(0)
-    total = Fraction(0)
-    for tau in increasing_transpositions(sigma):
-        total += _taylor_rec(sigma * tau, k - 1, i, colour_act(j, tau), n)
-    return total / n
-
-
-def taylor_coeff_geodesic(pi, kdx, col: Colourization, n) -> Fraction:
-    """Same coefficient, summed over non-crossing refinements gamma of pi
-    at geodesic distance kdx, weighted by minimal-factorization counts."""
-    if isinstance(pi, Permutation):
-        raise ValueError("the refinement route needs the partition itself")
-    pi = pi if isinstance(pi, NonCrossingPartition) else \
-        NonCrossingPartition(pi)
-    p = col.p
-    if pi.k != p:
-        raise ValueError("partition size does not match colourization")
-    if not 0 <= kdx <= p - 1:
-        raise ValueError("order out of range")
-    if kdx == 0:
-        return Fraction(int(col.i == col.j))
-    total = 0
-    for gamma in enumerate_nc(p):
-        if not gamma.leq(pi):
-            continue
-        sg = nc_to_permutation(gamma)
-        if geodesic_distance(sg) != kdx:
-            continue
-        if colour_act(col.i, sg) == col.j:
-            total += count_minimal_factorizations(sg)
-    return Fraction(total, n ** kdx)
 
 
 def kappa_closed_form(p, n, col: Colourization):
@@ -205,41 +130,3 @@ def _cumulant(phi, q):
             _product(phi(tuple(sorted(v))) for v in pi.blocks)
         acc = term if acc is None else acc + term
     return acc
-
-
-def moments_from_cumulants(cumulants, p):
-    """Inverse relation: m_q = sum over NC(q) of products of cumulants."""
-    kap = _block_functional(cumulants, p)
-    out = []
-    for q in range(1, p + 1):
-        acc = None
-        for pi in enumerate_nc(q):
-            term = _product(kap(tuple(sorted(v))) for v in pi.blocks)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-BIANE_BOUND = 6
-
-
-def biane_moment(p):
-    """Moment of the p-th power in the single-block limit,
-    e^(-pt/2) sum_k (-t)^k/k! P_k, with P_k the number of k-step
-    cycle-splitting transposition chains started at the full cycle."""
-    if not 1 <= p <= BIANE_BOUND:
-        raise ValueError("p out of the enumeration bound 1..%d"
-                         % BIANE_BOUND)
-    cp = Permutation.from_cycles(p, [list(range(1, p + 1))])
-    counts = [0] * p
-
-    def walk(sigma, k):
-        counts[k] += 1
-        if k + 1 < p:
-            for tau in increasing_transpositions(sigma):
-                walk(sigma * tau, k + 1)
-
-    walk(cp, 0)
-    coeffs = [Fraction((-1) ** k * counts[k], math.factorial(k))
-              for k in range(p)]
-    return MomentFunction({Fraction(-p, 2): coeffs})

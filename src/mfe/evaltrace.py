@@ -4,29 +4,152 @@ The statistic attached to an oriented coloured diagram factorizes over the
 loops of the diagram graph: each loop contributes the trace of an ordered
 product of sub-blocks (transposed where the orientation sign is -1), and a
 per-class normalizer d^(-fnc) (or (-2d)^(-fnc) in the quaternion case)
-makes the value dimension free.
+makes the value dimension free.  The oriented cycles of a diagram, which
+give each loop's route, and fnc live here.
 
 A quaternion n x m matrix is stored as its complex embedding of shape
 (2n, 2m), made by quat_embed, so that one layout serves the three fields.
 Evaluation is batched: slot matrices may carry any leading sample axes,
-and the statistic then has those axes.
+and the statistic then has those axes.  Complex products of small sides
+run as one float64 product of a real form (_right_factor, _mul), which
+the sampler of mfe.rmt shares.
 
-The conditional expectation onto the block projectors keeps one
-normalized trace per diagonal block.  Their algebra D is commutative, so
-an element of D is held as a plain array of its block values, colours in
-increasing order on the last axis, after any leading sample axes; a
-product with it scales the rows or columns of each block.  Nesting the
-expectation along a non-crossing partition and applying a Moebius
-transformation gives the amalgamated cumulants of a tuple of matrices.
+The conditional expectation onto the block projectors and the
+amalgamated cumulants of sampled matrices, the finite counterparts of
+mfe.opvalued, are in mfe.reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .brauer import canonical_orientation, fnc, oriented_cycles
-from .ncpart import NonCrossingPartition, as_set_partition, enumerate_nc, \
-    mobius_nc
+from .brauer import DimensionFunction, Pairing
+
+
+# ---------------------------------------------------------------------------
+# oriented cycles of a diagram
+# ---------------------------------------------------------------------------
+
+class Orientation:
+    """Signs on {1..k}, one consistent direction per loop of the graph."""
+
+    __slots__ = ("signs",)
+
+    def __init__(self, signs):
+        signs = tuple(signs)
+        if any(s not in (-1, 1) for s in signs):
+            raise ValueError("signs must be +-1")
+        self.signs = signs
+
+    def sign(self, i):
+        return self.signs[i - 1]
+
+    def __eq__(self, other):
+        return isinstance(other, Orientation) and self.signs == other.signs
+
+    def __hash__(self):
+        return hash(self.signs)
+
+    def __repr__(self):
+        return "Orientation(%s)" % (self.signs,)
+
+
+def _traverse(b: Pairing):
+    """Canonical loop traversal.
+
+    Per loop, starting at its least bottom point and leaving through the
+    pairing edge, returns (cycle, signs) where cycle lists the bottom points
+    in visit order and signs[i] = +1 iff the walk leaves bottom point i
+    through its pairing edge.
+    """
+    k = b.k
+    visited = set()
+    out = []
+    for m in range(1, k + 1):
+        if m in visited:
+            continue
+        cycle, signs = [], {}
+        pt, use_b = m, True
+        while True:
+            if pt <= k and pt not in signs:
+                cycle.append(pt)
+                signs[pt] = 1 if use_b else -1
+                visited.add(pt)
+            nxt = b.match(pt) if use_b else (pt + k if pt <= k else pt - k)
+            use_b = not use_b
+            pt = nxt
+            if pt == m and use_b:
+                break
+        out.append((tuple(cycle), signs))
+    return out
+
+
+def canonical_orientation(b: Pairing) -> Orientation:
+    signs = [0] * b.k
+    for cycle, sg in _traverse(b):
+        for i in cycle:
+            signs[i - 1] = sg[i]
+    return Orientation(signs)
+
+
+def oriented_cycles(b: Pairing, s: Orientation):
+    """Cycles of sigma_(b,s) with the signs the orientation induces.
+
+    The orientation must agree with the canonical one up to reversing
+    whole loops; reversing a loop reverses its cycle and flips its signs.
+    """
+    out = []
+    for cycle, sg in _traverse(b):
+        canon = [sg[i] for i in cycle]
+        given = [s.sign(i) for i in cycle]
+        if given == canon:
+            out.append((tuple(cycle), {i: sg[i] for i in cycle}))
+        elif given == [-x for x in canon]:
+            rev = (cycle[0],) + tuple(reversed(cycle[1:]))
+            out.append((rev, {i: -sg[i] for i in cycle}))
+        else:
+            raise ValueError("not an orientation of this diagram")
+    return out
+
+
+class OrientedExtended:
+    """Oriented extended diagram (the value of the diamond operation)."""
+
+    __slots__ = ("diagram", "orientation", "loops")
+
+    def __init__(self, diagram, orientation, loops=None):
+        self.diagram = diagram
+        self.orientation = orientation
+        self.loops = dict(loops or {})
+
+    def __repr__(self):
+        return "OrientedExtended(%r, %r, %s)" % (
+            self.diagram, self.orientation, self.loops)
+
+
+def fnc(x, df: DimensionFunction, cls) -> int:
+    """Loop count of the class plus the cycles it normalizes.
+
+    A cycle counts for the class of c(m) when the orientation sign at its
+    minimum m is +1, and for the class of c(m') when it is -1.
+    """
+    if isinstance(x, OrientedExtended):
+        diagram, orient, loops = x.diagram, x.orientation, x.loops
+    elif isinstance(x, tuple):
+        diagram, orient = x
+        loops = {}
+    else:
+        diagram, orient, loops = x, canonical_orientation(x.pairing), {}
+    if cls not in df.dims or df.class_of(cls) != cls:
+        raise ValueError("unknown dimension class %r" % (cls,))
+    total = loops.get(cls, 0)
+    k = diagram.k
+    for cycle, _ in _traverse(diagram.pairing):
+        m = min(cycle)
+        point = m if orient.sign(m) == 1 else m + k
+        if df.class_of(diagram.colour(point)) == cls:
+            total += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +222,54 @@ def sample_chunks(samples, entries):
     return [slice(i, i + step) for i in range(0, samples, step)]
 
 
+# complex sides whose products run faster as one float64 product.  On
+# a Xeon with 2 MiB of L2 per core and one BLAS thread, in chunks of
+# 2^13 entries, per matrix at side 8, the batched complex product costs
+# 0.42 us, the float64 product 0.11 us and building the real form
+# 0.19 us; a chunk of the sampler's step builds three real forms for six
+# products.  Whole steps at 10^4 samples took 0.84-0.88 of the complex
+# time at sides 12 and 16, and 0.95-0.97 at sides 20 to 32, which is
+# within the spread
+_REAL_SIDES = range(2, 17)
+
+
+def _right_factor(y, out=None):
+    """y as the right factor of `_mul`: for complex m x n matrices with n
+    in _REAL_SIDES their 2m x 2n real form, rows 2k and 2k+1 holding row
+    k of y and of i*y as interleaved (re, im) pairs, written into the
+    C-contiguous `out` of twice y's size if given; otherwise y itself.
+    y may have any memory layout."""
+    m, n = y.shape[-2:]
+    if y.dtype != np.complex128 or n not in _REAL_SIDES:
+        return y
+    shape = y.shape[:-1] + (2, 2 * n)
+    yr = np.empty(shape) if out is None else \
+        out.view(np.float64).reshape(shape)
+    yr[..., 0, :].view(np.complex128)[...] = y
+    np.multiply(y, 1j, out=yr[..., 1, :].view(np.complex128))
+    return yr.reshape(y.shape[:-2] + (2 * m, 2 * n))
+
+
+def _mul(x, yr, out=None):
+    """x @ y over a batch, for yr = _right_factor(y), into `out` if given
+    (which may be x).
+
+    A real form yr takes the interleaved float64 view of x, whose row k
+    times yr is row k of x @ y as (re, im) pairs: the same sums of
+    products, one float64 product in place of a complex one whose batched
+    call costs more on small sides.  An x whose rows are not contiguous,
+    such as a transposed block, is copied first.
+    """
+    if yr.dtype == x.dtype:
+        return np.matmul(x, yr, out=out)
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    if out is None:
+        out = np.empty(x.shape[:-1] + (yr.shape[-1] // 2,), x.dtype)
+    np.matmul(x.view(np.float64), yr, out=out.view(np.float64))
+    return out
+
+
 def _loop_factors(cycle, signs, b, slices, field, bars):
     """The factors of the trace read off one loop of the diagram, in
     traversal order, as (slot, index, transpose, conjugate): the block
@@ -128,10 +299,11 @@ def _loop_trace(factors, mats, quat):
     trace, which is minus the real part of the trace of the complex
     embedding.  Leading sample axes of the matrices carry through.
 
-    The product stops one factor early: tr(P F) is the sum of P_ij F_ji,
-    O(n^2) per sample where the last product would cost O(n^3).  The sum
-    is taken elementwise, not by einsum, whose rounding depends on the
-    operands' memory layout."""
+    The head factors are multiplied by _mul, as one float64 product of
+    a real form on small complex sides.  The product stops one factor
+    early: tr(P F) is the sum of P_ij F_ji, O(n^2) per sample where the
+    last product would cost O(n^3).  The sum is taken elementwise, not
+    by einsum, whose rounding depends on the operands' memory layout."""
     def read(slot, index, transpose, conj):
         f = mats[slot][index]
         if transpose:
@@ -142,7 +314,7 @@ def _loop_trace(factors, mats, quat):
     prod = None
     for factor in head:
         f = read(*factor)
-        prod = f if prod is None else prod @ f
+        prod = f if prod is None else _mul(prod, _right_factor(f))
     # the last factor F read transposed: tr(P F) = sum_ij P_ij (F^T)_ij
     last_t = read(slot, index, not transpose, conj)
     if prod is None:
@@ -209,128 +381,3 @@ def m_stat(b, mats, df, field="C", orientation=None, bars=None):
             out = np.empty(lead, chunk.dtype)
         out[r] = chunk
     return out
-
-
-def materialize_rho(b, df):
-    """Explicit matrix of the diagram operator on the k-fold tensor space.
-
-    Row multi-index runs over the top points, column multi-index over the
-    bottom ones.  An entry is 1 when, for every pair of the diagram, the
-    two incident indices lie in the paired colour blocks with equal
-    offsets.  Intended for small N and k only.
-    """
-    import itertools
-
-    k = b.k
-    # the colour block of each index, and the index's offset in that block
-    where = [(c, i) for c, s in block_slices(df).items()
-             for i in range(s.stop - s.start)]
-    tuples = list(itertools.product(range(len(where)), repeat=k))
-    rho = np.zeros((len(tuples), len(tuples)))
-    for c, col in enumerate(tuples):
-        for r, row in enumerate(tuples):
-            # point i reads col[i-1], point k+i reads row[i-1]
-            at = [None] + [where[i] for i in col + row]
-            if all((at[x][0], at[y][0], at[x][1]) ==
-                   (b.colour(x), b.colour(y), at[y][1])
-                   for x, y in b.pairing.pairs):
-                rho[r, c] = 1.0
-    return rho
-
-
-def rho_contract(b, mats, df):
-    """Tr(rho(b) . A_1 (x) ... (x) A_k), the unnormalized statistic."""
-    rho = materialize_rho(b, df)
-    tensor = mats[0]
-    for a in mats[1:]:
-        tensor = np.kron(tensor, a)
-    # Tr(rho . M) with M[col, row] products: rho rows are top indices
-    return np.trace(rho @ tensor)
-
-
-# ---------------------------------------------------------------------------
-# conditional expectation onto the block projectors
-# ---------------------------------------------------------------------------
-
-def cond_expectation(a, df):
-    """E[A] = sum_i (1/d_i) Tr(p_i A p_i) p_i, with Re Tr over H.
-
-    Returns the values 1/d_i Tr(p_i A p_i) as an array whose last axis
-    runs over the colour blocks in increasing colour order; leading
-    sample axes of `a` carry through.  A matrix of side 2n, twice that
-    of the dimension function, is a quaternion matrix in its complex
-    embedding, whose block traces are twice the quaternion ones in
-    their real part; its values are real.
-    """
-    n = total_dim(df)
-    if a.shape[-2:] not in ((n, n), (2 * n, 2 * n)):
-        raise ValueError("matrix does not match the dimension function")
-    scale = a.shape[-1] // n
-    vals = np.stack([np.trace(a[..., s, s], axis1=-2, axis2=-1)
-                     / (s.stop - s.start)
-                     for s in block_slices(df, scale).values()], axis=-1)
-    return vals.real if scale == 2 else vals
-
-
-def _mat_product(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = out @ m
-    return out
-
-
-def e_pi(pi, mats, df):
-    """Nested conditional expectation along a non-crossing partition, as
-    an array of block values like that of cond_expectation.
-
-    Innermost interval blocks are evaluated first.  Each value is
-    repeated over its colour block's width (twice that for H), and these
-    scale the columns of the factor left of the interval, or the rows of
-    the factor right of it, which is the product with the block-diagonal
-    matrix sum_i v_i p_i.  Matrices of side twice total_dim(df) are H
-    matrices in their complex embedding, as for cond_expectation.
-    Leading sample axes of the matrices carry through.
-    """
-    mats = list(mats)
-    k = len(mats)
-    scale = mats[0].shape[-1] // total_dim(df)
-    widths = [s.stop - s.start for s in block_slices(df, scale).values()]
-    part = as_set_partition(pi, k)
-    if len(part.blocks) == 0 or \
-            sorted(x for b in part.blocks for x in b) != list(range(1, k + 1)):
-        raise ValueError("partition does not cover the factors")
-    positions = list(range(1, k + 1))
-    work = {p: mats[p - 1] for p in positions}
-    blocks = [sorted(b) for b in part.blocks]
-    while len(blocks) > 1:
-        # find an interval block in the current position order
-        for bi, blk in enumerate(blocks):
-            idx = [positions.index(p) for p in blk]
-            if idx != list(range(min(idx), min(idx) + len(blk))):
-                continue
-            diag = np.repeat(cond_expectation(
-                _mat_product([work[p] for p in blk]), df), widths, axis=-1)
-            lo = min(idx)
-            if lo > 0:
-                left = positions[lo - 1]
-                work[left] = work[left] * diag[..., None, :]
-            else:
-                right = positions[lo + len(blk)]
-                work[right] = diag[..., None] * work[right]
-            for p in blk:
-                positions.remove(p)
-            blocks.pop(bi)
-            break
-        else:
-            raise ValueError("no interval block: partition is crossing")
-    last = blocks[0]
-    return cond_expectation(
-        _mat_product([work[p] for p in sorted(last)]), df)
-
-
-def amalgamated_cumulant(pi, mats, df):
-    """c_pi = sum_{gamma <= pi} mu(gamma, pi) E_gamma, as an array of
-    block values like that of e_pi."""
-    top = NonCrossingPartition(as_set_partition(pi, len(mats)).blocks)
-    return sum(float(mobius_nc(gamma, top)) * e_pi(gamma, mats, df)
-               for gamma in enumerate_nc(len(mats)) if gamma.leq(top))

@@ -5,30 +5,16 @@ elementary diagrams the word admits.  On it the finite-dimension
 generator has drift c_N^K per letter and off-diagonal entries given by
 loop counts and fnc differences; the limit generator keeps only the
 cycle- or loop-creating moves, with dimension ratios in place of
-dimensions.  The Schuermann triple gives an independent closed form for
-the limit generator evaluated on words.
+dimensions.  The Schuermann triple, an independent closed form for the
+limit generator evaluated on words, is in mfe.reference.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
 
-from .brauer import (
-    ColouredBrauerDiagram,
-    canonical_orientation,
-    creates_cycle,
-    encode_word,
-    fnc,
-    matching_es,
-    matching_tau,
-    oriented_cycles,
-    Pairing,
-    square_df,
-    Word,
-    WordLetter,
-)
+from .brauer import ColouredBrauerDiagram, Pairing, square_df
 
 BASIS_BOUND = 20000
 
@@ -60,23 +46,6 @@ def delta_diag(b: ColouredBrauerDiagram) -> int:
     return int(all(b.colour(i) == b.colour(k + i) for i in range(1, k + 1)))
 
 
-def admissible_moves(b, word, df, fclass, creating_only=False):
-    """All (slots, elementary, kind) gluable onto b that the word admits."""
-    out = []
-    for i in range(1, b.k + 1):
-        for j in range(i + 1, b.k + 1):
-            if slot_allows(word, i, j, "tau", fclass):
-                r = matching_tau(b, i, j)
-                if not creating_only or creates_cycle(r.pairing, b.pairing):
-                    out.append(((i, j), r, "tau"))
-            if slot_allows(word, i, j, "e", fclass):
-                for r in matching_es(b, i, j, df.n):
-                    if not creating_only or creates_cycle(
-                            r.pairing, b.pairing):
-                        out.append(((i, j), r, "e"))
-    return out
-
-
 # rows[i][j] is the coefficient of basis[j] in L(basis[i]); from the
 # builders, basis[j] stands for its orbit's state
 GeneratorMatrix = namedtuple("GeneratorMatrix", "basis rows")
@@ -105,17 +74,6 @@ def _class_bases(df, quat):
     negated and doubled for the quaternionic scale."""
     return [(cls, -2 * df.value(cls) if quat else df.value(cls))
             for cls in df.classes()]
-
-
-def _ratio_factor(b, out, df, sign_scale):
-    """Loop factor of the single move b -> out: the product over classes
-    of base^(loops + fnc(b') - fnc(b)), recomputed from both diagrams as
-    a per-move reference for the generator rows."""
-    val = Fraction(1)
-    for cls, base in _class_bases(df, sign_scale):
-        val *= base ** (out.loops.get(cls, 0) + fnc(out.diagram, df, cls)
-                        - fnc(b, df, cls))
-    return val
 
 
 def _finite_rates(df, field):
@@ -225,16 +183,16 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     A state is held as its flat tuple: the partners of the 2k points,
     top point i' at k + i - 1, then their colours.  A move is a local
     rewiring of it, equal to composing the elementary diagram of
-    matching_tau/matching_es onto the state.  With p and q the partners
-    of i' and j', tau_ij pairs j' with p and i' with q unless p = j',
-    and swaps the colours of i' and j'.  e_ij needs equal colours on i'
+    reference.matching_tau/matching_es onto the state.  With p and q the
+    partners of i' and j', tau_ij pairs j' with p and i' with q unless
+    p = j', and swaps the colours of i' and j'.  e_ij needs equal colours on i'
     and j' and is made once per top colour t: it removes one loop of
     their class when p = j', else it pairs p with q; then it pairs i'
     with j', both coloured t.  A diagram is built once per new state.
     The creating moves come from the one walk of the state's cycles made
     when it is found, which also gives its fnc exponents: i and j lie on
     one cycle, with equal canonical signs for tau and opposite
-    ones for e (the rule of creates_cycle_sign).
+    ones for e (the rule of reference.creates_cycle_sign).
 
     From rates = (drift, bases, scale) the pass fills the generator
     rows: drift times the total letter weight on the diagonal, and per
@@ -349,11 +307,6 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     return states, rows
 
 
-def reachable_basis(seed, word, df, fclass):
-    """BFS closure of the seed under admissible left multiplications."""
-    return _sweep([seed], word, df, fclass, _limit_rates(df))[0]
-
-
 def build_generator_finite(states, word, df, field, weights=None):
     """Finite-dimension generator on the closure of the given states
     under every admissible move, the given states first; exact rationals.
@@ -396,126 +349,3 @@ def build_generator_limit(states, word, ratios, fclass="real",
 def square_ratios(n):
     """Equal block ratios 1/n for the square n-block limit."""
     return square_df(n, Fraction(1, n))
-
-
-def generator_free_process(tokens, n):
-    """Limit generator evaluated on a word of the n x n unitary dual group.
-
-    The value is the t-derivative at 0 of the word's limit moment:
-    delta_diag contracted against the limit-generator row of the encoded
-    seed diagram.
-    """
-    tokens = list(tokens)
-    if not tokens:
-        raise ValueError("empty word")
-    seed, word = encode_word(tokens)
-    gen = build_generator_limit([seed], word, square_ratios(n), "complex")
-    return sum(v * delta_diag(gen.basis[j]) for j, v in gen.rows[0].items())
-
-
-# ---------------------------------------------------------------------------
-# Schuermann triple of the free unitary Brownian motion
-# ---------------------------------------------------------------------------
-
-def _counit(tokens):
-    """epsilon(u_ij^eps) = delta_ij, multiplicative on words."""
-    val = Fraction(1)
-    for i, j, _ in tokens:
-        if i != j:
-            return Fraction(0)
-    return val
-
-
-def _star_word(tokens):
-    return [(i, j, not star) for i, j, star in reversed(tokens)]
-
-
-def schurmann_eta(tokens, n):
-    """Cocycle eta as an n x n rational matrix.
-
-    On generators eta(u_ij) is the matrix unit E_ij and eta(u*_ij) is
-    -E_ji; since the representation part is the counit times identity,
-    eta(w) = sum_l eta(w_l) prod_{m != l} eps(w_m).
-    """
-    tokens = list(tokens)
-    eta = [[Fraction(0)] * n for _ in range(n)]
-    for l, (i, j, star) in enumerate(tokens):
-        scale = Fraction(1)
-        for m, tok in enumerate(tokens):
-            if m != l:
-                scale *= _counit([tok])
-        if scale == 0:
-            continue
-        if star:
-            eta[j - 1][i - 1] -= scale
-        else:
-            eta[i - 1][j - 1] += scale
-    return eta
-
-
-def _eta_inner(x, y, n):
-    """<X, Y> = (1/n) Tr(X* Y) on real rational matrices."""
-    total = Fraction(0)
-    for a in range(n):
-        for b in range(n):
-            total += x[a][b] * y[a][b]
-    return total / n
-
-
-def schurmann_L(tokens, n):
-    """Generator of the free unitary Brownian motion on a word.
-
-    Extends L(u_ij^eps) = -delta_ij / 2 through
-    L(a w) = L(a) eps(w) + eps(a) L(w) + <eta(a*), eta(w)>.
-    """
-    tokens = list(tokens)
-    if not tokens:
-        return Fraction(0)
-    i, j, _ = tokens[0]
-    head, rest = tokens[:1], tokens[1:]
-    val = Fraction(-1, 2) if i == j else Fraction(0)
-    if not rest:
-        return val
-    return (val * _counit(rest)
-            + _counit(head) * schurmann_L(rest, n)
-            + _eta_inner(schurmann_eta(_star_word(head), n),
-                         schurmann_eta(rest, n), n))
-
-
-# ---------------------------------------------------------------------------
-# compatible (diagram, word) pairs
-# ---------------------------------------------------------------------------
-
-def is_compatible(b, word):
-    """Whether the word's bar pattern matches the diagram's orientation.
-
-    Reading a bar as sign -1, the pattern must agree with the canonical
-    orientation up to a global flip on each cycle of the diagram.
-    """
-    signs = [-1 if l.bar else 1 for l in word.letters]
-    canon = canonical_orientation(b.pairing)
-    for cyc, _ in oriented_cycles(b.pairing, canon):
-        rel = {signs[i - 1] * canon.sign(i) for i in cyc}
-        if len(rel) > 1:
-            return False
-    return True
-
-
-def compatible_words(b, letter=1):
-    """All single-letter bar words compatible with the diagram.
-
-    A sign vector s is admissible when on every cycle of the diagram it
-    equals the canonical orientation or its negation; the word puts a bar
-    exactly at the negative slots.
-    """
-    s = canonical_orientation(b.pairing)
-    cycles = [c for c, _ in oriented_cycles(b.pairing, s)]
-    words = []
-    for flips in product((1, -1), repeat=len(cycles)):
-        signs = list(s.signs)
-        for cyc, fl in zip(cycles, flips):
-            if fl == -1:
-                for i in cyc:
-                    signs[i - 1] = -signs[i - 1]
-        words.append(Word(WordLetter(letter, bar=(x == -1)) for x in signs))
-    return words

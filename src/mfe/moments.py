@@ -13,8 +13,7 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from .brauer import ColouredBrauerDiagram, Pairing, Word, encode_word, \
-    cycle_partition
+from .brauer import encode_word
 from .generators import (
     build_generator_finite,
     build_generator_limit,
@@ -357,11 +356,6 @@ def finite_evaluator(seed, word, df, field, weights=None):
         build_generator_finite([seed], word, df, field, weights))
 
 
-def evolve_finite(seed, word, t, df, field, weights=None):
-    """Expected statistic of the seed diagram at time t, dimension df."""
-    return finite_evaluator(seed, word, df, field, weights).value(t)
-
-
 def evolve_limit(seed, word, ratios, fclass="real", weights=None):
     """Exact limit moment function of the seed diagram."""
     return _seed_moment(
@@ -376,38 +370,3 @@ def moment_of_word(tokens, n):
         raise ValueError("empty word")
     seed, word = encode_word(tokens)
     return evolve_limit(seed, word, square_ratios(n), "complex")
-
-
-def _restrict_to_cycle(b, word, slots):
-    """Sub-diagram and sub-word on one union of cycles, slots re-indexed."""
-    slots = sorted(slots)
-    pos = {s: i + 1 for i, s in enumerate(slots)}
-    k_new, k = len(slots), b.k
-    pairs = []
-    for x, y in b.pairing.pairs:
-        bx = x if x <= k else x - k
-        if bx not in pos:
-            continue
-
-        def conv(p):
-            return pos[p] if p <= k else k_new + pos[p - k]
-
-        pairs.append((conv(x), conv(y)))
-    cols = [0] * (2 * k_new)
-    for s in slots:
-        cols[pos[s] - 1] = b.colour(s)
-        cols[k_new + pos[s] - 1] = b.colour(k + s)
-    sub = ColouredBrauerDiagram(Pairing(k_new, pairs), cols)
-    sub_word = Word(word[s - 1] for s in slots)
-    return sub, sub_word
-
-
-def factorized_moment(b, word, ratios, fclass="real"):
-    """Limit moment computed as a product over the diagram's cycles."""
-    cp = cycle_partition(b.pairing)
-    out = MomentFunction.constant(1)
-    for block in cp.blocks:
-        slots = sorted(p for p in block if p <= b.k)
-        sub, sub_word = _restrict_to_cycle(b, word, slots)
-        out = out * evolve_limit(sub, sub_word, ratios, fclass)
-    return out

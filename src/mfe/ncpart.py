@@ -1,4 +1,4 @@
-"""Set partitions, non-crossing partitions, Moebius function, permutations.
+"""Set partitions, non-crossing partitions and the Moebius function.
 
 Partitions are immutable; blocks are kept sorted by minimum so equality is
 structural.  The Moebius function of NC(k) is the product form of the
@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from .brauer import Permutation
 
 NC_ENUM_BOUND = 12
 
@@ -65,33 +67,6 @@ class SetPartition:
             raise ValueError("mismatched ground sets")
         idx = other.index_map()
         return all(len({idx[x] for x in b}) == 1 for b in self.blocks)
-
-
-def partition_join(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Smallest partition above both: transitive closure of the union."""
-    if p.ground != q.ground:
-        raise ValueError("mismatched ground sets")
-    parent = {x: x for x in p.ground}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for part in (p, q):
-        for b in part.blocks:
-            for x in b[1:]:
-                union(b[0], x)
-    groups = {}
-    for x in p.ground:
-        groups.setdefault(find(x), []).append(x)
-    return SetPartition(groups.values())
 
 
 def is_noncrossing(p: SetPartition) -> bool:
@@ -151,10 +126,6 @@ def as_set_partition(pi, k):
     return SetPartition(pi, ground=range(1, k + 1))
 
 
-def zero_nc(k):
-    return NonCrossingPartition([[i] for i in range(1, k + 1)])
-
-
 def one_nc(k):
     return NonCrossingPartition([list(range(1, k + 1))])
 
@@ -200,108 +171,11 @@ def mobius_nc(pi: NonCrossingPartition, rho: NonCrossingPartition) -> Fraction:
         raise ValueError("pi is not below rho")
     cycles = (nc_to_permutation(pi).inverse()
               * nc_to_permutation(rho)).cycles()
-    return math.prod(mobius_zero_one(len(c)) for c in cycles)
-
-
-def mobius_zero_one(k):
-    """Closed form mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1)."""
-    return Fraction((-1) ** (k - 1) * catalan(k - 1))
-
-
-class Permutation:
-    """A bijection of {1..k} stored through its image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("not a bijection of {1..k}")
-        self.images = images
-
-    @classmethod
-    def identity(cls, k):
-        return cls(range(1, k + 1))
-
-    @classmethod
-    def from_cycles(cls, k, cycles):
-        images = list(range(1, k + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a - 1] = b
-        return cls(images)
-
-    @property
-    def k(self):
-        return len(self.images)
-
-    def __call__(self, x):
-        return self.images[x - 1]
-
-    def __mul__(self, other):
-        """Composition self after other."""
-        return Permutation(self.images[other.images[i] - 1] for i in range(self.k))
-
-    def inverse(self):
-        inv = [0] * self.k
-        for i, y in enumerate(self.images):
-            inv[y - 1] = i + 1
-        return Permutation(inv)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return "Permutation(%s)" % (self.images,)
-
-    def cycles(self):
-        seen, out = set(), []
-        for start in range(1, self.k + 1):
-            if start in seen:
-                continue
-            cyc, x = [], start
-            while x not in seen:
-                seen.add(x)
-                cyc.append(x)
-                x = self(x)
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_type(self):
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def num_cycles(self):
-        return len(self.cycles())
+    # mu(0_l, 1_l) = (-1)^(l-1) Catalan(l-1) for a cycle of length l
+    return math.prod(Fraction((-1) ** (len(c) - 1) * catalan(len(c) - 1))
+                     for c in cycles)
 
 
 def nc_to_permutation(pi: NonCrossingPartition) -> Permutation:
     """sigma_pi: each block becomes a cycle traversed in increasing order."""
     return Permutation.from_cycles(pi.k, [list(b) for b in pi.blocks])
-
-
-def geodesic_distance(sigma: Permutation) -> int:
-    """Minimal transposition-factorization length: k minus the cycle count."""
-    return sigma.k - sigma.num_cycles()
-
-
-def count_minimal_factorizations(sigma: Permutation) -> int:
-    """Number of minimal-length ordered transposition factorizations.
-
-    A cycle of length l contributes l^(l-2) factorizations of length l-1;
-    independent cycles shuffle, giving the multinomial d!/prod (l_j - 1)!.
-    """
-    lengths = [l for l in sigma.cycle_type() if l >= 2]
-    d = sum(l - 1 for l in lengths)
-    count = math.factorial(d)
-    for l in lengths:
-        count //= math.factorial(l - 1)
-        count *= l ** (l - 2)
-    return count
-
-
-def all_transpositions(k):
-    return [Permutation.from_cycles(k, [[i, j]])
-            for i, j in itertools.combinations(range(1, k + 1), 2)]

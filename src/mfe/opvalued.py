@@ -6,7 +6,7 @@ creating move joins two slots of one cycle, so no path from beta's seed
 mixes blocks.  Each joined coefficient is one walk of (diagram, label)
 states, a label giving each slot its least block-mate.  The conditional
 expectation and the amalgamated cumulants of sampled matrices, their
-finite counterparts, are in evaltrace.
+finite counterparts, are in mfe.reference.
 """
 
 from __future__ import annotations

@@ -43,14 +43,13 @@ increments, sums each Paterson-Stockmeyer block in one coefficient
 product, and multiplies complex matrices of side 2 to 16 as one float64
 product.
 Times measured on a 2-core Xeon VM with one BLAS thread are beside
-_CHUNK and _REAL_SIDES.
+_CHUNK here and _REAL_SIDES in mfe.evaltrace, which holds the product.
 
 The estimator walks and evaluates the samples in blocks of SAMPLE_BLOCK,
 one block at a time, so whatever the sample count a run holds one
 block's paths plus chunk-sized temporaries and 8 bytes per sample and
 time for the values: the step works one chunk of samples at a time, and
-the statistics and the unitarity defect are evaluated in the chunks of
-`sample_chunks`.
+the statistics are evaluated in the chunks of `evaltrace.sample_chunks`.
 Each block of a letter draws from a SeedSequence of its own (see
 `estimate_stats`), so a run of at most SAMPLE_BLOCK samples draws what
 one pool per letter drew, and a larger run draws other paths, from the
@@ -64,7 +63,7 @@ import math
 
 import numpy as np
 
-from .evaltrace import m_stat, quat_embed, sample_chunks, total_dim
+from .evaltrace import _mul, _right_factor, m_stat, quat_embed, total_dim
 
 BETA = {"R": 1, "C": 2, "H": 4}
 
@@ -81,6 +80,12 @@ MAX_STEPS = 10 ** 6
 # resource limit on samples x times of one estimate, the length of its
 # 8-byte value arrays: 10^8 values take 0.8 GB
 MAX_VALUES = 10 ** 8
+
+# resource limit on the bytes of one block's paths, letters x times x
+# min(samples, SAMPLE_BLOCK) matrices, and of the step's buffer of _SLOTS
+# chunks, checked before any path is walked: 2^30 bytes hold one
+# letter's SAMPLE_BLOCK complex paths of side 180 at one time
+MAX_PATH_BYTES = 2 ** 30
 
 # samples per block of the estimator, which walks and evaluates one
 # block at a time, each from its own stream (see estimate_stats).  A
@@ -106,100 +111,6 @@ def _side(field, N):
     return 2 * N if field == "H" else N
 
 
-def inner_product(field, N, x, y):
-    """<X, Y>_N = (beta N / 2) Re Tr(X* Y), the quaternion trace being
-    half the complex trace of the embedding."""
-    beta = BETA[field]
-    tr = float(np.trace(x.conj().T @ y).real)
-    return beta * N / 2.0 * (tr / 2.0 if field == "H" else tr)
-
-
-class LieBasis:
-    """Orthonormal basis of the anti-Hermitian matrices over one of the
-    three fields, under the inner product (beta N / 2) Re Tr(X* Y)."""
-
-    def __init__(self, N, field, elements):
-        self.N = N
-        self.field = field
-        self.elements = list(elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def expected_count(self):
-        beta = BETA[self.field]
-        n = self.N
-        return n * (n - 1) // 2 + (beta - 1) * n * (n + 1) // 2
-
-    def gram_defect(self):
-        """Largest deviation of the Gram matrix from the identity."""
-        worst = 0.0
-        for a, x in enumerate(self.elements):
-            for b, y in enumerate(self.elements):
-                got = inner_product(self.field, self.N, x, y)
-                worst = max(worst, abs(got - (1.0 if a == b else 0.0)))
-        return worst
-
-
-def lie_basis(N, field) -> LieBasis:
-    """Orthonormal anti-Hermitian basis: antisymmetric pairs, symmetric
-    pairs times each imaginary unit, and imaginary diagonal elements."""
-    _check_field(field)
-    if N < 1:
-        raise ValueError("N must be positive")
-    out = []
-    if field == "R":
-        a = 1.0 / math.sqrt(N)
-        for i in range(N):
-            for j in range(i + 1, N):
-                m = np.zeros((N, N))
-                m[i, j], m[j, i] = a, -a
-                out.append(m)
-    elif field == "C":
-        a = 1.0 / math.sqrt(2 * N)
-        for i in range(N):
-            for j in range(i + 1, N):
-                m = np.zeros((N, N), dtype=complex)
-                m[i, j], m[j, i] = a, -a
-                out.append(m)
-                m = np.zeros((N, N), dtype=complex)
-                m[i, j] = m[j, i] = 1j * a
-                out.append(m)
-        for j in range(N):
-            m = np.zeros((N, N), dtype=complex)
-            m[j, j] = 1j / math.sqrt(N)
-            out.append(m)
-    else:
-        a = 1.0 / (2.0 * math.sqrt(N))
-        for i in range(N):
-            for j in range(i + 1, N):
-                m = np.zeros((N, N, 4))
-                m[i, j, 0], m[j, i, 0] = a, -a
-                out.append(m)
-                for unit in (1, 2, 3):
-                    m = np.zeros((N, N, 4))
-                    m[i, j, unit] = m[j, i, unit] = a
-                    out.append(m)
-        for j in range(N):
-            for unit in (1, 2, 3):
-                m = np.zeros((N, N, 4))
-                m[j, j, unit] = 1.0 / math.sqrt(2 * N)
-                out.append(m)
-        out = [quat_embed(m) for m in out]
-    basis = LieBasis(N, field, out)
-    assert len(basis) == basis.expected_count()
-    return basis
-
-
-def casimir_constant(field, N):
-    """Scalar c with sum_k H_k^2 = c I: c = -1 + (2 - beta)/(beta N)."""
-    beta = BETA[field]
-    return -1.0 + (2.0 - beta) / (beta * N)
-
-
 def kappa(field, N):
     """The constant of the plain step's bias (see the module docstring):
     2 + 4 (beta - 2)/(beta N), and 0 on the abelian so(1) and so(2)."""
@@ -207,14 +118,6 @@ def kappa(field, N):
         return 0.0
     beta = BETA[field]
     return 2.0 + 4.0 * (beta - 2) / (beta * N)
-
-
-def casimir_scalar_check(basis: LieBasis):
-    """Max-norm deviation of sum_k H_k^2 from its scalar value."""
-    N, field = basis.N, basis.field
-    total = sum(h @ h for h in basis)
-    want = casimir_constant(field, N) * np.eye(_side(field, N))
-    return float(np.abs(total - want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -240,46 +143,10 @@ _NORM_MAX = 2.0 ** 52 * _TAYLOR[-1][1]
 # them by -18% to +8%, within the run-to-run spread on most sides
 _CHUNK = 2 ** 13
 
-# complex sides whose products run faster as one float64 product.  On
-# the same Xeon, per matrix at side 8, the batched complex product costs
-# 0.42 us, the float64 product 0.11 us and building the real form
-# 0.19 us; a chunk builds three real forms for six products.  Whole steps
-# at 10^4 samples took 0.84-0.88 of the complex time at sides 12 and 16,
-# and 0.95-0.97 at sides 20 to 32, which is within the spread
-_REAL_SIDES = range(2, 17)
-
 # slots of the buffer of `_expm_chunk`, each one chunk: a to a^4, then
 # the real form of a and after it the Paterson-Stockmeyer blocks of the
 # top degree
 _SLOTS = 4 + _TAYLOR[-1][0] // 4
-
-
-def expm(a):
-    """e^a for every matrix of a batch of shape (samples, n, n), float64
-    or complex128.
-
-    Scaling and squaring with a truncated Taylor series of one degree
-    per chunk of _CHUNK entries.  The degree and the number of squarings
-    come from alpha = max(||a^4||_F^(1/4), ||a^5||_F^(1/5)) in the
-    Frobenius norm, the fifth root bounded by (||a^4||_F ||a||_F)^(1/5),
-    the largest over the chunk.  alpha is at most the Frobenius norm, and
-    for the normal matrices of a Lie algebra at least the spectral radius
-    and near it, so the degree is never higher than the Frobenius norm
-    would give.  Complex matrices of the sides in _REAL_SIDES are
-    multiplied as one float64 product (see `_mul`).
-
-    Raises ValueError for a Frobenius norm above 2^52 * 1.504, or one
-    that is not finite, where the squarings would leave no correct digit.
-    """
-    a = np.asarray(a)
-    step = _chunk_len(a.shape[-1])
-    out = np.empty_like(a)
-    for i in range(0, len(a), step):
-        c = a[i:i + step]
-        p = np.empty((_SLOTS,) + c.shape, a.dtype)
-        p[0] = c
-        out[i:i + step] = _expm_chunk(p)
-    return out
 
 
 def _chunk_len(n):
@@ -316,39 +183,6 @@ def _degree(norm, a3, a4):
         if alpha <= theta * 2.0 ** s:
             break
     return m, s
-
-
-def _right_factor(y, out=None):
-    """y as the right factor of `_mul`: for complex sides in _REAL_SIDES
-    its 2n x 2n real form, rows 2k and 2k+1 holding row k of y and of
-    i*y as interleaved (re, im) pairs, written into the C-contiguous
-    `out` of twice y's size if given; otherwise y itself."""
-    n = y.shape[-1]
-    if y.dtype != np.complex128 or n not in _REAL_SIDES:
-        return y
-    shape = y.shape[:-2] + (n, 2, 2 * n)
-    yr = np.empty(shape) if out is None else \
-        out.view(np.float64).reshape(shape)
-    yr[..., 0, :] = y.view(np.float64)
-    np.multiply(y, 1j, out=yr[..., 1, :].view(np.complex128))
-    return yr.reshape(y.shape[:-2] + (2 * n, 2 * n))
-
-
-def _mul(x, yr, out=None):
-    """x @ y over a batch, for yr = _right_factor(y), into `out` if given
-    (which may be x).
-
-    A real form yr takes the interleaved float64 view of x, whose row k
-    times yr is row k of x @ y as (re, im) pairs: the same sums of
-    products, one float64 product in place of a complex one whose batched
-    call costs more on small sides.
-    """
-    if yr.dtype == x.dtype:
-        return np.matmul(x, yr, out=out)
-    if out is None:
-        out = np.empty_like(x)
-    np.matmul(x.view(np.float64), yr, out=out.view(np.float64))
-    return out
 
 
 def _expm_chunk(p):
@@ -420,7 +254,7 @@ def _lie_layout(N, field):
     """Where the coordinates of a Gaussian Lie element go.
 
     Returns (dim, idx, w): the float64 view of sum_k g_k H_k over the
-    orthonormal basis of `lie_basis`, flattened, is g[idx] * w, one
+    orthonormal basis of `reference.lie_basis`, flattened, is g[idx] * w, one
     coordinate g_k or 0 per float.  Off-diagonal entries have weight
     1/sqrt(beta N) per real coordinate, with X_ji = -conj(X_ij); the
     diagonal is imaginary, of weight sqrt(2/(beta N)).
@@ -476,16 +310,23 @@ def _step_layout(N, field, dt):
     s = sqrt(1 - kappa dt/24) on the semisimple coordinates, all over R
     and H and all but the diagonal's N over C.  Returned with the factor
     for `_shrink_traceless`: s over C at N >= 2, else 1."""
+    s = _semisimple_scale(N, field, dt)
+    dim, idx, w = _lie_layout(N, field)
+    semisimple = dim - N if field == "C" else dim
+    w = np.where(idx < semisimple, s, 1.0) * (w * math.sqrt(dt))
+    return (dim, idx, w), (s if field == "C" and N > 1 else 1.0)
+
+
+def _semisimple_scale(N, field, dt):
+    """s = sqrt(1 - kappa dt/24), the scale of the semisimple part of the
+    increments of step dt, from kappa alone; a ValueError where
+    kappa dt >= 24."""
     shrink = kappa(field, N) * dt / 24.0
     if not shrink < 1.0:
         raise ValueError("step size t/steps = %g is too large: the "
                          "semisimple variance factor 1 - kappa dt/24 = %.3g "
                          "is not positive" % (dt, 1.0 - shrink))
-    s = math.sqrt(1.0 - shrink)
-    dim, idx, w = _lie_layout(N, field)
-    semisimple = dim - N if field == "C" else dim
-    w = np.where(idx < semisimple, s, 1.0) * (w * math.sqrt(dt))
-    return (dim, idx, w), (s if field == "C" and N > 1 else 1.0)
+    return math.sqrt(1.0 - shrink)
 
 
 def _shrink_traceless(x, s):
@@ -514,19 +355,12 @@ def _step_count(t, steps):
     return int(round(steps))
 
 
-def sample_terminals(N, field, t, samples, steps=None, seed=0):
-    """Terminal matrices of `samples` independent Brownian paths.
-
-    Returns an array of shape (samples, N, N) for R and C, and the
-    complex embedding, of shape (samples, 2N, 2N), for H.  Without
-    `steps`, takes DEFAULT_STEPS * t steps, rounded, at least one.
-    Raises ValueError past MAX_STEPS steps.
-    """
-    return _terminals(N, field, [t], samples, steps, seed)[0]
-
-
 def _terminals(N, field, times, samples, steps, seed):
-    """The paths of `sample_terminals` at each of `times`, as a list.
+    """Terminal matrices of `samples` independent Brownian paths at each
+    of `times`, as a list: arrays of shape (samples, N, N) for R and C,
+    and the complex embedding, of shape (samples, 2N, 2N), for H.  Each
+    time t takes `steps` steps, or by default DEFAULT_STEPS * t rounded,
+    at least one (`_step_count`).
 
     Times whose runs have the same float step t/steps share one family
     of paths, read off at each one's step count: the draws depend only
@@ -589,18 +423,6 @@ def _step(u, p, dt):
     _mul(u, _right_factor(e, out=p[1:3]), out=u)
 
 
-def unitarity_defect(u, field):
-    """Largest entry of U U* - 1 over a batch of shape (..., n, n), the
-    same for every field: H matrices come as their complex embedding.
-    The batch is taken in the chunks of `sample_chunks`."""
-    n = u.shape[-1]
-    u = u.reshape((-1, n, n))
-    eye = np.eye(n)
-    return float(np.max([
-        np.abs(c @ np.conj(np.swapaxes(c, -1, -2)) - eye).max()
-        for c in (u[r] for r in sample_chunks(len(u), n * n))]))
-
-
 # ---------------------------------------------------------------------------
 # empirical statistics
 # ---------------------------------------------------------------------------
@@ -621,14 +443,15 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
 
     Each sample's value is the statistic of its paths, walked with
     `steps` steps, or by default DEFAULT_STEPS * t rounded (see
-    `sample_terminals`).
+    `_terminals`).
 
     The samples are taken in blocks of SAMPLE_BLOCK, one block at a time:
     its paths are walked, its values at every time written into one
     array per time, and its paths dropped before the next block.  So a
     run holds one block's paths and block-sized temporaries, whatever
     the sample count, besides 8 bytes per sample and time for the
-    values, of which there may be at most MAX_VALUES.  Letter l draws
+    values, of which there may be at most MAX_VALUES; one block's paths
+    and the step's buffer may take at most MAX_PATH_BYTES.  Letter l draws
     from the l-th child of SeedSequence(seed).spawn(L), L the number of
     letters: block 0 from that child itself, block i >= 1 from the
     child's (i-1)-th spawned child.  A block's draws thus do not depend
@@ -650,14 +473,21 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     letters = sorted({l.letter for l in word})
     at = [[t[c] if isinstance(t, dict) else float(t) for t in times]
           for c in letters]
-    # every time, its step size and the values' size are checked before
-    # the values are allocated or any path is walked
+    # every time, its step size, the values' size and the paths' size are
+    # checked before the values are allocated or any path is walked
     for t in (t for ts in at for t in ts):
-        _step_layout(n, field, t / _step_count(t, steps))
+        _semisimple_scale(n, field, t / _step_count(t, steps))
     if samples * len(times) > MAX_VALUES:
         raise ValueError("%d samples at %d times take more than the %d "
                          "values allowed"
                          % (samples, len(times), MAX_VALUES))
+    side = _side(field, n)
+    paths = len(letters) * len(times) * min(samples, SAMPLE_BLOCK)
+    matrices = paths + _SLOTS * min(_chunk_len(side), samples)
+    if matrices * side ** 2 * (8 if field == "R" else 16) > MAX_PATH_BYTES:
+        raise ValueError("%d paths of side %d per block and the step's "
+                         "buffer take more than the %d bytes allowed"
+                         % (paths, side, MAX_PATH_BYTES))
     streams = [_block_seeds(child) for child in
                np.random.SeedSequence(seed).spawn(len(letters))]
     values = [np.empty(samples) for _ in times]

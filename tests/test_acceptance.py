@@ -20,48 +20,46 @@ from mfe.brauer import (
     Pairing,
     Word,
     WordLetter,
-    canonical_orientation,
-    compose,
-    creates_cycle,
-    creates_cycle_sign,
-    cycle_partition,
     encode_word,
-    nc,
     square_df,
-    stack_components,
     twist,
 )
 from mfe.cumulants import (
     Colourization,
-    biane_moment,
     cumulants_from_moments,
     kappa_closed_form,
 )
-from mfe.evaltrace import (
-    amalgamated_cumulant,
-    e_pi,
-    m_stat,
-)
+from mfe.evaltrace import canonical_orientation, m_stat
 from mfe.generators import (
-    _ratio_factor,
-    admissible_moves,
     build_generator_finite,
     build_generator_limit,
-    compatible_words,
-    is_compatible,
-    reachable_basis,
     square_ratios,
 )
-from mfe.moments import MomentFunction, evolve_finite, moment_of_word
+from mfe.moments import MomentFunction, moment_of_word
 from mfe.ncpart import enumerate_nc, one_nc
 from mfe.opvalued import (
     limit_cumulant_coefficient,
     limit_statistic,
 )
-from mfe.rmt import (
+from mfe.reference import (
+    _ratio_factor,
+    admissible_moves,
+    amalgamated_cumulant,
+    biane_moment,
     casimir_scalar_check,
+    compatible_words,
+    compose,
+    creates_cycle,
+    creates_cycle_sign,
+    cycle_partition,
+    e_pi,
+    evolve_finite,
+    is_compatible,
     lie_basis,
+    nc,
+    reachable_basis,
     sample_terminals,
+    stack_components,
     unitarity_defect,
 )
 

@@ -8,36 +8,42 @@ from hypothesis import given, seed, settings, strategies as st
 from mfe.brauer import (
     ColouredBrauerDiagram,
     DimensionFunction,
-    Orientation,
     Pairing,
-    Zero,
-    all_nonmixing_elementaries,
+    encode_word,
+    format_diagram,
+    Permutation,
+    square_df,
+    twist,
+    WordLetter,
+)
+from mfe.evaltrace import (
+    Orientation,
     canonical_orientation,
+    fnc,
+    oriented_cycles,
+)
+from mfe.ncpart import SetPartition
+from mfe.reference import (
+    Zero,
+    _ratio_factor,
+    all_nonmixing_elementaries,
     compose,
     creates_cycle,
     creates_cycle_sign,
     cycle_partition,
     diamond,
     elementary_sets,
-    encode_word,
-    fnc,
-    format_diagram,
     identity_diagram,
     join_count,
-    stack_components,
     matching_es,
     matching_tau,
     nc,
-    oriented_cycles,
     parse_diagram,
+    partition_join,
     sigma_of,
-    square_df,
+    stack_components,
     transpose_diagram,
-    twist,
-    WordLetter,
 )
-from mfe.generators import _ratio_factor
-from mfe.ncpart import Permutation, SetPartition, partition_join
 
 
 def random_pairing(rng, k):

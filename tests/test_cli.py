@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -466,6 +467,18 @@ class TestEdgeInputs:
         rc, out, err = run(capsys, *argv, "--field", "C", "--word", "u11")
         assert_one_line_error(rc, out, err)
         assert "values allowed" in err
+
+    def test_path_bytes_past_bound_exit_2(self, capsys):
+        # one block's ten paths of side 10^5 would take 1.6 TB; the bound
+        # refuses them before the step's layout of N^2 entries is built
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "simulate", "--field", "C", "--N",
+                           "100000", "--word", "u11", "--t", "1",
+                           "--samples", "10")
+        assert time.perf_counter() - start < 5
+        assert_one_line_error(rc, out, err)
+        assert "10 paths of side 100000 per block" in err
+        assert "bytes allowed" in err
 
     @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "sympy"])
     def test_import_leaves_sparse_solver_unloaded(self, module):

@@ -5,26 +5,28 @@ from fractions import Fraction
 
 import pytest
 
+from mfe.brauer import Permutation
 from mfe.cumulants import (
-    BIANE_BOUND,
     Colourization,
-    biane_moment,
     colour_act,
     cumulants_from_moments,
-    increasing_transpositions,
     kappa_closed_form,
-    moments_from_cumulants,
-    taylor_coeff,
-    taylor_coeff_geodesic,
 )
 from mfe.moments import MomentFunction, moment_of_word
 from mfe.ncpart import (
     NonCrossingPartition,
-    Permutation,
-    all_transpositions,
     enumerate_nc,
     nc_to_permutation,
     one_nc,
+)
+from mfe.reference import (
+    BIANE_BOUND,
+    all_transpositions,
+    biane_moment,
+    increasing_transpositions,
+    moments_from_cumulants,
+    taylor_coeff,
+    taylor_coeff_geodesic,
     zero_nc,
 )
 

@@ -13,35 +13,38 @@ from mfe.brauer import (
     Pairing,
     Word,
     WordLetter,
-    compose,
-    cycle_partition,
     encode_word,
-    fnc,
-    identity_diagram,
-    nc,
     square_df,
 )
-from mfe.evaltrace import materialize_rho, total_dim
+from mfe.evaltrace import fnc, total_dim
 from mfe.generators import (
     _orbit_code,
-    _ratio_factor,
-    admissible_moves,
     build_generator_finite,
     build_generator_limit,
     casimir_drift,
-    compatible_words,
     delta_diag,
-    generator_free_process,
-    is_compatible,
-    reachable_basis,
-    schurmann_L,
-    schurmann_eta,
     slot_allows,
     square_ratios,
 )
 from mfe.moments import solve_semigroup_row
-from mfe.ncpart import SetPartition, partition_join
+from mfe.ncpart import SetPartition
 from mfe.opvalued import _coefficient_walk
+from mfe.reference import (
+    _ratio_factor,
+    admissible_moves,
+    compatible_words,
+    compose,
+    cycle_partition,
+    generator_free_process,
+    identity_diagram,
+    is_compatible,
+    materialize_rho,
+    nc,
+    partition_join,
+    reachable_basis,
+    schurmann_L,
+    schurmann_eta,
+)
 
 
 def plain_word(k, letter=1):
@@ -521,7 +524,7 @@ class TestLimitGenerator:
                         out.loops.get(cls, 0)
                         + fnc(out.diagram, df, cls) - fnc(b, df, cls)
                         for cls in df.classes())
-                    from mfe.brauer import creates_cycle
+                    from mfe.reference import creates_cycle
                     if creates_cycle(r.pairing, b.pairing):
                         assert total == 1
                     else:

@@ -17,27 +17,29 @@ from mfe.brauer import (
     Word,
     WordLetter,
     encode_word,
-    identity_diagram,
     square_df,
 )
 from mfe.generators import (
     build_generator_finite,
     build_generator_limit,
-    compatible_words,
     delta_diag,
-    reachable_basis,
     square_ratios,
 )
 from mfe.moments import (
     MomentFunction,
-    evolve_finite,
     evolve_limit,
-    factorized_moment,
     finite_evaluator,
     moment_of_word,
     solve_semigroup_row,
 )
 from mfe.moments import _rational_roots
+from mfe.reference import (
+    compatible_words,
+    evolve_finite,
+    factorized_moment,
+    identity_diagram,
+    reachable_basis,
+)
 
 
 def from_records(records):

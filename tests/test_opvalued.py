@@ -13,14 +13,7 @@ from mfe.brauer import (
     square_df,
 )
 from mfe.cumulants import Colourization, kappa_closed_form
-from mfe.evaltrace import (
-    amalgamated_cumulant,
-    block_slices,
-    cond_expectation,
-    e_pi,
-    quat_embed,
-    total_dim,
-)
+from mfe.evaltrace import block_slices, quat_embed, total_dim
 from mfe.generators import delta_diag
 from mfe.moments import MomentFunction, solve_semigroup_row
 from mfe.ncpart import (
@@ -35,6 +28,7 @@ from mfe.opvalued import (
     seed_diagram,
 )
 from mfe.opvalued import _block_product, _coefficient_walk
+from mfe.reference import amalgamated_cumulant, cond_expectation, e_pi
 
 DF = DimensionFunction({1: 2, 2: 3})
 

@@ -17,32 +17,34 @@ from mfe.brauer import (
     Word,
     WordLetter,
     encode_word,
-    identity_diagram,
     square_df,
 )
-from mfe.evaltrace import STAT_CHUNK, block_slices, m_stat, sample_chunks, \
-    total_dim
-from mfe.moments import evolve_finite, finite_evaluator
+from mfe.evaltrace import STAT_CHUNK, _REAL_SIDES, _mul, _right_factor, \
+    block_slices, m_stat, sample_chunks, total_dim
+from mfe.moments import finite_evaluator
+from mfe.reference import (
+    LieBasis,
+    casimir_constant,
+    casimir_scalar_check,
+    evolve_finite,
+    expm,
+    identity_diagram,
+    inner_product,
+    lie_basis,
+    sample_terminals,
+    unitarity_defect,
+)
 from mfe.rmt import (
     BETA,
     DEFAULT_STEPS,
     MAX_STEPS,
     SAMPLE_BLOCK,
-    LieBasis,
-    casimir_constant,
-    casimir_scalar_check,
     estimate_stat,
     estimate_stats,
-    expm,
-    inner_product,
     kappa,
-    lie_basis,
-    sample_terminals,
-    unitarity_defect,
 )
-from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
-    _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor, \
-    _shrink_traceless, _step_layout
+from mfe.rmt import _CHUNK, _TAYLOR, _chunk_len, _degree, _frobenius, \
+    _gaussian_lie, _lie_layout, _shrink_traceless, _step_layout
 
 
 def quaternionic_defect(u):
