@@ -10,9 +10,7 @@ give each loop's route, and fnc live here.
 A quaternion n x m matrix is stored as its complex embedding of shape
 (2n, 2m), made by quat_embed, so that one layout serves the three fields.
 Evaluation is batched: slot matrices may carry any leading sample axes,
-and the statistic then has those axes.  Complex products of small sides
-run as one float64 product of a real form (_right_factor, _mul), which
-the sampler of mfe.rmt shares.
+and the statistic then has those axes.
 
 The conditional expectation onto the block projectors and the
 amalgamated cumulants of sampled matrices, the finite counterparts of
@@ -112,37 +110,20 @@ def oriented_cycles(b: Pairing, s: Orientation):
     return out
 
 
-class OrientedExtended:
-    """Oriented extended diagram (the value of the diamond operation)."""
-
-    __slots__ = ("diagram", "orientation", "loops")
-
-    def __init__(self, diagram, orientation, loops=None):
-        self.diagram = diagram
-        self.orientation = orientation
-        self.loops = dict(loops or {})
-
-    def __repr__(self):
-        return "OrientedExtended(%r, %r, %s)" % (
-            self.diagram, self.orientation, self.loops)
-
-
 def fnc(x, df: DimensionFunction, cls) -> int:
-    """Loop count of the class plus the cycles it normalizes.
+    """The number of cycles of the oriented diagram x, a diagram or a
+    (diagram, orientation) pair, that the class normalizes.
 
     A cycle counts for the class of c(m) when the orientation sign at its
     minimum m is +1, and for the class of c(m') when it is -1.
     """
-    if isinstance(x, OrientedExtended):
-        diagram, orient, loops = x.diagram, x.orientation, x.loops
-    elif isinstance(x, tuple):
+    if isinstance(x, tuple):
         diagram, orient = x
-        loops = {}
     else:
-        diagram, orient, loops = x, canonical_orientation(x.pairing), {}
+        diagram, orient = x, canonical_orientation(x.pairing)
     if cls not in df.dims or df.class_of(cls) != cls:
         raise ValueError("unknown dimension class %r" % (cls,))
-    total = loops.get(cls, 0)
+    total = 0
     k = diagram.k
     for cycle, _ in _traverse(diagram.pairing):
         m = min(cycle)
@@ -222,54 +203,6 @@ def sample_chunks(samples, entries):
     return [slice(i, i + step) for i in range(0, samples, step)]
 
 
-# complex sides whose products run faster as one float64 product.  On
-# a Xeon with 2 MiB of L2 per core and one BLAS thread, in chunks of
-# 2^13 entries, per matrix at side 8, the batched complex product costs
-# 0.42 us, the float64 product 0.11 us and building the real form
-# 0.19 us; a chunk of the sampler's step builds three real forms for six
-# products.  Whole steps at 10^4 samples took 0.84-0.88 of the complex
-# time at sides 12 and 16, and 0.95-0.97 at sides 20 to 32, which is
-# within the spread
-_REAL_SIDES = range(2, 17)
-
-
-def _right_factor(y, out=None):
-    """y as the right factor of `_mul`: for complex m x n matrices with n
-    in _REAL_SIDES their 2m x 2n real form, rows 2k and 2k+1 holding row
-    k of y and of i*y as interleaved (re, im) pairs, written into the
-    C-contiguous `out` of twice y's size if given; otherwise y itself.
-    y may have any memory layout."""
-    m, n = y.shape[-2:]
-    if y.dtype != np.complex128 or n not in _REAL_SIDES:
-        return y
-    shape = y.shape[:-1] + (2, 2 * n)
-    yr = np.empty(shape) if out is None else \
-        out.view(np.float64).reshape(shape)
-    yr[..., 0, :].view(np.complex128)[...] = y
-    np.multiply(y, 1j, out=yr[..., 1, :].view(np.complex128))
-    return yr.reshape(y.shape[:-2] + (2 * m, 2 * n))
-
-
-def _mul(x, yr, out=None):
-    """x @ y over a batch, for yr = _right_factor(y), into `out` if given
-    (which may be x).
-
-    A real form yr takes the interleaved float64 view of x, whose row k
-    times yr is row k of x @ y as (re, im) pairs: the same sums of
-    products, one float64 product in place of a complex one whose batched
-    call costs more on small sides.  An x whose rows are not contiguous,
-    such as a transposed block, is copied first.
-    """
-    if yr.dtype == x.dtype:
-        return np.matmul(x, yr, out=out)
-    if x.strides[-1] != x.itemsize:
-        x = np.ascontiguousarray(x)
-    if out is None:
-        out = np.empty(x.shape[:-1] + (yr.shape[-1] // 2,), x.dtype)
-    np.matmul(x.view(np.float64), yr, out=out.view(np.float64))
-    return out
-
-
 def _loop_factors(cycle, signs, b, slices, field, bars):
     """The factors of the trace read off one loop of the diagram, in
     traversal order, as (slot, index, transpose, conjugate): the block
@@ -299,11 +232,10 @@ def _loop_trace(factors, mats, quat):
     trace, which is minus the real part of the trace of the complex
     embedding.  Leading sample axes of the matrices carry through.
 
-    The head factors are multiplied by _mul, as one float64 product of
-    a real form on small complex sides.  The product stops one factor
-    early: tr(P F) is the sum of P_ij F_ji, O(n^2) per sample where the
-    last product would cost O(n^3).  The sum is taken elementwise, not
-    by einsum, whose rounding depends on the operands' memory layout."""
+    The product stops one factor early: tr(P F) is the sum of P_ij F_ji,
+    O(n^2) per sample where the last product would cost O(n^3).  The sum
+    is taken elementwise, not by einsum, whose rounding depends on the
+    operands' memory layout."""
     def read(slot, index, transpose, conj):
         f = mats[slot][index]
         if transpose:
@@ -314,7 +246,7 @@ def _loop_trace(factors, mats, quat):
     prod = None
     for factor in head:
         f = read(*factor)
-        prod = f if prod is None else _mul(prod, _right_factor(f))
+        prod = f if prod is None else prod @ f
     # the last factor F read transposed: tr(P F) = sum_ij P_ij (F^T)_ij
     last_t = read(slot, index, not transpose, conj)
     if prod is None:

@@ -38,7 +38,6 @@ from .cumulants import Colourization, _block_functional, _product, \
     colour_act
 from .evaltrace import (
     Orientation,
-    OrientedExtended,
     _traverse,
     block_slices,
     canonical_orientation,
@@ -303,6 +302,21 @@ def creates_cycle_sign(r_kind, i, j, b: Pairing) -> bool:
     s = canonical_orientation(b)
     prod = s.sign(i) * s.sign(j)
     return prod == (-1 if r_kind == "e" else 1)
+
+
+class OrientedExtended:
+    """Oriented extended diagram (the value of the diamond operation)."""
+
+    __slots__ = ("diagram", "orientation", "loops")
+
+    def __init__(self, diagram, orientation, loops=None):
+        self.diagram = diagram
+        self.orientation = orientation
+        self.loops = dict(loops or {})
+
+    def __repr__(self):
+        return "OrientedExtended(%r, %r, %s)" % (
+            self.diagram, self.orientation, self.loops)
 
 
 def diamond(r: ColouredBrauerDiagram, b: ColouredBrauerDiagram,

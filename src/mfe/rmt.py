@@ -43,7 +43,7 @@ increments, sums each Paterson-Stockmeyer block in one coefficient
 product, and multiplies complex matrices of side 2 to 16 as one float64
 product.
 Times measured on a 2-core Xeon VM with one BLAS thread are beside
-_CHUNK here and _REAL_SIDES in mfe.evaltrace, which holds the product.
+_CHUNK and _REAL_SIDES.
 
 The estimator walks and evaluates the samples in blocks of SAMPLE_BLOCK,
 one block at a time, so whatever the sample count a run holds one
@@ -63,7 +63,7 @@ import math
 
 import numpy as np
 
-from .evaltrace import _mul, _right_factor, m_stat, quat_embed, total_dim
+from .evaltrace import m_stat, quat_embed, total_dim
 
 BETA = {"R": 1, "C": 2, "H": 4}
 
@@ -80,12 +80,6 @@ MAX_STEPS = 10 ** 6
 # resource limit on samples x times of one estimate, the length of its
 # 8-byte value arrays: 10^8 values take 0.8 GB
 MAX_VALUES = 10 ** 8
-
-# resource limit on the bytes of one block's paths, letters x times x
-# min(samples, SAMPLE_BLOCK) matrices, and of the step's buffer of _SLOTS
-# chunks, checked before any path is walked: 2^30 bytes hold one
-# letter's SAMPLE_BLOCK complex paths of side 180 at one time
-MAX_PATH_BYTES = 2 ** 30
 
 # samples per block of the estimator, which walks and evaluates one
 # block at a time, each from its own stream (see estimate_stats).  A
@@ -143,6 +137,14 @@ _NORM_MAX = 2.0 ** 52 * _TAYLOR[-1][1]
 # them by -18% to +8%, within the run-to-run spread on most sides
 _CHUNK = 2 ** 13
 
+# complex sides whose products run faster as one float64 product.  On
+# the same Xeon, per matrix at side 8, the batched complex product costs
+# 0.42 us, the float64 product 0.11 us and building the real form
+# 0.19 us; a chunk builds three real forms for six products.  Whole steps
+# at 10^4 samples took 0.84-0.88 of the complex time at sides 12 and 16,
+# and 0.95-0.97 at sides 20 to 32, which is within the spread
+_REAL_SIDES = range(2, 17)
+
 # slots of the buffer of `_expm_chunk`, each one chunk: a to a^4, then
 # the real form of a and after it the Paterson-Stockmeyer blocks of the
 # top degree
@@ -183,6 +185,39 @@ def _degree(norm, a3, a4):
         if alpha <= theta * 2.0 ** s:
             break
     return m, s
+
+
+def _right_factor(y, out=None):
+    """y as the right factor of `_mul`: for complex sides in _REAL_SIDES
+    its 2n x 2n real form, rows 2k and 2k+1 holding row k of y and of
+    i*y as interleaved (re, im) pairs, written into the C-contiguous
+    `out` of twice y's size if given; otherwise y itself."""
+    n = y.shape[-1]
+    if y.dtype != np.complex128 or n not in _REAL_SIDES:
+        return y
+    shape = y.shape[:-2] + (n, 2, 2 * n)
+    yr = np.empty(shape) if out is None else \
+        out.view(np.float64).reshape(shape)
+    yr[..., 0, :] = y.view(np.float64)
+    np.multiply(y, 1j, out=yr[..., 1, :].view(np.complex128))
+    return yr.reshape(y.shape[:-2] + (2 * n, 2 * n))
+
+
+def _mul(x, yr, out=None):
+    """x @ y over a batch, for yr = _right_factor(y), into `out` if given
+    (which may be x).
+
+    A real form yr takes the interleaved float64 view of x, whose row k
+    times yr is row k of x @ y as (re, im) pairs: the same sums of
+    products, one float64 product in place of a complex one whose batched
+    call costs more on small sides.
+    """
+    if yr.dtype == x.dtype:
+        return np.matmul(x, yr, out=out)
+    if out is None:
+        out = np.empty_like(x)
+    np.matmul(x.view(np.float64), yr, out=out.view(np.float64))
+    return out
 
 
 def _expm_chunk(p):
@@ -450,8 +485,7 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     array per time, and its paths dropped before the next block.  So a
     run holds one block's paths and block-sized temporaries, whatever
     the sample count, besides 8 bytes per sample and time for the
-    values, of which there may be at most MAX_VALUES; one block's paths
-    and the step's buffer may take at most MAX_PATH_BYTES.  Letter l draws
+    values, of which there may be at most MAX_VALUES.  Letter l draws
     from the l-th child of SeedSequence(seed).spawn(L), L the number of
     letters: block 0 from that child itself, block i >= 1 from the
     child's (i-1)-th spawned child.  A block's draws thus do not depend
@@ -473,21 +507,14 @@ def estimate_stats(b, word, field, df, times, samples, seed=0, steps=None):
     letters = sorted({l.letter for l in word})
     at = [[t[c] if isinstance(t, dict) else float(t) for t in times]
           for c in letters]
-    # every time, its step size, the values' size and the paths' size are
-    # checked before the values are allocated or any path is walked
+    # every time, its step size and the values' size are checked before
+    # the values are allocated or any path is walked
     for t in (t for ts in at for t in ts):
         _semisimple_scale(n, field, t / _step_count(t, steps))
     if samples * len(times) > MAX_VALUES:
         raise ValueError("%d samples at %d times take more than the %d "
                          "values allowed"
                          % (samples, len(times), MAX_VALUES))
-    side = _side(field, n)
-    paths = len(letters) * len(times) * min(samples, SAMPLE_BLOCK)
-    matrices = paths + _SLOTS * min(_chunk_len(side), samples)
-    if matrices * side ** 2 * (8 if field == "R" else 16) > MAX_PATH_BYTES:
-        raise ValueError("%d paths of side %d per block and the step's "
-                         "buffer take more than the %d bytes allowed"
-                         % (paths, side, MAX_PATH_BYTES))
     streams = [_block_seeds(child) for child in
                np.random.SeedSequence(seed).spawn(len(letters))]
     values = [np.empty(samples) for _ in times]

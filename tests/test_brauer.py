@@ -460,7 +460,9 @@ class TestFnc:
         out = compose(e, e, df)
         s = canonical_orientation(out.diagram.pairing)
         ext = diamond(e, e, s, df)
-        assert fnc(ext, df, 1) == 2  # one cycle plus one loop
+        # one cycle plus one loop
+        assert fnc((ext.diagram, ext.orientation), df, 1) == 1
+        assert ext.loops.get(1, 0) == 1
 
     def test_unknown_class_rejected(self):
         df = square_df(1)

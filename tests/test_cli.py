@@ -468,17 +468,25 @@ class TestEdgeInputs:
         assert_one_line_error(rc, out, err)
         assert "values allowed" in err
 
-    def test_path_bytes_past_bound_exit_2(self, capsys):
-        # one block's ten paths of side 10^5 would take 1.6 TB; the bound
-        # refuses them before the step's layout of N^2 entries is built
+    def test_huge_side_exits_2_quickly(self):
+        # a side of 10^5 passes the step-size check, which builds no
+        # layout of N^2 entries, and its paths then fail to allocate; the
+        # 3 GiB address-space cap refuses them whatever the host's
+        # overcommit policy
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = os.path.dirname(os.path.dirname(mfe.__file__))
         start = time.perf_counter()
-        rc, out, err = run(capsys, "simulate", "--field", "C", "--N",
-                           "100000", "--word", "u11", "--t", "1",
-                           "--samples", "10")
-        assert time.perf_counter() - start < 5
-        assert_one_line_error(rc, out, err)
-        assert "10 paths of side 100000 per block" in err
-        assert "bytes allowed" in err
+        out = subprocess.run(
+            [sys.executable, "-m", "mfe.cli", "simulate", "--field", "C",
+             "--N", "100000", "--word", "u11", "--t", "1",
+             "--samples", "10"],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, preexec_fn=cap, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert_one_line_error(out.returncode, out.stdout, out.stderr)
+        assert "Unable to allocate" in out.stderr
 
     @pytest.mark.parametrize("module", ["scipy.sparse.linalg", "sympy"])
     def test_import_leaves_sparse_solver_unloaded(self, module):

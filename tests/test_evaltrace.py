@@ -361,6 +361,22 @@ class TestWordStatistics:
             with pytest.raises(ValueError, match="bars for 2 slots"):
                 m_stat(b, [u, u], square_df(1, 2), "C", bars=bars)
 
+    def test_real_slot_among_complex_slots(self):
+        # one loop of three factors: a float64 slot matrix next to
+        # complex ones gives the value of its complex copy, in any slot
+        rng = random.Random(10)
+        df = square_df(2)
+        u = rand_mat(rng, 2, 2, "C")
+        b, _ = encode_word([(1, 1, False)] * 3)
+        assert len(oriented_cycles(b.pairing,
+                                   canonical_orientation(b.pairing))) == 1
+        for slot in range(3):
+            mats = [u, u, u]
+            mats[slot] = np.eye(2)
+            got = m_stat(b, mats, df, "C")
+            mats[slot] = np.eye(2, dtype=complex)
+            assert np.isclose(got, m_stat(b, mats, df, "C"))
+
 
 class TestOrientationIndependence:
     @pytest.mark.parametrize("field", ["R", "C", "H"])

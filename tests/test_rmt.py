@@ -19,8 +19,8 @@ from mfe.brauer import (
     encode_word,
     square_df,
 )
-from mfe.evaltrace import STAT_CHUNK, _REAL_SIDES, _mul, _right_factor, \
-    block_slices, m_stat, sample_chunks, total_dim
+from mfe.evaltrace import STAT_CHUNK, block_slices, m_stat, sample_chunks, \
+    total_dim
 from mfe.moments import finite_evaluator
 from mfe.reference import (
     LieBasis,
@@ -43,8 +43,9 @@ from mfe.rmt import (
     estimate_stats,
     kappa,
 )
-from mfe.rmt import _CHUNK, _TAYLOR, _chunk_len, _degree, _frobenius, \
-    _gaussian_lie, _lie_layout, _shrink_traceless, _step_layout
+from mfe.rmt import _CHUNK, _REAL_SIDES, _TAYLOR, _chunk_len, _degree, \
+    _frobenius, _gaussian_lie, _lie_layout, _mul, _right_factor, \
+    _shrink_traceless, _step_layout
 
 
 def quaternionic_defect(u):
@@ -665,6 +666,20 @@ class TestEstimateStat:
             raise AssertionError("a path was walked")
 
         monkeypatch.setattr(rmt, "_walk", walk)
+        b = identity_diagram(2, [1, 1])
+        w = Word([WordLetter(1), WordLetter(2)])
+        with pytest.raises(ValueError,
+                           match="step size t/steps = 12 is too large"):
+            estimate_stats(b, w, "C", square_df(1, 2), [0.5, 12.0], 10,
+                           steps=1)
+
+    def test_step_check_builds_no_layout(self, monkeypatch):
+        # the up-front check of kappa dt reads kappa alone: the layout of
+        # the Lie coordinates, O(N^2) entries, is built only by the walk
+        def layout(*args):
+            raise AssertionError("a layout was built")
+
+        monkeypatch.setattr(rmt, "_lie_layout", layout)
         b = identity_diagram(2, [1, 1])
         w = Word([WordLetter(1), WordLetter(2)])
         with pytest.raises(ValueError,
