@@ -6,10 +6,13 @@ The pairings read the point-to-partner matchings directly.  A word of
 block entries is encoded as the cycle diagram of the full cycle, twisted
 at its starred slots, with the block indices as colours.
 
+cycle_walk is the one walk of the cycles of b v 1 that the runtime
+routes read: the closure pass of mfe.generators takes its creating
+moves, fnc exponents and orbit keys from it, and mfe.evaltrace its
+oriented cycles, which route each loop of a trace, and fnc.
 Composition, loop counting and the other definitions of the diagram
 algebra that the tests check the runtime routes against are in
-mfe.reference; the oriented cycles of a diagram, which route each loop
-of a trace, are in mfe.evaltrace.
+mfe.reference.
 """
 
 from __future__ import annotations
@@ -144,6 +147,39 @@ class Pairing:
 
     def __repr__(self):
         return "Pairing(%d, %s)" % (self.k, list(self.pairs))
+
+
+def cycle_walk(st, k):
+    """The canonical walk of the cycles of b v 1, read off the flat state
+    st: the partners of the 2k points, top point i' at k + i - 1, then
+    optionally their colours.  Each cycle starts at its least slot
+    (0-based) and leaves it through its pairing edge.  Returns per cycle
+    its slots in visit order and their signs, +1 where the walk leaves
+    the slot's bottom point through its pairing edge, -1 where it leaves
+    through the vertical one; the least slot comes first, with sign +1,
+    though the walk crosses it last."""
+    seen = [False] * k
+    out = []
+    for s in range(k):
+        if seen[s]:
+            continue
+        slots, signs = [s], [1]
+        # x is the point the walk enters through a pairing edge; it
+        # crosses that point's slot and leaves through the other end
+        x = st[s]
+        while x != s + k:
+            if x < k:
+                slots.append(x)
+                signs.append(-1)
+                x = st[x + k]
+            else:
+                x -= k
+                slots.append(x)
+                signs.append(1)
+                x = st[x]
+            seen[slots[-1]] = True
+        out.append((slots, signs))
+    return out
 
 
 def _point_name(x, k):

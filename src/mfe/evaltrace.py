@@ -2,10 +2,12 @@
 
 The statistic attached to an oriented coloured diagram factorizes over the
 loops of the diagram graph: each loop contributes the trace of an ordered
-product of sub-blocks (transposed where the orientation sign is -1), and a
-per-class normalizer d^(-fnc) (or (-2d)^(-fnc) in the quaternion case)
-makes the value dimension free.  The oriented cycles of a diagram, which
-give each loop's route, and fnc live here.
+product of sub-blocks (transposed where the orientation sign is +1, see
+_loop_factors), and a per-class normalizer d^(-fnc) (or (-2d)^(-fnc) in
+the quaternion case) makes the value dimension free.  The oriented
+cycles of a diagram, which give each loop's route, its canonical
+orientation and fnc live here; all three read the cycles of
+brauer.cycle_walk, and m_stat walks a diagram once per call.
 
 A quaternion n x m matrix is stored as its complex embedding of shape
 (2n, 2m), made by quat_embed, so that one layout serves the three fields.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .brauer import DimensionFunction, Pairing
+from .brauer import DimensionFunction, Pairing, cycle_walk
 
 
 # ---------------------------------------------------------------------------
@@ -52,42 +54,45 @@ class Orientation:
         return "Orientation(%s)" % (self.signs,)
 
 
-def _traverse(b: Pairing):
-    """Canonical loop traversal.
-
-    Per loop, starting at its least bottom point and leaving through the
-    pairing edge, returns (cycle, signs) where cycle lists the bottom points
-    in visit order and signs[i] = +1 iff the walk leaves bottom point i
-    through its pairing edge.
-    """
+def _oriented(b: Pairing, s=None):
+    """The orientation s, canonical by default, and the cycles of b that
+    it orients, from one brauer.cycle_walk: per cycle its slots in visit
+    order and their signs by slot.  Reversing a loop of the canonical
+    orientation reverses its cycle, which keeps its least slot first,
+    and flips its signs."""
     k = b.k
-    visited = set()
+    walk = cycle_walk([b.match(x) - 1 for x in range(1, 2 * k + 1)], k)
+    if s is None:
+        signs = {x: g for slots, sg in walk for x, g in zip(slots, sg)}
+        s = Orientation(signs[x] for x in range(k))
     out = []
-    for m in range(1, k + 1):
-        if m in visited:
-            continue
-        cycle, signs = [], {}
-        pt, use_b = m, True
-        while True:
-            if pt <= k and pt not in signs:
-                cycle.append(pt)
-                signs[pt] = 1 if use_b else -1
-                visited.add(pt)
-            nxt = b.match(pt) if use_b else (pt + k if pt <= k else pt - k)
-            use_b = not use_b
-            pt = nxt
-            if pt == m and use_b:
-                break
-        out.append((tuple(cycle), signs))
-    return out
+    for slots, sg in walk:
+        cycle = tuple(x + 1 for x in slots)
+        given = [s.signs[x] for x in slots]
+        if given == sg:
+            out.append((cycle, dict(zip(cycle, sg))))
+        elif given == [-g for g in sg]:
+            out.append((cycle[:1] + cycle[:0:-1], dict(zip(cycle, given))))
+        else:
+            raise ValueError("not an orientation of this diagram")
+    return s, out
+
+
+def _fnc_exponents(b, cycles, df):
+    """Per dimension class, the number of the oriented cycles of the
+    diagram b that it normalizes (see fnc)."""
+    k = b.k
+    exps = dict.fromkeys(df.classes(), 0)
+    for cycle, sg in cycles:
+        m = cycle[0]
+        exps[df.class_of(b.colour(m if sg[m] == 1 else m + k))] += 1
+    return exps
 
 
 def canonical_orientation(b: Pairing) -> Orientation:
-    signs = [0] * b.k
-    for cycle, sg in _traverse(b):
-        for i in cycle:
-            signs[i - 1] = sg[i]
-    return Orientation(signs)
+    """The signs of the canonical walk: each loop starts at its least
+    bottom point and leaves it through the pairing edge."""
+    return _oriented(b)[0]
 
 
 def oriented_cycles(b: Pairing, s: Orientation):
@@ -96,18 +101,7 @@ def oriented_cycles(b: Pairing, s: Orientation):
     The orientation must agree with the canonical one up to reversing
     whole loops; reversing a loop reverses its cycle and flips its signs.
     """
-    out = []
-    for cycle, sg in _traverse(b):
-        canon = [sg[i] for i in cycle]
-        given = [s.sign(i) for i in cycle]
-        if given == canon:
-            out.append((tuple(cycle), {i: sg[i] for i in cycle}))
-        elif given == [-x for x in canon]:
-            rev = (cycle[0],) + tuple(reversed(cycle[1:]))
-            out.append((rev, {i: -sg[i] for i in cycle}))
-        else:
-            raise ValueError("not an orientation of this diagram")
-    return out
+    return _oriented(b, s)[1]
 
 
 def fnc(x, df: DimensionFunction, cls) -> int:
@@ -117,20 +111,11 @@ def fnc(x, df: DimensionFunction, cls) -> int:
     A cycle counts for the class of c(m) when the orientation sign at its
     minimum m is +1, and for the class of c(m') when it is -1.
     """
-    if isinstance(x, tuple):
-        diagram, orient = x
-    else:
-        diagram, orient = x, canonical_orientation(x.pairing)
+    diagram, orient = x if isinstance(x, tuple) else (x, None)
     if cls not in df.dims or df.class_of(cls) != cls:
         raise ValueError("unknown dimension class %r" % (cls,))
-    total = 0
-    k = diagram.k
-    for cycle, _ in _traverse(diagram.pairing):
-        m = min(cycle)
-        point = m if orient.sign(m) == 1 else m + k
-        if df.class_of(diagram.colour(point)) == cls:
-            total += 1
-    return total
+    return _fnc_exponents(diagram, _oriented(diagram.pairing, orient)[1],
+                          df)[cls]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +262,6 @@ def m_stat(b, mats, df, field="C", orientation=None, bars=None):
     its blocks, the adjoint over R, and over C m_stat conjugates them
     one chunk at a time, as it conjugates every transposed block over H.
     """
-    s = orientation if orientation is not None else canonical_orientation(
-        b.pairing)
     if not b.is_valid(df):
         raise ValueError("diagram invalid under the dimension function")
     bars = [False] * b.k if bars is None else bars
@@ -286,13 +269,14 @@ def m_stat(b, mats, df, field="C", orientation=None, bars=None):
         raise ValueError("%d bars for %d slots" % (len(bars), b.k))
     quat = field == "H"
     slices = block_slices(df, 2 if quat else 1)
+    cycles = _oriented(b.pairing, orientation)[1]
     loops = [_loop_factors(cycle, sg, b, slices, field, bars)
-             for cycle, sg in oriented_cycles(b.pairing, s)]
+             for cycle, sg in cycles]
     # a removed loop of class d is worth d (-2d for H) in the numerator and
     # raises fnc_d by one, so extended diagrams evaluate like bare ones.
-    ext = (b, s)
-    norms = [((-2.0 if quat else 1.0) * float(df.value(cls)))
-             ** (-fnc(ext, df, cls)) for cls in df.classes()]
+    exps = _fnc_exponents(b, cycles, df)
+    norms = [((-2.0 if quat else 1.0) * float(df.value(cls))) ** (-exps[cls])
+             for cls in df.classes()]
 
     def value(mats):
         total = 1.0 + 0.0j if field == "C" else 1.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .brauer import ColouredBrauerDiagram, Pairing, square_df
+from .brauer import ColouredBrauerDiagram, Pairing, cycle_walk, square_df
 
 BASIS_BOUND = 20000
 
@@ -90,71 +90,50 @@ def _limit_rates(ratios):
     return Fraction(-1, 2), _class_bases(ratios, False), Fraction(1)
 
 
-def _cycle_walk(st, k, class_pos, nclasses):
-    """One walk of the cycles of b v 1, read off the flat state st (the
-    partners of the 2k points, top point i' at k + i - 1, then their
-    colours).  Returns a code per slot, 2m + 1 where its canonical sign is
-    +1 and 2m where it is -1, m the least slot of its cycle (0-based), and
-    the fnc exponent of each class: a cycle counts for the class of the
-    colour at its least slot, whose sign is +1."""
-    code = [-1] * k
-    exps = [0] * nclasses
-    for s in range(k):
-        if code[s] < 0:
-            exps[class_pos[st[2 * k + s]]] += 1
-            x = s
-            while True:
-                if x < k:
-                    code[x] = 2 * s + 1
-                y = st[x]
-                if y < k:
-                    code[y] = 2 * s
-                    x = y + k
-                else:
-                    x = y - k
-                if x == s:
-                    break
-    return code, tuple(exps)
+def _state_walk(st, k, class_pos, nclasses, kinds, m):
+    """What the closure pass reads off one brauer.cycle_walk of the flat
+    state st (the partners of the 2k points, top point i' at k + i - 1,
+    then their colours): a code per slot, 2s + 1 where its canonical
+    sign is +1 and 2s where it is -1, s the least slot of its cycle; the
+    fnc exponent of each class, a cycle counting for the class of the
+    colour at its least slot, whose sign is +1; and the orbit key, or
+    None where kinds is None.
 
-
-def _orbit_code(st, k, kinds, m):
-    """Key of the flat state st up to the slot permutations that keep
-    each slot's kind, kinds[s] = its (letter, bar) class.
-
-    A cycle of b v 1 is read as the cyclic sequence of its slot visits,
-    each visit one int of (kind, entered at bottom or top, colour in,
-    colour out) with colours below m; its code is the least rotation of
-    the sequence or of its reversal, which flips every visit.  The key
-    is the sorted tuple of the cycle codes: equal keys are exactly the
-    states that a kind-preserving slot permutation maps onto each other.
+    The key is that of st up to the slot permutations that keep each
+    slot's kind, kinds[s] = its (letter, bar) class.  A cycle is read as
+    the cyclic sequence of its slot visits, each visit one int of (kind,
+    entered at bottom or top, colour in, colour out) with colours below
+    m; its code is the least rotation of the sequence or of its
+    reversal, which flips every visit.  The key is the sorted tuple of
+    the cycle codes: equal keys are exactly the states that a
+    kind-preserving slot permutation maps onto each other.
     """
-    k2 = 2 * k
-    seen = [False] * k
-    codes = []
-    for s in range(k):
-        if seen[s]:
+    k2, k3 = 2 * k, 3 * k
+    code = [0] * k
+    exps = [0] * nclasses
+    key = []
+    for slots, signs in cycle_walk(st, k):
+        s = slots[0]
+        exps[class_pos[st[k2 + s]]] += 1
+        for x, g in zip(slots, signs):
+            code[x] = 2 * s + (g == 1)
+        if kinds is None:
             continue
         fwd, rev = [], []
-        x = s
-        while True:
-            if x < k:
-                slot, out, d = x, x + k, 0
-            else:
-                slot, out, d = x - k, x - k, 1
-            seen[slot] = True
-            a, b = st[k2 + x], st[k2 + out]
-            fwd.append(((2 * kinds[slot] + d) * m + a) * m + b)
-            rev.append(((2 * kinds[slot] + 1 - d) * m + b) * m + a)
-            x = st[out]
-            if x == s:
-                break
+        for x, g in zip(slots, signs):
+            bottom, top = st[k2 + x], st[k3 + x]
+            up = ((2 * kinds[x]) * m + bottom) * m + top
+            down = ((2 * kinds[x] + 1) * m + top) * m + bottom
+            # sign +1: the walk enters the slot at its top point
+            fwd.append(down if g == 1 else up)
+            rev.append(up if g == 1 else down)
         rev.reverse()
-        lo = min(min(fwd), min(rev))
-        codes.append(min(tuple(c[i:] + c[:i])
-                         for c in (fwd, rev)
-                         for i in range(len(c)) if c[i] == lo))
-    codes.sort()
-    return tuple(codes)
+        least = min(min(fwd), min(rev))
+        key.append(min(tuple(c[i:] + c[:i])
+                       for c in (fwd, rev)
+                       for i in range(len(c)) if c[i] == least))
+    key.sort()
+    return code, tuple(exps), None if kinds is None else tuple(key)
 
 
 def _sweep(states, word, df, fclass, rates, creating_only=False,
@@ -170,15 +149,14 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     colours stay valid, so the states found are not re-checked.
 
     With lump, a state is an orbit of diagrams under the slot
-    permutations that keep each slot's letter and bar (_orbit_code).
+    permutations that keep each slot's letter and bar (_state_walk).
     These commute with the tensor power of the motion, so the diagrams
     of an orbit share one trace, and their statistics differ only by
     the normalisation prod_cls base^fnc.  The first diagram met in an
     orbit represents it: its row is summed by target orbit, and each
     entry takes the fnc of the target's representative, which makes the
     lumped rows exact for any representative.  Every given state keeps
-    its own state, and a product equal to a given state lands on it;
-    the orbit code is computed once per other distinct product.
+    its own state, and a product equal to a given state lands on it.
 
     A state is held as its flat tuple: the partners of the 2k points,
     top point i' at k + i - 1, then their colours.  A move is a local
@@ -189,10 +167,11 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     and j' and is made once per top colour t: it removes one loop of
     their class when p = j', else it pairs p with q; then it pairs i'
     with j', both coloured t.  A diagram is built once per new state.
-    The creating moves come from the one walk of the state's cycles made
-    when it is found, which also gives its fnc exponents: i and j lie on
-    one cycle, with equal canonical signs for tau and opposite
-    ones for e (the rule of reference.creates_cycle_sign).
+    Each given state and each other distinct product is walked once,
+    by brauer.cycle_walk, and _state_walk reads off that walk its orbit
+    key, its fnc exponents and its creating moves: i and j lie on one
+    cycle, with equal canonical signs for tau and opposite ones for e
+    (the rule of reference.creates_cycle_sign).
 
     From rates = (drift, bases, scale) the pass fills the generator
     rows: drift times the total letter weight on the diagonal, and per
@@ -221,16 +200,16 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     labels = None if join is None else [lab for _, lab in states]
     index = {key: n for n, key in enumerate(
         flats if join is None else zip(flats, labels))}
-    walks = [_cycle_walk(st, k, class_pos, len(bases)) for st in flats]
+    kind = {}
+    kinds = [kind.setdefault((l.letter, l.bar), len(kind))
+             for l in word.letters] if lump else None
+    walk_args = (k, class_pos, len(bases), kinds, df.n + 1)
+    walks = [_state_walk(st, *walk_args) for st in flats]
     orbits = index
     if lump:
-        kind = {}
-        kinds = [kind.setdefault((l.letter, l.bar), len(kind))
-                 for l in word.letters]
-        ncol = df.n + 1
         orbits = {}
-        for n, st in enumerate(flats):
-            orbits.setdefault(_orbit_code(st, k, kinds, ncol), n)
+        for n, w in enumerate(walks):
+            orbits.setdefault(w[2], n)
     values = {}
     rows = []
     i = 0
@@ -238,7 +217,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
         st = flats[i]
         row = {i: diag}
         rows.append(row)
-        code, fi = walks[i]
+        code, fi, _ = walks[i]
         out = []
         for si, sj, tau_ok, e_ok in moves:
             if creating_only:
@@ -273,12 +252,13 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                 if len(index) >= BASIS_BOUND:
                     raise ValueError(
                         "reachable basis exceeds %d" % BASIS_BOUND)
-                okey = _orbit_code(nxt, k, kinds, ncol) if lump else key
+                nwalk = _state_walk(nxt, *walk_args)
+                okey = nwalk[2] if lump else key
                 j = orbits.get(okey)
                 if j is None:
                     j = orbits[okey] = len(states)
                     flats.append(nxt)
-                    walks.append(_cycle_walk(nxt, k, class_pos, len(bases)))
+                    walks.append(nwalk)
                     d = ColouredBrauerDiagram(
                         Pairing(k, [(x + 1, y + 1) for x, y in
                                     enumerate(nxt[:k2]) if x < y]),

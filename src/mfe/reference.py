@@ -38,7 +38,7 @@ from .cumulants import Colourization, _block_functional, _product, \
     colour_act
 from .evaltrace import (
     Orientation,
-    _traverse,
+    _oriented,
     block_slices,
     canonical_orientation,
     fnc,
@@ -61,7 +61,6 @@ from .ncpart import (
     NonCrossingPartition,
     SetPartition,
     as_set_partition,
-    catalan,
     enumerate_nc,
     mobius_nc,
     nc_to_permutation,
@@ -327,11 +326,10 @@ def diamond(r: ColouredBrauerDiagram, b: ColouredBrauerDiagram,
     if comp is Zero:
         return Zero
     result = comp.diagram
-    canon = canonical_orientation(result.pairing)
+    canon, cycles = _oriented(result.pairing)
     signs = list(canon.signs)
-    for cycle, _ in _traverse(result.pairing):
-        m = min(cycle)
-        if s.sign(m) == -1:
+    for cycle, _ in cycles:
+        if s.sign(cycle[0]) == -1:
             for i in cycle:
                 signs[i - 1] = -signs[i - 1]
     return OrientedExtended(result, Orientation(signs), comp.loops)
@@ -454,11 +452,6 @@ def partition_join(p: SetPartition, q: SetPartition) -> SetPartition:
 
 def zero_nc(k):
     return NonCrossingPartition([[i] for i in range(1, k + 1)])
-
-
-def mobius_zero_one(k):
-    """Closed form mu(0_k, 1_k) = (-1)^(k-1) Catalan(k-1)."""
-    return Fraction((-1) ** (k - 1) * catalan(k - 1))
 
 
 def geodesic_distance(sigma: Permutation) -> int:
@@ -610,9 +603,8 @@ def is_compatible(b, word):
     orientation up to a global flip on each cycle of the diagram.
     """
     signs = [-1 if l.bar else 1 for l in word.letters]
-    canon = canonical_orientation(b.pairing)
-    for cyc, _ in oriented_cycles(b.pairing, canon):
-        rel = {signs[i - 1] * canon.sign(i) for i in cyc}
+    for cyc, canon in _oriented(b.pairing)[1]:
+        rel = {signs[i - 1] * canon[i] for i in cyc}
         if len(rel) > 1:
             return False
     return True
@@ -625,12 +617,11 @@ def compatible_words(b, letter=1):
     equals the canonical orientation or its negation; the word puts a bar
     exactly at the negative slots.
     """
-    s = canonical_orientation(b.pairing)
-    cycles = [c for c, _ in oriented_cycles(b.pairing, s)]
+    s, cycles = _oriented(b.pairing)
     words = []
     for flips in itertools.product((1, -1), repeat=len(cycles)):
         signs = list(s.signs)
-        for cyc, fl in zip(cycles, flips):
+        for (cyc, _), fl in zip(cycles, flips):
             if fl == -1:
                 for i in cyc:
                     signs[i - 1] = -signs[i - 1]

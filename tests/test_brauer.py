@@ -9,6 +9,7 @@ from mfe.brauer import (
     ColouredBrauerDiagram,
     DimensionFunction,
     Pairing,
+    cycle_walk,
     encode_word,
     format_diagram,
     Permutation,
@@ -22,6 +23,7 @@ from mfe.evaltrace import (
     fnc,
     oriented_cycles,
 )
+from mfe.generators import _state_walk
 from mfe.ncpart import SetPartition
 from mfe.reference import (
     Zero,
@@ -675,3 +677,45 @@ def test_join_count_matches_partition_join(pair):
 
     assert join_count(b, r) == blocks(b, r)
     assert nc(b) == blocks(b, Pairing.identity(b.k))
+
+
+@seed(27)
+@given(st.integers(1, 7), st.lists(st.integers(1, 2), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_cycle_walk_matches_independent_routes(k, dims, rng):
+    """The shared walk against the union-find join of b and the identity
+    (reference.cycle_partition), the matching walk's count (nc) and the
+    per-class counts of the join's blocks, on valid diagrams of up to
+    three colours of dimension 1 or 2."""
+    df = DimensionFunction(dims)
+    b = random_coloured(rng, k, df.n, df)
+    flat = tuple(b.pairing.match(x) - 1 for x in range(1, 2 * k + 1)) \
+        + b.colours
+    walk = cycle_walk(flat, k)
+    blocks = cycle_partition(b.pairing).blocks
+    assert sorted(x for slots, _ in walk for x in slots) == list(range(k))
+    assert {frozenset(p for x in slots for p in (x + 1, k + x + 1))
+            for slots, _ in walk} == {frozenset(blk) for blk in blocks}
+    assert len(walk) == nc(b.pairing)
+    for slots, signs in walk:
+        assert slots[0] == min(slots) and signs[0] == 1
+        # (entry, exit) point of each visit, 0-based: sign +1 crosses the
+        # slot downward; the pairing joins each exit to the next entry
+        ends = [(k + x, x) if g == 1 else (x, k + x)
+                for x, g in zip(slots, signs)]
+        assert [flat[out] for _, out in ends] == \
+            [entry for entry, _ in ends[1:] + ends[:1]]
+    counts = dict.fromkeys(df.classes(), 0)
+    for blk in blocks:
+        counts[df.class_of(b.colour(min(blk)))] += 1
+    assert {cls: fnc(b, df, cls) for cls in counts} == counts
+    pos = {cls: i for i, cls in enumerate(df.classes())}
+    code, exps, key = _state_walk(
+        flat, k, {c: pos[df.class_of(c)] for c in df.dims}, len(pos), None,
+        df.n + 1)
+    assert exps == tuple(counts.values()) and key is None
+    # creating-move codes: the least slot of the cycle, and the sign
+    least = {x: min(blk) - 1 for blk in blocks for x in blk}
+    signs = canonical_orientation(b.pairing).signs
+    assert code == [2 * least[x + 1] + (signs[x] == 1) for x in range(k)]

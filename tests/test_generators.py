@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from scipy.linalg import expm
 
 from mfe.brauer import (
@@ -13,12 +14,14 @@ from mfe.brauer import (
     Pairing,
     Word,
     WordLetter,
+    cycle_walk,
     encode_word,
     square_df,
+    twist,
 )
 from mfe.evaltrace import fnc, total_dim
 from mfe.generators import (
-    _orbit_code,
+    _state_walk,
     build_generator_finite,
     build_generator_limit,
     casimir_drift,
@@ -209,20 +212,21 @@ class TestClosure:
 
     def test_bound_counts_the_diagrams_met(self, monkeypatch):
         # u11^40 has 37,338 orbits, one per partition of 40, but each
-        # distinct product costs an orbit code before its orbit is known:
-        # the bound caps those, so the walk stops after as many codes
-        codes = []
+        # distinct product costs a cycle walk, which gives its orbit key,
+        # before its orbit is known: the bound caps those, so the closure
+        # stops after as many walks
+        walks = []
 
         def counted(*args):
-            codes.append(args)
-            return _orbit_code(*args)
-        monkeypatch.setattr("mfe.generators._orbit_code", counted)
+            walks.append(args)
+            return cycle_walk(*args)
+        monkeypatch.setattr("mfe.generators.cycle_walk", counted)
         monkeypatch.setattr("mfe.generators.BASIS_BOUND", 500)
         seed, word = encode_word([(1, 1, False)] * 40)
         with pytest.raises(ValueError, match="exceeds 500"):
             build_generator_limit([seed], word, square_ratios(1), "complex")
-        # one code per given state, then one per product met
-        assert len(codes) == 500
+        # one walk per given state, then one per product met
+        assert len(walks) == 500
 
     def test_partial_states_are_closed_given_states_first(self):
         seed, word = encode_word([(1, 2, False), (2, 1, False),
@@ -1001,3 +1005,35 @@ class TestLumping:
             assert solve_semigroup_row(
                 full.rows, full.basis.index(mate), dvec) == \
                 want * Fraction(1, 3)
+
+
+@seed(27)
+@given(st.integers(1, 4), st.lists(st.integers(1, 2), min_size=4, max_size=4),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_orbit_keys_are_kind_preserving_slot_orbits(k, letters, rng):
+    """Two states have equal orbit keys exactly when a slot permutation
+    that keeps each slot's letter maps one onto the other, by brute force
+    over all slot permutations.  Candidates: every slot permutation of a
+    diagram on two colours, with any of its slots twisted and with its
+    colours exchanged, and an independent diagram."""
+    word = Word(WordLetter(letter) for letter in letters[:k])
+    kinds = [letter - 1 for letter in letters[:k]]
+    b, other = (random_valid_diagram(rng, k, square_df(2)) for _ in range(2))
+
+    def key(d):
+        flat = tuple(d.pairing.match(x) - 1 for x in range(1, 2 * k + 1)) \
+            + d.colours
+        return _state_walk(flat, k, {1: 0, 2: 0}, 1, kinds, 3)[2]
+    orbit = slot_orbits(word)(b)
+    assert {key(d) for d in orbit} == {key(b)}
+    candidates = [other]
+    for moved in slot_orbits(plain_word(k))(b):
+        for flips in itertools.product((False, True), repeat=k):
+            d = moved
+            for i in range(1, k + 1):
+                d = twist(d, i) if flips[i - 1] else d
+            candidates += [d, ColouredBrauerDiagram(
+                d.pairing, [3 - c for c in d.colours])]
+    for d in candidates:
+        assert (key(d) == key(b)) == (d in orbit)

@@ -20,7 +20,6 @@ from mfe.reference import (
     all_transpositions,
     count_minimal_factorizations,
     geodesic_distance,
-    mobius_zero_one,
     partition_join,
     zero_nc,
 )
@@ -173,10 +172,6 @@ class TestMobius:
             for j in range(n):
                 if ncs[i].leq(ncs[j]):
                     assert mobius_nc(ncs[i], ncs[j]) == mu[i][j]
-
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_closed_form_zero_one(self, k):
-        assert mobius_nc(zero_nc(k), one_nc(k)) == mobius_zero_one(k)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_mobius_roundtrip(self, k):

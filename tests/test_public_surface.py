@@ -35,7 +35,6 @@ REFERENCES = {
     "schurmann_L": "Schurmann triple side of the same check",
     "factorized_moment": "per-cycle product route to limit moments",
     "zero_nc": "bottom of NC(k), the lower end of Moebius intervals",
-    "mobius_zero_one": "closed form that mobius_nc is checked against",
     "expm": "batched exponential on the sampler's kernel, checked by scipy",
     "_ratio_factor": "per-move loop factor the generator rows are checked "
                      "against",
