@@ -4,19 +4,11 @@ The statistic attached to an oriented coloured diagram factorizes over the
 loops of the diagram graph: each loop contributes the trace of an ordered
 product of sub-blocks (transposed where the orientation sign is +1, see
 _loop_factors), and a per-class normalizer d^(-fnc) (or (-2d)^(-fnc) in
-the quaternion case) makes the value dimension free.  The oriented
-cycles of a diagram, which give each loop's route, its canonical
-orientation and fnc live here; all three read the cycles of
-brauer.cycle_walk, and m_stat walks a diagram once per call.
-
-A quaternion n x m matrix is stored as its complex embedding of shape
-(2n, 2m), made by quat_embed, so that one layout serves the three fields.
-Evaluation is batched: slot matrices may carry any leading sample axes,
-and the statistic then has those axes.
-
-The conditional expectation onto the block projectors and the
-amalgamated cumulants of sampled matrices, the finite counterparts of
-mfe.opvalued, are in mfe.reference.
+the quaternion case) makes the value dimension free.  The value does not
+depend on the orientation, so every diagram is oriented one way: by the
+canonical walk of brauer.cycle_walk, which starts each loop at its least
+slot with sign +1.  The oriented cycles, the canonical orientation and
+fnc read that walk, and m_stat walks a diagram once per call.
 """
 
 from __future__ import annotations
@@ -31,91 +23,57 @@ from .brauer import DimensionFunction, Pairing, cycle_walk
 # ---------------------------------------------------------------------------
 
 class Orientation:
-    """Signs on {1..k}, one consistent direction per loop of the graph."""
+    """Signs on {1..k}, one direction per loop of the graph: those of the
+    canonical walk (canonical_orientation)."""
 
     __slots__ = ("signs",)
 
     def __init__(self, signs):
-        signs = tuple(signs)
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be +-1")
-        self.signs = signs
+        self.signs = tuple(signs)
 
     def sign(self, i):
         return self.signs[i - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Orientation) and self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
 
     def __repr__(self):
         return "Orientation(%s)" % (self.signs,)
 
 
-def _oriented(b: Pairing, s=None):
-    """The orientation s, canonical by default, and the cycles of b that
-    it orients, from one brauer.cycle_walk: per cycle its slots in visit
-    order and their signs by slot.  Reversing a loop of the canonical
-    orientation reverses its cycle, which keeps its least slot first,
-    and flips its signs."""
-    k = b.k
-    walk = cycle_walk([b.match(x) - 1 for x in range(1, 2 * k + 1)], k)
-    if s is None:
-        signs = {x: g for slots, sg in walk for x, g in zip(slots, sg)}
-        s = Orientation(signs[x] for x in range(k))
-    out = []
-    for slots, sg in walk:
-        cycle = tuple(x + 1 for x in slots)
-        given = [s.signs[x] for x in slots]
-        if given == sg:
-            out.append((cycle, dict(zip(cycle, sg))))
-        elif given == [-g for g in sg]:
-            out.append((cycle[:1] + cycle[:0:-1], dict(zip(cycle, given))))
-        else:
-            raise ValueError("not an orientation of this diagram")
-    return s, out
+def oriented_cycles(b: Pairing):
+    """The cycles of b in the canonical walk of brauer.cycle_walk, with
+    the signs it induces: per cycle its slots in visit order, least slot
+    first, and their signs by slot, the least slot's +1."""
+    walk = cycle_walk([b.match(x) - 1 for x in range(1, 2 * b.k + 1)], b.k)
+    return [(tuple(x + 1 for x in slots),
+             {x + 1: g for x, g in zip(slots, signs)})
+            for slots, signs in walk]
 
 
 def _fnc_exponents(b, cycles, df):
     """Per dimension class, the number of the oriented cycles of the
-    diagram b that it normalizes (see fnc)."""
-    k = b.k
+    diagram b that it normalizes: each counts for the class of the
+    colour at its least slot (see fnc)."""
     exps = dict.fromkeys(df.classes(), 0)
-    for cycle, sg in cycles:
-        m = cycle[0]
-        exps[df.class_of(b.colour(m if sg[m] == 1 else m + k))] += 1
+    for cycle, _ in cycles:
+        exps[df.class_of(b.colour(cycle[0]))] += 1
     return exps
 
 
 def canonical_orientation(b: Pairing) -> Orientation:
     """The signs of the canonical walk: each loop starts at its least
     bottom point and leaves it through the pairing edge."""
-    return _oriented(b)[0]
+    signs = {}
+    for _, sg in oriented_cycles(b):
+        signs.update(sg)
+    return Orientation(signs[x] for x in range(1, b.k + 1))
 
 
-def oriented_cycles(b: Pairing, s: Orientation):
-    """Cycles of sigma_(b,s) with the signs the orientation induces.
-
-    The orientation must agree with the canonical one up to reversing
-    whole loops; reversing a loop reverses its cycle and flips its signs.
-    """
-    return _oriented(b, s)[1]
-
-
-def fnc(x, df: DimensionFunction, cls) -> int:
-    """The number of cycles of the oriented diagram x, a diagram or a
-    (diagram, orientation) pair, that the class normalizes.
-
-    A cycle counts for the class of c(m) when the orientation sign at its
-    minimum m is +1, and for the class of c(m') when it is -1.
-    """
-    diagram, orient = x if isinstance(x, tuple) else (x, None)
+def fnc(b, df: DimensionFunction, cls) -> int:
+    """The number of cycles of the coloured diagram b that the class
+    normalizes: a cycle counts for the class of the colour c(m) at its
+    least slot m, where the canonical sign is +1."""
     if cls not in df.dims or df.class_of(cls) != cls:
         raise ValueError("unknown dimension class %r" % (cls,))
-    return _fnc_exponents(diagram, _oriented(diagram.pairing, orient)[1],
-                          df)[cls]
+    return _fnc_exponents(b, oriented_cycles(b.pairing), df)[cls]
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +157,14 @@ def _loop_factors(cycle, signs, b, slices, field, bars):
     (c(l), c(l')) block of mats[l-1], crossing it downward
     (signs[l] = +1) the transpose of that block.  A factor is conjugated
     where the field is H and it is transposed, or where the field is C
-    and its slot is barred.  A walk that leaves its start slot through
-    the pairing edge crosses that slot last.
+    and its slot is barred.  The walk leaves its least slot through the
+    pairing edge, so it crosses that slot last.
     """
     k = b.k
-    if signs[cycle[0]] == 1:
-        cycle = cycle[1:] + cycle[:1]
     return [(l - 1, (Ellipsis, slices[b.colour(l)], slices[b.colour(k + l)]),
              signs[l] == 1,
              signs[l] == 1 if field == "H" else field == "C" and bars[l - 1])
-            for l in cycle]
+            for l in cycle[1:] + cycle[:1]]
 
 
 def _loop_trace(factors, mats, quat):
@@ -244,7 +200,7 @@ def _loop_trace(factors, mats, quat):
     return -tr.real if quat else tr
 
 
-def m_stat(b, mats, df, field="C", orientation=None, bars=None):
+def m_stat(b, mats, df, field="C", bars=None):
     """Normalized trace statistic of a coloured diagram on slot matrices.
 
     mats[l] is the full matrix for tensor slot l+1, of shape (..., N, N),
@@ -252,10 +208,11 @@ def m_stat(b, mats, df, field="C", orientation=None, bars=None):
     statistic has the leading axes, so one call evaluates a whole pool
     of samples.  The pool is cut along its first axis by sample_chunks
     and each chunk's values are written into one result, so the call
-    holds the pool plus chunk-sized temporaries.  The value does not
-    depend on the orientation.  Loop variables, when present, contribute
-    their class dimension (-2 times it for H) -- they cancel against the
-    extra normalizer.
+    holds the pool plus chunk-sized temporaries.  The diagram is read in
+    its canonical orientation (oriented_cycles), which the value does not
+    depend on.  Loop variables, when present, contribute their class
+    dimension (-2 times it for H) -- they cancel against the extra
+    normalizer.
 
     bars flags the barred slots, none by default.  A barred slot reads
     the adjoint of its matrix, as given: the diagram's twist transposes
@@ -269,7 +226,7 @@ def m_stat(b, mats, df, field="C", orientation=None, bars=None):
         raise ValueError("%d bars for %d slots" % (len(bars), b.k))
     quat = field == "H"
     slices = block_slices(df, 2 if quat else 1)
-    cycles = _oriented(b.pairing, orientation)[1]
+    cycles = oriented_cycles(b.pairing)
     loops = [_loop_factors(cycle, sg, b, slices, field, bars)
              for cycle, sg in cycles]
     # a removed loop of class d is worth d (-2d for H) in the numerator and

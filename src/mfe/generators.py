@@ -90,35 +90,38 @@ def _limit_rates(ratios):
     return Fraction(-1, 2), _class_bases(ratios, False), Fraction(1)
 
 
-def _state_walk(st, k, class_pos, nclasses, kinds, m):
-    """What the closure pass reads off one brauer.cycle_walk of the flat
-    state st (the partners of the 2k points, top point i' at k + i - 1,
-    then their colours): a code per slot, 2s + 1 where its canonical
-    sign is +1 and 2s where it is -1, s the least slot of its cycle; the
-    fnc exponent of each class, a cycle counting for the class of the
-    colour at its least slot, whose sign is +1; and the orbit key, or
-    None where kinds is None.
-
-    The key is that of st up to the slot permutations that keep each
-    slot's kind, kinds[s] = its (letter, bar) class.  A cycle is read as
-    the cyclic sequence of its slot visits, each visit one int of (kind,
-    entered at bottom or top, colour in, colour out) with colours below
-    m; its code is the least rotation of the sequence or of its
-    reversal, which flips every visit.  The key is the sorted tuple of
-    the cycle codes: equal keys are exactly the states that a
-    kind-preserving slot permutation maps onto each other.
-    """
-    k2, k3 = 2 * k, 3 * k
+def _state_codes(st, walk, k, class_pos, nclasses):
+    """What the closure pass reads off the brauer.cycle_walk of a state
+    it keeps, st being the flat state (the partners of the 2k points,
+    top point i' at k + i - 1, then their colours): a code per slot,
+    2s + 1 where its canonical sign is +1 and 2s where it is -1, s the
+    least slot of its cycle; and the fnc exponent of each class, a cycle
+    counting for the class of the colour at its least slot, whose sign
+    is +1."""
     code = [0] * k
     exps = [0] * nclasses
-    key = []
-    for slots, signs in cycle_walk(st, k):
+    for slots, signs in walk:
         s = slots[0]
-        exps[class_pos[st[k2 + s]]] += 1
+        exps[class_pos[st[2 * k + s]]] += 1
         for x, g in zip(slots, signs):
             code[x] = 2 * s + (g == 1)
-        if kinds is None:
-            continue
+    return code, tuple(exps)
+
+
+def _orbit_key(st, walk, k, kinds, m):
+    """The orbit key of the flat state st, read off its cycle walk: the
+    key of st up to the slot permutations that keep each slot's kind,
+    kinds[s] = its (letter, bar) class.  A cycle is read as the cyclic
+    sequence of its slot visits, each visit one int of (kind, entered at
+    bottom or top, colour in, colour out) with colours below m; its code
+    is the least rotation of the sequence or of its reversal, which
+    flips every visit.  The key is the sorted tuple of the cycle codes:
+    equal keys are exactly the states that a kind-preserving slot
+    permutation maps onto each other.
+    """
+    k2, k3 = 2 * k, 3 * k
+    key = []
+    for slots, signs in walk:
         fwd, rev = [], []
         for x, g in zip(slots, signs):
             bottom, top = st[k2 + x], st[k3 + x]
@@ -133,7 +136,7 @@ def _state_walk(st, k, class_pos, nclasses, kinds, m):
                        for c in (fwd, rev)
                        for i in range(len(c)) if c[i] == least))
     key.sort()
-    return code, tuple(exps), None if kinds is None else tuple(key)
+    return tuple(key)
 
 
 def _sweep(states, word, df, fclass, rates, creating_only=False,
@@ -149,7 +152,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     colours stay valid, so the states found are not re-checked.
 
     With lump, a state is an orbit of diagrams under the slot
-    permutations that keep each slot's letter and bar (_state_walk).
+    permutations that keep each slot's letter and bar (_orbit_key).
     These commute with the tensor power of the motion, so the diagrams
     of an orbit share one trace, and their statistics differ only by
     the normalisation prod_cls base^fnc.  The first diagram met in an
@@ -168,8 +171,9 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     their class when p = j', else it pairs p with q; then it pairs i'
     with j', both coloured t.  A diagram is built once per new state.
     Each given state and each other distinct product is walked once,
-    by brauer.cycle_walk, and _state_walk reads off that walk its orbit
-    key, its fnc exponents and its creating moves: i and j lie on one
+    by brauer.cycle_walk; with lump, _orbit_key reads its orbit off
+    that walk.  Only a state that is kept has _state_codes read its fnc
+    exponents and its creating moves off the walk: i and j lie on one
     cycle, with equal canonical signs for tau and opposite ones for e
     (the rule of reference.creates_cycle_sign).
 
@@ -203,13 +207,15 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
     kind = {}
     kinds = [kind.setdefault((l.letter, l.bar), len(kind))
              for l in word.letters] if lump else None
-    walk_args = (k, class_pos, len(bases), kinds, df.n + 1)
-    walks = [_state_walk(st, *walk_args) for st in flats]
+    code_args = (k, class_pos, len(bases))
+    key_args = (k, kinds, df.n + 1)
+    walks = [cycle_walk(st, k) for st in flats]
+    codes = [_state_codes(st, w, *code_args) for st, w in zip(flats, walks)]
     orbits = index
     if lump:
         orbits = {}
-        for n, w in enumerate(walks):
-            orbits.setdefault(w[2], n)
+        for n, (st, w) in enumerate(zip(flats, walks)):
+            orbits.setdefault(_orbit_key(st, w, *key_args), n)
     values = {}
     rows = []
     i = 0
@@ -217,7 +223,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
         st = flats[i]
         row = {i: diag}
         rows.append(row)
-        code, fi, _ = walks[i]
+        code, fi = codes[i]
         out = []
         for si, sj, tau_ok, e_ok in moves:
             if creating_only:
@@ -252,13 +258,13 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                 if len(index) >= BASIS_BOUND:
                     raise ValueError(
                         "reachable basis exceeds %d" % BASIS_BOUND)
-                nwalk = _state_walk(nxt, *walk_args)
-                okey = nwalk[2] if lump else key
+                nwalk = cycle_walk(nxt, k)
+                okey = _orbit_key(nxt, nwalk, *key_args) if lump else key
                 j = orbits.get(okey)
                 if j is None:
                     j = orbits[okey] = len(states)
                     flats.append(nxt)
-                    walks.append(nwalk)
+                    codes.append(_state_codes(nxt, nwalk, *code_args))
                     d = ColouredBrauerDiagram(
                         Pairing(k, [(x + 1, y + 1) for x, y in
                                     enumerate(nxt[:k2]) if x < y]),
@@ -269,7 +275,7 @@ def _sweep(states, word, df, fclass, rates, creating_only=False,
                         labels.append(lab)
                         states.append((d, lab))
                 index[key] = j
-            fj = walks[j][1]
+            fj = codes[j][1]
             vkey = (fj, fi, loop, si, tau)
             val = values.get(vkey)
             if val is None:
@@ -319,7 +325,11 @@ def build_generator_limit(states, word, ratios, fclass="real",
     build_generator_finite: the closure of u11^k has one per partition
     of k.  Built identically for the limits of the real and
     quaternionic processes; the complex variant differs only through the
-    word filters.  Returns the (basis, rows) pair of _sweep.
+    word filters, and on a seed compatible with its word
+    (reference.is_compatible) not at all: there a creating tau joins
+    slots of equal bars and a creating e slots of opposite bars, which
+    the complex filter admits too.  So the limit does not depend on the
+    field.  Returns the (basis, rows) pair of _sweep.
     """
     return GeneratorMatrix(*_sweep(
         list(states), word, ratios, fclass, _limit_rates(ratios),

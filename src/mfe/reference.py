@@ -11,7 +11,10 @@ contraction rho_contract; the sampler's kernel against scipy through
 expm.  Composition stacks the left factor over the right one, removes
 closed loops and records them per dimension class.  Products vanish
 unless the colours on every fused link agree exactly -- this is what
-makes the representation b -> rho_d(b) multiplicative.
+makes the representation b -> rho_d(b) multiplicative.  Oriented
+diagrams are read in the one orientation that mfe.evaltrace gives them,
+the canonical walk: sigma_of, creates_cycle_sign and the compatible
+words read its cycles and signs.
 
 No subcommand of mfe.cli imports this module, so a job that compiles
 the package from source does not compile it.
@@ -37,8 +40,6 @@ from .brauer import (
 from .cumulants import Colourization, _block_functional, _product, \
     colour_act
 from .evaltrace import (
-    Orientation,
-    _oriented,
     block_slices,
     canonical_orientation,
     fnc,
@@ -279,8 +280,10 @@ def transpose_diagram(b):
     return ColouredBrauerDiagram(p, cols)
 
 
-def sigma_of(b: Pairing, s: Orientation) -> Permutation:
-    cycles = [list(c) for c, _ in oriented_cycles(b, s)]
+def sigma_of(b: Pairing) -> Permutation:
+    """The paper's permutation of b in its canonical orientation: each
+    cycle of b, in the order the canonical walk visits its slots."""
+    cycles = [list(c) for c, _ in oriented_cycles(b)]
     return Permutation.from_cycles(b.k, cycles)
 
 
@@ -301,38 +304,6 @@ def creates_cycle_sign(r_kind, i, j, b: Pairing) -> bool:
     s = canonical_orientation(b)
     prod = s.sign(i) * s.sign(j)
     return prod == (-1 if r_kind == "e" else 1)
-
-
-class OrientedExtended:
-    """Oriented extended diagram (the value of the diamond operation)."""
-
-    __slots__ = ("diagram", "orientation", "loops")
-
-    def __init__(self, diagram, orientation, loops=None):
-        self.diagram = diagram
-        self.orientation = orientation
-        self.loops = dict(loops or {})
-
-    def __repr__(self):
-        return "OrientedExtended(%r, %r, %s)" % (
-            self.diagram, self.orientation, self.loops)
-
-
-def diamond(r: ColouredBrauerDiagram, b: ColouredBrauerDiagram,
-            s: Orientation, df: DimensionFunction):
-    """r diamond (b, s): compose and re-orient, inheriting the old sign at
-    the minimum of each new cycle; loop variables are carried along."""
-    comp = compose(r, b, df)
-    if comp is Zero:
-        return Zero
-    result = comp.diagram
-    canon, cycles = _oriented(result.pairing)
-    signs = list(canon.signs)
-    for cycle, _ in cycles:
-        if s.sign(cycle[0]) == -1:
-            for i in cycle:
-                signs[i - 1] = -signs[i - 1]
-    return OrientedExtended(result, Orientation(signs), comp.loops)
 
 
 def matching_tau(b: ColouredBrauerDiagram, i, j):
@@ -366,56 +337,6 @@ def matching_es(b: ColouredBrauerDiagram, i, j, n):
         cols[i - 1] = cols[j - 1] = a
         cols[k + i - 1] = cols[k + j - 1] = t
         out.append(ColouredBrauerDiagram(Pairing.e(k, i, j), cols))
-    return out
-
-
-def all_nonmixing_elementaries(k, n, kind):
-    """Every non-mixing coloured tau_ij / e_ij of size k over n colours."""
-    out = []
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        pairing = Pairing.tau(k, i, j) if kind == "tau" else Pairing.e(k, i, j)
-        slots = [(i, j) if kind == "e" else (i, k + j),
-                 (k + i, k + j) if kind == "e" else (j, k + i)]
-        others = [l for l in range(1, k + 1) if l not in (i, j)]
-        for cab in itertools.product(range(1, n + 1), repeat=2):
-            for rest in itertools.product(range(1, n + 1), repeat=len(others)):
-                cols = [0] * (2 * k)
-                for (x, y), c in zip(slots, cab):
-                    cols[x - 1] = cols[y - 1] = c
-                for l, c in zip(others, rest):
-                    cols[l - 1] = cols[k + l - 1] = c
-                out.append(ColouredBrauerDiagram(pairing, cols))
-    return out
-
-
-def elementary_sets(b: ColouredBrauerDiagram, kind, df: DimensionFunction):
-    """Subsets of elementary diagrams relative to b.
-
-    kind: 'T+' / 'W+' (cycle-or-loop creating, gluable onto b),
-          'T', 'W' (all gluable), with suffix '=' (diagonal colours),
-          '!=' (exclusive colours).
-    """
-    n = df.n
-    base = kind.rstrip("=!")
-    suffix = kind[len(base):]
-    out = []
-    for i, j in itertools.combinations(range(1, b.k + 1), 2):
-        if base.startswith("T"):
-            cands = [matching_tau(b, i, j)]
-        else:
-            cands = matching_es(b, i, j, n)
-        for r in cands:
-            if base.endswith("+") and not creates_cycle(r.pairing, b.pairing):
-                continue
-            if base.startswith("T"):
-                ca, cb = r.colour(i), r.colour(j)
-            else:
-                ca, cb = r.colour(i), r.colour(b.k + i)
-            if suffix == "=" and ca != cb:
-                continue
-            if suffix in ("!", "!=") and ca == cb:
-                continue
-            out.append(((i, j), r))
     return out
 
 
@@ -603,7 +524,7 @@ def is_compatible(b, word):
     orientation up to a global flip on each cycle of the diagram.
     """
     signs = [-1 if l.bar else 1 for l in word.letters]
-    for cyc, canon in _oriented(b.pairing)[1]:
+    for cyc, canon in oriented_cycles(b.pairing):
         rel = {signs[i - 1] * canon[i] for i in cyc}
         if len(rel) > 1:
             return False
@@ -617,15 +538,13 @@ def compatible_words(b, letter=1):
     equals the canonical orientation or its negation; the word puts a bar
     exactly at the negative slots.
     """
-    s, cycles = _oriented(b.pairing)
+    cycles = oriented_cycles(b.pairing)
     words = []
     for flips in itertools.product((1, -1), repeat=len(cycles)):
-        signs = list(s.signs)
-        for (cyc, _), fl in zip(cycles, flips):
-            if fl == -1:
-                for i in cyc:
-                    signs[i - 1] = -signs[i - 1]
-        words.append(Word(WordLetter(letter, bar=(x == -1)) for x in signs))
+        signs = {i: fl * g for (_, sg), fl in zip(cycles, flips)
+                 for i, g in sg.items()}
+        words.append(Word(WordLetter(letter, bar=signs[i] == -1)
+                          for i in range(1, b.k + 1)))
     return words
 
 

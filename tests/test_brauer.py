@@ -15,26 +15,24 @@ from mfe.brauer import (
     Permutation,
     square_df,
     twist,
+    Word,
     WordLetter,
 )
 from mfe.evaltrace import (
-    Orientation,
     canonical_orientation,
     fnc,
     oriented_cycles,
 )
-from mfe.generators import _state_walk
+from mfe.generators import _state_codes
 from mfe.ncpart import SetPartition
 from mfe.reference import (
     Zero,
     _ratio_factor,
-    all_nonmixing_elementaries,
+    admissible_moves,
     compose,
     creates_cycle,
     creates_cycle_sign,
     cycle_partition,
-    diamond,
-    elementary_sets,
     identity_diagram,
     join_count,
     matching_es,
@@ -315,19 +313,19 @@ class TestOrientation:
     def test_identity_all_plus(self):
         s = canonical_orientation(Pairing.identity(3))
         assert s.signs == (1, 1, 1)
-        assert sigma_of(Pairing.identity(3), s) == Permutation.identity(3)
+        assert sigma_of(Pairing.identity(3)) == Permutation.identity(3)
 
     def test_tau_all_plus_cycle(self):
         p = Pairing.tau(2, 1, 2)
         s = canonical_orientation(p)
         assert s.signs == (1, 1)
-        assert sigma_of(p, s) == Permutation.from_cycles(2, [[1, 2]])
+        assert sigma_of(p) == Permutation.from_cycles(2, [[1, 2]])
 
     def test_e_mixed_signs(self):
         p = Pairing.e(2, 1, 2)
         s = canonical_orientation(p)
         assert s.signs == (1, -1)
-        assert sigma_of(p, s) == Permutation.from_cycles(2, [[1, 2]])
+        assert sigma_of(p) == Permutation.from_cycles(2, [[1, 2]])
 
     def test_permutation_diagram_recovers_sigma(self):
         for images in itertools.permutations(range(1, 5)):
@@ -335,22 +333,7 @@ class TestOrientation:
             p = Pairing.from_permutation(sigma)
             s = canonical_orientation(p)
             assert all(x == 1 for x in s.signs)
-            assert sigma_of(p, s) == sigma
-
-    def test_reversed_loop_is_valid(self):
-        p = Pairing.tau(2, 1, 2)
-        rev = Orientation((-1, -1))
-        assert sigma_of(p, rev) == Permutation.from_cycles(2, [[1, 2]])
-
-    def test_partial_flip_rejected(self):
-        p = Pairing.tau(2, 1, 2)
-        with pytest.raises(ValueError):
-            oriented_cycles(p, Orientation((1, -1)))
-
-    def test_reversal_inverts_cycles(self):
-        p = Pairing.from_permutation(Permutation.from_cycles(3, [[1, 2, 3]]))
-        rev = Orientation((-1, -1, -1))
-        assert sigma_of(p, rev) == Permutation.from_cycles(3, [[1, 3, 2]])
+            assert sigma_of(p) == sigma
 
     def test_every_point_signed_once(self):
         rng = random.Random(29)
@@ -360,7 +343,7 @@ class TestOrientation:
             s = canonical_orientation(p)
             assert len(s.signs) == k
             # loops of the orientation graph partition the bottom points
-            cyc = [c for c, _ in oriented_cycles(p, s)]
+            cyc = [c for c, _ in oriented_cycles(p)]
             assert sorted(x for c in cyc for x in c) == list(range(1, k + 1))
 
 
@@ -446,25 +429,22 @@ class TestFnc:
         assert fnc(b, df, 1) == 1 and fnc(b, df, 2) == 1
 
     def test_negative_sign_reads_top_colour(self):
+        # the cycle's other slot has sign -1, and its top colour 2 does
+        # not count: the least slot 1 has sign +1, so the cycle counts
+        # for the colour of point 1
         df = DimensionFunction([2, 3])
         b = parse_diagram("(1,2)@1 (1',2')@2")
         s = canonical_orientation(b.pairing)
         assert s.signs == (1, -1)
-        # single cycle, min 1 has sign +1: counts for colour of point 1
-        assert fnc((b, s), df, 1) == 1 and fnc((b, s), df, 2) == 0
-        rev = Orientation((-1, 1))
-        # reversed: min 1 has sign -1: counts for colour of point 1'
-        assert fnc((b, rev), df, 1) == 0 and fnc((b, rev), df, 2) == 1
+        assert fnc(b, df, 1) == 1 and fnc(b, df, 2) == 0
 
     def test_loops_add(self):
+        # e o e keeps one cycle and removes one loop
         df = square_df(1)
         e = parse_diagram("(1,2)@1 (1',2')@1")
         out = compose(e, e, df)
-        s = canonical_orientation(out.diagram.pairing)
-        ext = diamond(e, e, s, df)
-        # one cycle plus one loop
-        assert fnc((ext.diagram, ext.orientation), df, 1) == 1
-        assert ext.loops.get(1, 0) == 1
+        assert fnc(out.diagram, df, 1) == 1
+        assert out.loops.get(1, 0) == 1
 
     def test_unknown_class_rejected(self):
         df = square_df(1)
@@ -472,75 +452,32 @@ class TestFnc:
             fnc(identity_diagram(1, [1]), df, 7)
 
 
-class TestDiamond:
-    def test_diagram_matches_compose(self):
-        rng = random.Random(53)
-        df = square_df(2)
-        for _ in range(30):
-            k = rng.randrange(1, 5)
-            b = random_coloured(rng, k, 2, df)
-            r = rng.choice(all_nonmixing_elementaries(k, 2, rng.choice(
-                ["tau", "e"]))) if k >= 2 else identity_diagram(1, [1])
-            out = diamond(r, b, canonical_orientation(b.pairing), df)
-            comp = compose(r, b, df)
-            if comp is Zero:
-                assert out is Zero
-            else:
-                assert out.diagram == comp.diagram
-                assert out.loops == comp.loops
-
-    def test_inherits_old_sign_at_minimum(self):
-        df = square_df(1)
-        b = identity_diagram(2, [1, 1])
-        r = parse_diagram("(1,2')@1 (2,1')@1")
-        flipped = Orientation((-1, -1))
-        out = diamond(r, b, flipped, df)
-        # result is the tau diagram, one cycle with min 1; old sign was -1
-        assert out.orientation.sign(1) == -1
-
-    def test_orientation_valid_and_inherited(self):
-        rng = random.Random(59)
-        df = square_df(1)
-        for _ in range(30):
-            k = rng.randrange(2, 5)
-            b = ColouredBrauerDiagram(random_pairing(rng, k), [1] * (2 * k))
-            s = canonical_orientation(b.pairing)
-            if rng.random() < 0.5:  # flip a random loop of b
-                cyc = rng.choice([c for c, _ in oriented_cycles(
-                    b.pairing, s)])
-                signs = list(s.signs)
-                for i in cyc:
-                    signs[i - 1] = -signs[i - 1]
-                s = Orientation(signs)
-            r = rng.choice(all_nonmixing_elementaries(k, 1, rng.choice(
-                ["tau", "e"])))
-            out = diamond(r, b, s, df)
-            if out is Zero:
-                continue
-            # must be a genuine orientation (whole-loop flips of canonical)
-            cycles = oriented_cycles(out.diagram.pairing, out.orientation)
-            # and carry the old sign at each new cycle's minimum
-            for cyc, sg in cycles:
-                m = min(cyc)
-                assert sg[m] == s.sign(m)
+def elementaries(b, kind, df, creating=False):
+    """The paper's elementary set of the given kind, 'tau' or 'e', that
+    glues onto b, or its creating part, as (slots, diagram) pairs: the
+    moves reference.admissible_moves finds under a word of one letter,
+    which admits every move."""
+    word = Word([WordLetter(1)] * b.k)
+    return [(slots, r) for slots, r, kd in admissible_moves(
+        b, word, df, "real", creating_only=creating) if kd == kind]
 
 
 class TestElementarySets:
     def test_creating_taus_of_identity_empty(self):
         df = square_df(1)
         b = identity_diagram(2, [1, 1])
-        assert elementary_sets(b, "T+", df) == []
+        assert elementaries(b, "tau", df, creating=True) == []
 
     def test_creating_taus_of_tau(self):
         df = square_df(1)
         b = parse_diagram("(1,2')@1 (2,1')@1")
-        out = elementary_sets(b, "T+", df)
+        out = elementaries(b, "tau", df, creating=True)
         assert [slot for slot, _ in out] == [(1, 2)]
 
     def test_creating_es_of_e(self):
         df = square_df(2)
         b = parse_diagram("(1,2)@1 (1',2')@1")
-        out = elementary_sets(b, "W+", df)
+        out = elementaries(b, "e", df, creating=True)
         # top colour of the creating e ranges over the two colours
         assert len(out) == 2
         tops = sorted(r.colour(3) for _, r in out)
@@ -550,7 +487,7 @@ class TestElementarySets:
         df = square_df(2)
         b = identity_diagram(2, [1, 2])
         assert matching_es(b, 1, 2, 2) == []
-        assert elementary_sets(b, "W", df) == []
+        assert elementaries(b, "e", df) == []
 
     def test_tau_glues_by_swapping(self):
         df = square_df(2)
@@ -560,20 +497,23 @@ class TestElementarySets:
         assert out.diagram.colour(3) == 2 and out.diagram.colour(4) == 1
 
     def test_suffix_filters(self):
+        # the diagonal part (top colour = bottom colour) and the exclusive
+        # part of the creating e's
         df = square_df(2)
         b = parse_diagram("(1,2)@1 (1',2')@1")
-        eq = elementary_sets(b, "W+=", df)
-        ne = elementary_sets(b, "W+!=", df)
-        assert len(eq) == 1 and eq[0][1].colour(3) == 1
-        assert len(ne) == 1 and ne[0][1].colour(3) == 2
+        out = elementaries(b, "e", df, creating=True)
+        eq = [r for _, r in out if r.colour(1) == r.colour(3)]
+        ne = [r for _, r in out if r.colour(1) != r.colour(3)]
+        assert len(eq) == 1 and eq[0].colour(3) == 1
+        assert len(ne) == 1 and ne[0].colour(3) == 2
 
     def test_counts_all_gluable(self):
         df = square_df(2)
         b = identity_diagram(3, [1, 1, 2])
         # every (i, j) has exactly one gluable tau
-        assert len(elementary_sets(b, "T", df)) == 3
+        assert len(elementaries(b, "tau", df)) == 3
         # only the slot with equal top colours admits an e, with 2 tops
-        assert len(elementary_sets(b, "W", df)) == 2
+        assert len(elementaries(b, "e", df)) == 2
 
 
 class TestEncodeWord:
@@ -711,10 +651,9 @@ def test_cycle_walk_matches_independent_routes(k, dims, rng):
         counts[df.class_of(b.colour(min(blk)))] += 1
     assert {cls: fnc(b, df, cls) for cls in counts} == counts
     pos = {cls: i for i, cls in enumerate(df.classes())}
-    code, exps, key = _state_walk(
-        flat, k, {c: pos[df.class_of(c)] for c in df.dims}, len(pos), None,
-        df.n + 1)
-    assert exps == tuple(counts.values()) and key is None
+    code, exps = _state_codes(
+        flat, walk, k, {c: pos[df.class_of(c)] for c in df.dims}, len(pos))
+    assert exps == tuple(counts.values())
     # creating-move codes: the least slot of the cycle, and the sign
     least = {x: min(blk) - 1 for blk in blocks for x in blk}
     signs = canonical_orientation(b.pairing).signs

@@ -15,7 +15,6 @@ from mfe.brauer import (
 )
 from mfe import evaltrace
 from mfe.evaltrace import (
-    Orientation,
     STAT_CHUNK,
     block_slices,
     canonical_orientation,
@@ -239,10 +238,9 @@ class TestAgainstTensorOperator:
                 b = random_valid_diagram(rng, k, df)
                 mats = [rand_mat(rng, n, n, field) for _ in range(k)]
                 got = m_stat(b, mats, df, field)
-                s = canonical_orientation(b.pairing)
                 norm = 1.0
                 for cls in df.classes():
-                    norm *= float(df.value(cls)) ** fnc((b, s), df, cls)
+                    norm *= float(df.value(cls)) ** fnc(b, df, cls)
                 assert np.isclose(got, rho_contract(b, mats, df) / norm)
                 pool = [mats] + [[rand_mat(extra, n, n, field)
                                   for _ in range(k)] for _ in range(2)]
@@ -368,8 +366,7 @@ class TestWordStatistics:
         df = square_df(2)
         u = rand_mat(rng, 2, 2, "C")
         b, _ = encode_word([(1, 1, False)] * 3)
-        assert len(oriented_cycles(b.pairing,
-                                   canonical_orientation(b.pairing))) == 1
+        assert len(oriented_cycles(b.pairing)) == 1
         for slot in range(3):
             mats = [u, u, u]
             mats[slot] = np.eye(2)
@@ -378,26 +375,47 @@ class TestWordStatistics:
             assert np.isclose(got, m_stat(b, mats, df, "C"))
 
 
+def relabel(b, perm):
+    """b with slot i + 1 renamed perm[i] + 1, on both rows."""
+    k = b.k
+
+    def f(x):
+        return perm[x - 1] + 1 if x <= k else k + perm[x - k - 1] + 1
+    cols = [0] * (2 * k)
+    for x in range(1, 2 * k + 1):
+        cols[f(x) - 1] = b.colour(x)
+    return ColouredBrauerDiagram(
+        Pairing(k, [(f(x), f(y)) for x, y in b.pairing.pairs]), cols)
+
+
 class TestOrientationIndependence:
     @pytest.mark.parametrize("field", ["R", "C", "H"])
     def test_reversed_loops_agree(self, field):
+        # m_stat reads each loop in the direction of the canonical walk,
+        # which starts at the loop's least slot.  Renaming the slots moves
+        # that start, and reverses the loop where the new least slot was
+        # crossed upward; the statistic of the renamed diagram on the
+        # renamed matrices must not change
         rng = random.Random(12)
         df = DimensionFunction([2, 2])
         n = total_dim(df)
-        for _ in range(10):
-            k = rng.randrange(1, 4)
+        flipped = 0
+        for _ in range(20):
+            k = rng.randrange(1, 5)
             b = random_valid_diagram(rng, k, df)
             mats = [rand_mat(rng, n, n, field) for _ in range(k)]
-            s = canonical_orientation(b.pairing)
-            base = m_stat(b, mats, df, field, orientation=s)
-            # flip each loop in turn
-            for cyc, _ in oriented_cycles(b.pairing, s):
-                signs = list(s.signs)
-                for i in cyc:
-                    signs[i - 1] = -signs[i - 1]
-                flipped = Orientation(signs)
-                got = m_stat(b, mats, df, field, orientation=flipped)
-                assert np.isclose(got, base)
+            perm = rng.sample(range(k), k)
+            moved = relabel(b, perm)
+            moved_mats = [None] * k
+            for i, x in enumerate(perm):
+                moved_mats[x] = mats[i]
+            signs = canonical_orientation(b.pairing).signs
+            moved_signs = canonical_orientation(moved.pairing).signs
+            flipped += sum(signs[i] != moved_signs[x]
+                           for i, x in enumerate(perm))
+            assert np.isclose(m_stat(moved, moved_mats, df, field),
+                              m_stat(b, mats, df, field))
+        assert flipped > 0
 
 
 class TestBatchedQuaternion:
@@ -446,21 +464,15 @@ class TestChunkedEvaluation:
     ]
 
     def cases(self):
-        """(diagram, slot letters, orientation) for plain and barred
-        words of one and two letters, an identity diagram of two loops,
-        and each word's first loop reversed."""
+        """(diagram, slot letters) for plain and barred words of one and
+        two letters, and an identity diagram of two loops."""
         out = []
         for tokens, letters in self.WORDS:
             b, _ = encode_word(tokens, letters=letters)
-            out.append((b, letters or [1] * b.k, None))
-            s = canonical_orientation(b.pairing)
-            cyc, _ = oriented_cycles(b.pairing, s)[0]
-            signs = [-x if i + 1 in cyc else x for i, x in enumerate(s.signs)]
-            out.append((b, letters or [1] * b.k, Orientation(signs)))
+            out.append((b, letters or [1] * b.k))
         b = identity_diagram(2, [1, 2])
-        assert len(oriented_cycles(b.pairing,
-                                   canonical_orientation(b.pairing))) == 2
-        out.append((b, [1, 2], None))
+        assert len(oriented_cycles(b.pairing)) == 2
+        out.append((b, [1, 2]))
         return out
 
     @pytest.mark.parametrize("field", ["R", "C", "H"])
@@ -477,8 +489,8 @@ class TestChunkedEvaluation:
 
             def values():
                 return [m_stat(b, [pools[x] for x in letters], self.df,
-                               field, orientation=s)
-                        for b, letters, s in self.cases()]
+                               field)
+                        for b, letters in self.cases()]
 
             chunked = values()
             with monkeypatch.context() as m:
@@ -490,9 +502,8 @@ class TestChunkedEvaluation:
                 assert np.array_equal(got, want)
         # unbatched slot matrices give a scalar, of the batched value
         sample = {x: u[-1] for x, u in pools.items()}
-        for (b, letters, s), batched in zip(self.cases(), chunked):
-            value = m_stat(b, [sample[x] for x in letters], self.df, field,
-                           orientation=s)
+        for (b, letters), batched in zip(self.cases(), chunked):
+            value = m_stat(b, [sample[x] for x in letters], self.df, field)
             assert np.ndim(value) == 0
             assert np.isclose(value, batched[-1], rtol=1e-12, atol=1e-12)
 
@@ -532,20 +543,19 @@ class TestChunkedEvaluation:
 def component_stat(b, qs, df):
     """The H statistic in the component layout, loop by loop with the
     Hamilton product, as m_stat defines it."""
-    s = canonical_orientation(b.pairing)
     total = 1.0
-    for cycle, sg in oriented_cycles(b.pairing, s):
-        if sg[cycle[0]] == 1:
-            cycle = cycle[1:] + cycle[:1]
+    for cycle, sg in oriented_cycles(b.pairing):
+        # the walk leaves its least slot through the pairing edge, so it
+        # crosses that slot last
         prod = None
-        for l in cycle:
+        for l in cycle[1:] + cycle[:1]:
             f = block(qs[l - 1], df, b.colour(l), b.colour(b.k + l))
             if sg[l] == 1:
                 f = q_adjoint(f)
             prod = f if prod is None else hamilton(prod, f)
         total *= -2.0 * q_re_trace(prod)
     for cls in df.classes():
-        total *= (-2.0 * float(df.value(cls))) ** (-fnc((b, s), df, cls))
+        total *= (-2.0 * float(df.value(cls))) ** (-fnc(b, df, cls))
     return total
 
 

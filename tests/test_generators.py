@@ -21,7 +21,7 @@ from mfe.brauer import (
 )
 from mfe.evaltrace import fnc, total_dim
 from mfe.generators import (
-    _state_walk,
+    _orbit_key,
     build_generator_finite,
     build_generator_limit,
     casimir_drift,
@@ -30,8 +30,8 @@ from mfe.generators import (
     square_ratios,
 )
 from mfe.moments import solve_semigroup_row
-from mfe.ncpart import SetPartition
-from mfe.opvalued import _coefficient_walk
+from mfe.ncpart import SetPartition, enumerate_nc
+from mfe.opvalued import _coefficient_walk, seed_diagram
 from mfe.reference import (
     _ratio_factor,
     admissible_moves,
@@ -554,6 +554,43 @@ class TestLimitGenerator:
                 assert err < last
             last = err
 
+    @pytest.mark.parametrize("weights", [None, {1: Fraction(3, 2),
+                                                2: Fraction(1, 3)}],
+                             ids=["plain", "weighted"])
+    @pytest.mark.parametrize("ratios", ["1/4,3/4", "1/4,1/4,1/2"])
+    def test_same_generator_over_every_field(self, ratios, weights):
+        # on a seed compatible with its word, the complex filter admits
+        # exactly the creating moves that the real one does, so the limit
+        # generator does not depend on the field: moment_of_word (complex)
+        # and mfe.opvalued (real) solve one generator
+        ratios = DimensionFunction([Fraction(r) for r in ratios.split(",")])
+        rng = random.Random(28)
+        cases = []
+        for _ in range(30):
+            # a word whose blocks chain: letter l maps colour c[l] to
+            # c[l - 1], read as the block (i, j) or the adjoint of (j, i)
+            k = rng.randint(3, 6)
+            c = [rng.randint(1, ratios.n) for _ in range(k)]
+            tokens = [(j, i, True) if rng.random() < 0.4 else (i, j, False)
+                      for i, j in zip(c[-1:] + c[:-1], c)]
+            cases.append(encode_word(
+                tokens, [rng.randint(1, 2) for _ in range(k)]))
+        while len(cases) < 60:
+            k = rng.randint(3, 5)
+            eps = [rng.random() < 0.5 for _ in range(k)]
+            seed = seed_diagram(rng.choice(enumerate_nc(k)),
+                                [rng.randint(1, ratios.n)
+                                 for _ in range(k + 1)], eps)
+            if seed.is_valid(ratios):
+                cases.append((seed, Word(WordLetter(rng.randint(1, 2), bar)
+                                         for bar in eps)))
+        for seed, word in cases:
+            assert is_compatible(seed, word)
+            real = build_generator_limit([seed], word, ratios, "real",
+                                         weights)
+            assert real == build_generator_limit([seed], word, ratios,
+                                                 "complex", weights)
+
     def test_zero_ratio_rejected(self):
         with pytest.raises((ValueError, ZeroDivisionError)):
             build_generator_limit(
@@ -1024,7 +1061,7 @@ def test_orbit_keys_are_kind_preserving_slot_orbits(k, letters, rng):
     def key(d):
         flat = tuple(d.pairing.match(x) - 1 for x in range(1, 2 * k + 1)) \
             + d.colours
-        return _state_walk(flat, k, {1: 0, 2: 0}, 1, kinds, 3)[2]
+        return _orbit_key(flat, cycle_walk(flat, k), k, kinds, 3)
     orbit = slot_orbits(word)(b)
     assert {key(d) for d in orbit} == {key(b)}
     candidates = [other]

@@ -23,10 +23,7 @@ SRC = ROOT / "src" / "mfe"
 REFERENCES = {
     "identity_diagram": "the unit of the Brauer algebra laws",
     "parse_diagram": "reads back the parse(...) repr of a diagram",
-    "diamond": "the paper's diamond product of a diagram and a move",
-    "sigma_of": "the paper's permutation of an oriented diagram",
-    "elementary_sets": "the paper's elementary sets E(b) and T(b)",
-    "all_nonmixing_elementaries": "the paper's non-mixing elementaries",
+    "sigma_of": "the paper's permutation of a diagram, canonically oriented",
     "transpose_diagram": "the paper's transpose of a diagram",
     "taylor_coeff_geodesic": "geodesic route to the Taylor coefficients",
     "moments_from_cumulants": "inverse of the Moebius inversion",
@@ -89,6 +86,15 @@ def test_every_private_definition_has_a_caller():
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_references_exist(name):
     assert name in {n for _, n, _, _ in definitions() + definitions(True)}
+
+
+def test_every_reference_is_checked():
+    """Each reference is named by a test module other than this one, so
+    a reference that lost its last check shows here."""
+    tests = names(t for path in (ROOT / "tests").glob("test_*.py")
+                  if path.name != pathlib.Path(__file__).name
+                  for t in tokens_of(path))
+    assert sorted(set(REFERENCES) - tests) == []
 
 
 def test_references_live_in_the_reference_module():
